@@ -29,6 +29,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/mutation"
 	"repro/internal/oracle"
 	"repro/internal/typegraph"
 	"repro/internal/types"
@@ -77,9 +78,15 @@ func main() {
 			for _, e := range tc.TEMReport.Erased {
 				fmt.Printf("  %s\n", e)
 			}
-			emit(h, tc.TEM, *lang)
 		} else {
 			fmt.Println("\n== TEM: nothing erasable ==")
+		}
+		if r := tc.TEMReport; r.CapHit {
+			fmt.Printf("  cap hit: %d combinations tried, budget %d; later methods kept all annotations\n",
+				r.CombinationsTried, mutation.MaxCombinations)
+		}
+		if tc.TEM != nil {
+			emit(h, tc.TEM, *lang)
 		}
 		if tc.TOM != nil {
 			fmt.Printf("\n== TOM mutant (ill-typed): %s ==\n", tc.TOMReport)

@@ -286,3 +286,28 @@ func TestREMStageRunsInCampaign(t *testing.T) {
 		}
 	}
 }
+
+// TestCompilerCatalogsSharedAndUnmodified checks that the bug catalogs are
+// built once per process and that a full campaign leaves them exactly as
+// bugs.Build makes them.
+func TestCompilerCatalogsSharedAndUnmodified(t *testing.T) {
+	first, second := compilers.All(), compilers.All()
+	for i := range first {
+		if &first[i].Catalog()[0] != &second[i].Catalog()[0] {
+			t.Errorf("%s: All() rebuilt the catalog", first[i].Name())
+		}
+	}
+	opts := smallOptions(40)
+	opts.Compilers = first
+	if r := Run(opts); !r.Complete() {
+		t.Fatal("campaign did not complete")
+	}
+	specs := map[string]bugs.CatalogSpec{
+		"groovyc": bugs.GroovycSpec(), "kotlinc": bugs.KotlincSpec(), "javac": bugs.JavacSpec(),
+	}
+	for _, c := range compilers.All() {
+		if !reflect.DeepEqual(c.Catalog(), bugs.Build(specs[c.Name()])) {
+			t.Errorf("%s: catalog differs from a fresh bugs.Build after a campaign", c.Name())
+		}
+	}
+}

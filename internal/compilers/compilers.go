@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"regexp"
+	"sync"
 
 	"repro/internal/bugs"
 	"repro/internal/checker"
@@ -95,7 +96,8 @@ func (c *Compiler) Name() string { return c.name }
 // Language returns the translator language the compiler consumes.
 func (c *Compiler) Language() string { return c.language }
 
-// Catalog exposes the seeded bug catalog (ground truth).
+// Catalog exposes the seeded bug catalog (ground truth). It is shared by
+// every Compiler of the same name and must not be modified.
 func (c *Compiler) Catalog() []*bugs.Bug { return c.catalog }
 
 // Versions lists the stable versions; the development master is the
@@ -114,13 +116,21 @@ func (c *Compiler) PackageFor(region string) string {
 	return region
 }
 
+// The bug catalogs are read-only ground truth, so every Compiler shares
+// one per-process copy of each instead of rebuilding it per campaign.
+var (
+	javacCatalog   = sync.OnceValue(func() []*bugs.Bug { return bugs.Build(bugs.JavacSpec()) })
+	kotlincCatalog = sync.OnceValue(func() []*bugs.Bug { return bugs.Build(bugs.KotlincSpec()) })
+	groovycCatalog = sync.OnceValue(func() []*bugs.Bug { return bugs.Build(bugs.GroovycSpec()) })
+)
+
 // Javac returns the simulated OpenJDK Java compiler.
 func Javac() *Compiler {
 	spec := bugs.JavacSpec()
 	return &Compiler{
 		name:     "javac",
 		language: "java",
-		catalog:  bugs.Build(spec),
+		catalog:  javacCatalog(),
 		versions: versionsN("jdk-", 8, spec.StableVersions),
 		builtins: types.NewBuiltins(),
 		packages: map[string]string{
@@ -139,7 +149,7 @@ func Kotlinc() *Compiler {
 	return &Compiler{
 		name:     "kotlinc",
 		language: "kotlin",
-		catalog:  bugs.Build(spec),
+		catalog:  kotlincCatalog(),
 		versions: kotlinVersions(spec.StableVersions),
 		builtins: types.NewBuiltins(),
 		packages: map[string]string{
@@ -158,7 +168,7 @@ func Groovyc() *Compiler {
 	return &Compiler{
 		name:     "groovyc",
 		language: "groovy",
-		catalog:  bugs.Build(spec),
+		catalog:  groovycCatalog(),
 		versions: versionsN("groovy-2.", 0, spec.StableVersions),
 		builtins: types.NewBuiltins(),
 		packages: map[string]string{

@@ -99,3 +99,16 @@ func omittedTypes(p *ir.Program) int {
 	})
 	return n
 }
+
+// TestTEMReportsCapHit checks the cap-hit flag on a seed whose search
+// exhausts the program-wide budget (seed 4) and one that stays far below
+// it (seed 5).
+func TestTEMReportsCapHit(t *testing.T) {
+	for seed, want := range map[int64]bool{4: true, 5: false} {
+		g := generator.New(generator.DefaultConfig().WithSeed(seed))
+		_, r := TypeErasure(g.Generate(), g.Builtins())
+		if r.CapHit != want || r.CapHit != (r.CombinationsTried > MaxCombinations) {
+			t.Errorf("seed %d: CapHit = %v after %d combinations, want %v", seed, r.CapHit, r.CombinationsTried, want)
+		}
+	}
+}

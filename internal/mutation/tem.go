@@ -36,6 +36,10 @@ type TEMReport struct {
 	// CombinationsTried counts preservation checks performed during the
 	// maximal-set search (lines 6–9).
 	CombinationsTried int
+	// CapHit reports that CombinationsTried exceeded MaxCombinations. The
+	// budget is shared by the whole program, so the method that exhausted
+	// it and every method searched after it kept all their annotations.
+	CapHit bool
 	// RepairedMethods counts methods whose erasures were rolled back by
 	// the final verification pass: the intra-procedural type-graph model
 	// occasionally over-approximates what the checker's inference can
@@ -110,6 +114,8 @@ func TypeErasure(p *ir.Program, b *types.Builtins) (*ir.Program, *TEMReport) {
 		}
 	}
 
+	report.CapHit = report.CombinationsTried > MaxCombinations
+
 	// Verification pass: the graph model is intra-procedural and can in
 	// rare cases over-approximate the checker's inference power. Roll
 	// back the erasures of any method the checker still complains about.
@@ -181,6 +187,10 @@ func dropMethod(points []ErasedPoint, method string) []ErasedPoint {
 	return out
 }
 
+// MaxCombinations is the number of preservation checks one TEM run may
+// spend on its maximal-set searches, across all methods of the program.
+const MaxCombinations = 4096
+
 // maximalPreservingSet enumerates combinations of candidate nodes from
 // largest to smallest and returns the first combination that satisfies
 // generalized type preservation — the maximal erasable set. The
@@ -188,12 +198,11 @@ func dropMethod(points []ErasedPoint, method string) []ErasedPoint {
 // line-5 filter and the early break keep it cheap in practice; a hard cap
 // bounds pathological inputs.
 func maximalPreservingSet(g *typegraph.Graph, nodes []*typegraph.Candidate, tried *int) []*typegraph.Candidate {
-	const maxChecks = 4096
 	for k := len(nodes); k >= 1; k-- {
 		var found []*typegraph.Candidate
 		combinations(len(nodes), k, func(idx []int) bool {
 			*tried++
-			if *tried > maxChecks {
+			if *tried > MaxCombinations {
 				return false
 			}
 			combo := make([]*typegraph.Candidate, k)
@@ -209,7 +218,7 @@ func maximalPreservingSet(g *typegraph.Graph, nodes []*typegraph.Candidate, trie
 		if found != nil {
 			return found
 		}
-		if *tried > maxChecks {
+		if *tried > MaxCombinations {
 			break
 		}
 	}
@@ -257,10 +266,6 @@ func eraseCandidate(c *typegraph.Candidate) {
 		c.CallExpr.TypeArgs = nil
 	case typegraph.ReturnType:
 		c.Fun.Ret = nil
-	case typegraph.LambdaParams:
-		for _, p := range c.LambdaExpr.Params {
-			p.Type = nil
-		}
 	}
 }
 

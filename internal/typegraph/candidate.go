@@ -21,9 +21,6 @@ const (
 	// ReturnType: a method's declared return type (fun m(): T = e →
 	// fun m() = e).
 	ReturnType
-	// LambdaParams: declared lambda parameter types ((x: T) -> e →
-	// (x) -> e).
-	LambdaParams
 )
 
 func (k CandidateKind) String() string {
@@ -34,10 +31,8 @@ func (k CandidateKind) String() string {
 		return "new-type-args"
 	case CallTypeArgs:
 		return "call-type-args"
-	case ReturnType:
-		return "return-type"
 	default:
-		return "lambda-params"
+		return "return-type"
 	}
 }
 
@@ -63,26 +58,10 @@ type Candidate struct {
 	VanishNodes []string
 
 	// AST back-pointers; exactly the one matching Kind is set.
-	Var        *ir.VarDecl
-	NewExpr    *ir.New
-	CallExpr   *ir.Call
-	Fun        *ir.FuncDecl
-	LambdaExpr *ir.Lambda
-
-	// HasTarget marks lambda candidates whose parameter types are
-	// recoverable from a target type.
-	HasTarget bool
-}
-
-// erasureOf unions candidates' erase sets into an edge filter.
-func erasureOf(cands []*Candidate) Erasure {
-	e := Erasure{}
-	for _, c := range cands {
-		for _, id := range c.EraseSet {
-			e[id] = true
-		}
-	}
-	return e
+	Var      *ir.VarDecl
+	NewExpr  *ir.New
+	CallExpr *ir.Call
+	Fun      *ir.FuncDecl
 }
 
 // Preserves implements Definition 3.5 generalized as the paper's remark
@@ -91,26 +70,20 @@ func erasureOf(cands []*Candidate) Erasure {
 // declaration node and every type-parameter occurrence in the graph must
 // keep its originally inferred type. This global condition subsumes the
 // per-node Definition 3.5/3.6 and prevents an erased annotation from
-// silently starving a non-candidate inference site.
+// silently starving a non-candidate inference site. Only nodes that can
+// reach an erased or vanished node are re-inferred; every other node's
+// inference walk is the baseline's.
 func Preserves(g *Graph, cands ...*Candidate) bool {
-	erased := erasureOf(cands)
-	vanished := map[string]bool{}
-	for _, c := range cands {
-		if c.Kind == LambdaParams && !c.HasTarget {
-			return false
-		}
-		for _, id := range c.VanishNodes {
-			vanished[id] = true
-		}
-	}
-	for _, id := range g.Nodes() {
-		n := g.Node(id)
-		if (!n.IsDecl && n.Param == nil) || n.Rigid || vanished[id] {
+	ix := g.dense()
+	ix.stamp(cands, true)
+	for _, n := range ix.checked {
+		if ix.marked[n] != ix.epoch || ix.vanished[n] == ix.epoch {
 			continue
 		}
-		before := g.BaselineInfer(id)
-		after := g.InferBlocked(id, erased, vanished)
-		if !before.Equal(after) {
+		if ix.base[n] == nil {
+			ix.base[n] = ix.infer(n, false)
+		}
+		if !ix.base[n].Equal(ix.infer(n, true)) {
 			return false
 		}
 	}
@@ -130,23 +103,16 @@ func (c *Candidate) RelevanceNodes() []string {
 	}
 }
 
-// InferAfterErasure returns infer(erasure(G, n), n) for one of a
-// candidate's relevance nodes — the quantity type relevance
-// (Definition 3.7) is stated over.
-func InferAfterErasure(g *Graph, c *Candidate, node string) types.Type {
-	return g.Infer(node, erasureOf([]*Candidate{c}))
-}
-
 // RelevantTo implements Definition 3.7: node n (a relevance node of
 // candidate c) is relevant to type t when, after erasing n, the inferred
-// type of n is a subtype of t. TOM overwrites a node with a type it is NOT
-// relevant to, which guarantees a type error.
+// type infer(erasure(G, n), n) is a subtype of t. TOM overwrites a node
+// with a type it is NOT relevant to, which guarantees a type error.
 func RelevantTo(g *Graph, c *Candidate, node string, t types.Type) bool {
-	inf := InferAfterErasure(g, c, node)
+	inf := g.Infer(node, c)
 	if _, isBottom := inf.(types.Bottom); isBottom {
 		// Nothing inferable: any overwrite may be consistent; treat as
 		// relevant (unsafe to overwrite blindly).
 		return true
 	}
-	return types.IsSubtypeB(g.Gov, inf, t)
+	return types.IsSubtype(inf, t)
 }

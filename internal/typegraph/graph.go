@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/governor"
 	"repro/internal/types"
 )
 
@@ -81,27 +80,12 @@ type Graph struct {
 	// Figure 6).
 	Candidates []*Candidate
 
-	// Gov, when set, meters the graph's inference walks: VisitedTypes
-	// charges per visited node and InferBlocked runs its least upper
-	// bounds through types.LubB, so a guarded budget bounds pathological
-	// inference the same way it bounds the checker's relations. Nil means
-	// unmetered (the mutation pipeline's default).
-	Gov *governor.Budget
-
-	// Memoized query state, dropped on any mutation. Preserves is called
-	// once per candidate combination (worst case thousands of times per
-	// graph) and both the sorted node list and the erasure-free baseline
-	// inference are combination-independent, so recomputing them per call
-	// dominated the whole mutation. A graph is built and then queried by a
-	// single goroutine, so the memos need no locking.
-	sortedIDs []string
-	baseInfer map[string]types.Type
+	// ix is built on the first query and dropped on any mutation. A
+	// graph is built and queried by one goroutine, so it needs no lock.
+	ix *index
 }
 
-func (g *Graph) invalidate() {
-	g.sortedIDs = nil
-	g.baseInfer = nil
-}
+func (g *Graph) invalidate() { g.ix = nil }
 
 // NewGraph returns an empty type graph.
 func NewGraph() *Graph {
@@ -111,19 +95,9 @@ func NewGraph() *Graph {
 // Node returns the node with the given ID, or nil.
 func (g *Graph) Node(id string) *Node { return g.nodes[id] }
 
-// Nodes returns all node IDs in deterministic order. Callers must not
-// mutate the returned slice: it is memoized until the graph changes.
-func (g *Graph) Nodes() []string {
-	if g.sortedIDs == nil {
-		ids := make([]string, 0, len(g.nodes))
-		for id := range g.nodes {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		g.sortedIDs = ids
-	}
-	return g.sortedIDs
-}
+// Nodes returns all node IDs in sorted order. Callers must not mutate
+// the returned slice: it belongs to the graph's index.
+func (g *Graph) Nodes() []string { return g.dense().names }
 
 // Edges returns the out-edges of a node.
 func (g *Graph) Edges(id string) []Edge { return g.out[id] }
@@ -187,79 +161,157 @@ func (g *Graph) AddEdge(from, to string, kind EdgeKind) {
 	g.out[from] = append(g.out[from], Edge{To: to, Kind: kind})
 }
 
-// Erasure is a set of node IDs whose outgoing decl edges are removed —
-// the erasure operation of Definition 3.4 expressed as an edge filter, so
-// candidate combinations can be tested without copying the graph.
-type Erasure map[string]bool
+// Infer implements Definition 3.3, infer(G, n) = ⊔ visitedTypes(G, n),
+// on the graph with the given candidates erased (Definition 3.4).
+func (g *Graph) Infer(start string, erased ...*Candidate) types.Type {
+	ix := g.dense()
+	n, ok := ix.id[start]
+	if !ok {
+		return types.Bottom{}
+	}
+	ix.stamp(erased, false)
+	return ix.infer(n, true)
+}
 
-// VisitedTypes implements visitedTypes(G, n): all concrete type nodes
-// reachable from n through decl or inf edges, under the given erasure.
-// def edges are not followed. Nodes in blocked no longer exist in the
-// mutated program (removed annotations) and are not traversed at all.
-func (g *Graph) VisitedTypes(start string, erased Erasure, blocked map[string]bool) []types.Type {
-	var out []types.Type
-	seen := map[string]bool{}
-	var dfs func(id string)
-	dfs = func(id string) {
-		g.Gov.Charge(1)
-		if seen[id] || (blocked != nil && blocked[id] && id != start) {
-			return
-		}
-		seen[id] = true
-		n := g.nodes[id]
-		if n == nil {
-			return
-		}
-		if n.Type != nil && id != start {
-			out = append(out, n.Type)
-		}
-		if n.Rigid && id != start {
-			// A rigid scope parameter is itself a known type.
-			out = append(out, n.Param)
+// index is the dense form of a graph that queries run on: node IDs in
+// sorted order, each node's decl and inf edges in insertion order and
+// their reverse (def edges and edges touching a missing node are never
+// walked), the nodes Preserves checks, and memoized baseline inferences.
+// A node is erased, vanished or marked while its stamp equals epoch, and
+// seen while its stamp equals walk. The counters only grow and are 64-bit,
+// so a stale stamp never matches and the arrays are never cleared.
+type index struct {
+	names   []string
+	id      map[string]uint32
+	nodes   []*Node
+	out     [][]arc
+	rev     [][]uint32
+	checked []uint32
+	base    []types.Type
+	cands   map[*Candidate]candIndex
+
+	epoch, walk                    uint64
+	erased, vanished, marked, seen []uint64
+	ts                             []types.Type
+}
+
+type arc struct {
+	to   uint32
+	decl bool
+}
+
+// candIndex is a candidate's erase and vanish sets as dense node IDs.
+type candIndex struct{ erase, vanish []uint32 }
+
+func (g *Graph) dense() *index {
+	if g.ix != nil {
+		return g.ix
+	}
+	names := make([]string, 0, len(g.nodes))
+	for id := range g.nodes {
+		names = append(names, id)
+	}
+	sort.Strings(names)
+	n := len(names)
+	st := make([]uint64, 4*n)
+	ix := &index{names: names, id: make(map[string]uint32, n), nodes: make([]*Node, n),
+		out: make([][]arc, n), rev: make([][]uint32, n), base: make([]types.Type, n),
+		cands: map[*Candidate]candIndex{}, erased: st[:n:n], vanished: st[n : 2*n : 2*n],
+		marked: st[2*n : 3*n : 3*n], seen: st[3*n:]}
+	for i, id := range names {
+		ix.id[id], ix.nodes[i] = uint32(i), g.nodes[id]
+	}
+	for i, id := range names {
+		if nd := ix.nodes[i]; (nd.IsDecl || nd.Param != nil) && !nd.Rigid {
+			ix.checked = append(ix.checked, uint32(i))
 		}
 		for _, e := range g.out[id] {
-			switch e.Kind {
-			case DeclEdge:
-				if erased != nil && erased[id] {
-					continue // this node's decl edges are erased
-				}
-				dfs(e.To)
-			case InfEdge:
-				dfs(e.To)
+			if to, ok := ix.id[e.To]; ok && e.Kind != DefEdge {
+				ix.out[i] = append(ix.out[i], arc{to, e.Kind == DeclEdge})
+				ix.rev[to] = append(ix.rev[to], uint32(i))
 			}
 		}
 	}
-	dfs(start)
+	g.ix = ix
+	return ix
+}
+
+// stamp starts a query under the erasure of cands and, with vanish, the
+// removal of their vanished nodes. It marks every node that reaches a
+// stamped node through decl or inf edges; the walk from any other node
+// meets nothing stamped, so it is the baseline walk and infers the
+// baseline type.
+func (ix *index) stamp(cands []*Candidate, vanish bool) {
+	ix.epoch++
+	for _, c := range cands {
+		ci, ok := ix.cands[c]
+		if !ok {
+			ci = candIndex{ix.lookup(c.EraseSet), ix.lookup(c.VanishNodes)}
+			ix.cands[c] = ci
+		}
+		for _, n := range ci.erase {
+			ix.erased[n] = ix.epoch
+			ix.mark(n)
+		}
+		if vanish {
+			for _, n := range ci.vanish {
+				ix.vanished[n] = ix.epoch
+				ix.mark(n)
+			}
+		}
+	}
+}
+
+// mark marks n and every node that reaches it.
+func (ix *index) mark(n uint32) {
+	if ix.marked[n] != ix.epoch {
+		ix.marked[n] = ix.epoch
+		for _, from := range ix.rev[n] {
+			ix.mark(from)
+		}
+	}
+}
+
+func (ix *index) lookup(ids []string) []uint32 {
+	out := make([]uint32, 0, len(ids))
+	for _, id := range ids {
+		if n, ok := ix.id[id]; ok {
+			out = append(out, n)
+		}
+	}
 	return out
 }
 
-// Infer implements Definition 3.3: infer(G, n) = ⊔ visitedTypes(G, n),
-// under an optional erasure.
-func (g *Graph) Infer(start string, erased Erasure) types.Type {
-	return g.InferBlocked(start, erased, nil)
-}
-
-// BaselineInfer is Infer(start, nil) memoized per graph — the erasure-free
-// inference Preserves compares every candidate combination against.
-func (g *Graph) BaselineInfer(start string) types.Type {
-	if t, ok := g.baseInfer[start]; ok {
-		return t
-	}
-	t := g.Infer(start, nil)
-	if g.baseInfer == nil {
-		g.baseInfer = make(map[string]types.Type, len(g.nodes))
-	}
-	g.baseInfer[start] = t
-	return t
-}
-
-// InferBlocked is Infer with a set of non-traversable (vanished) nodes.
-func (g *Graph) InferBlocked(start string, erased Erasure, blocked map[string]bool) types.Type {
-	ts := g.VisitedTypes(start, erased, blocked)
-	if len(ts) == 0 {
+// infer joins the concrete types a depth-first walk from start reaches
+// through decl and inf edges, under the current query's stamps when
+// erase is set. The walk meets types in edge insertion order, so the
+// LUB's left fold sees them in the same order on every call.
+func (ix *index) infer(start uint32, erase bool) types.Type {
+	ix.walk++
+	ix.ts = ix.ts[:0]
+	ix.visit(start, start, erase)
+	if len(ix.ts) == 0 {
 		return types.Bottom{}
 	}
-	return types.LubB(g.Gov, ts...)
+	return types.Lub(ix.ts...)
+}
+
+func (ix *index) visit(n, start uint32, erase bool) {
+	if ix.seen[n] == ix.walk || (erase && n != start && ix.vanished[n] == ix.epoch) {
+		return
+	}
+	ix.seen[n] = ix.walk
+	if nd := ix.nodes[n]; n != start && nd.Type != nil {
+		ix.ts = append(ix.ts, nd.Type)
+	} else if n != start && nd.Rigid {
+		ix.ts = append(ix.ts, nd.Param) // a rigid scope parameter is itself a known type
+	}
+	declErased := erase && ix.erased[n] == ix.epoch
+	for _, a := range ix.out[n] {
+		if !a.decl || !declErased {
+			ix.visit(a.to, start, erase)
+		}
+	}
 }
 
 // Dot renders the graph in Graphviz format; decl nodes are red boxes, type

@@ -79,7 +79,7 @@ func TestFigure6Candidates(t *testing.T) {
 func TestFigure6InferReturn(t *testing.T) {
 	g := buildFigure6(t)
 	ret := candidatesByKind(g, ReturnType)[0]
-	got := g.Infer(ret.NodeID, nil)
+	got := g.Infer(ret.NodeID)
 	if got.String() != "A<String>" {
 		t.Errorf("infer(m.ret) = %s, want A<String>", got)
 	}
@@ -93,7 +93,7 @@ func TestFigure6ReturnNotPreserved(t *testing.T) {
 	if Preserves(g, ret) {
 		t.Error("m.ret must NOT preserve its type (A<String> → B<String>)")
 	}
-	after := g.Infer(ret.NodeID, erasureOf([]*Candidate{ret}))
+	after := g.Infer(ret.NodeID, ret)
 	if after.String() != "B<String>" {
 		t.Errorf("infer after erasing m.ret = %s, want B<String>", after)
 	}
@@ -211,7 +211,7 @@ func TestTypeRelevance(t *testing.T) {
 			t.Fatalf("want 1 relevance node, got %v", nodes)
 		}
 		node := nodes[0]
-		inf := InferAfterErasure(g, cand, node)
+		inf := g.Infer(node, cand)
 		if inf.String() != "String" {
 			t.Fatalf("infer after erasure of %s = %s, want String; graph:\n%s", node, inf, g.Dot())
 		}
@@ -237,10 +237,10 @@ func TestGraphBasics(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Errorf("duplicate edges must collapse, got %d", g.NumEdges())
 	}
-	if got := g.Infer("var:x", nil); !got.Equal(b.String) {
+	if got := g.Infer("var:x"); !got.Equal(b.String) {
 		t.Errorf("infer = %s", got)
 	}
-	if got := g.Infer("var:x", Erasure{"var:x": true}); !got.Equal(types.Bottom{}) {
+	if got := g.Infer("var:x", &Candidate{EraseSet: []string{"var:x"}}); !got.Equal(types.Bottom{}) {
 		t.Errorf("erased infer = %s, want Nothing", got)
 	}
 	if g.Node("missing") != nil {
@@ -258,7 +258,7 @@ func TestInferFollowsInfButNotDef(t *testing.T) {
 	g.AddEdge(d.ID, mid.ID, InfEdge)
 	g.AddEdge(mid.ID, str.ID, InfEdge)
 	g.AddEdge(d.ID, intN.ID, DefEdge) // def edges are not traversed
-	if got := g.Infer("n", nil); !got.Equal(b.String) {
+	if got := g.Infer("n"); !got.Equal(b.String) {
 		t.Errorf("infer = %s, want String (def edge must be ignored)", got)
 	}
 }
@@ -320,7 +320,7 @@ func TestFigure1ClosureFieldFlow(t *testing.T) {
 	}
 	g := a.BuildGraph(test, nil)
 	// var:x must infer A<Long>.
-	if got := g.Infer("var:x", nil); got.String() != "A<Long>" {
+	if got := g.Infer("var:x"); got.String() != "A<Long>" {
 		t.Errorf("infer(var:x) = %s, want A<Long>", got)
 	}
 	// And x's annotation is erasable: the right-hand side pins the type.
@@ -373,7 +373,7 @@ func TestCallTypeArgsCandidate(t *testing.T) {
 	if len(nodes) != 1 {
 		t.Fatalf("relevance nodes = %v", nodes)
 	}
-	if inf := InferAfterErasure(g, calls[0], nodes[0]); inf.String() != "String" {
+	if inf := g.Infer(nodes[0], calls[0]); inf.String() != "String" {
 		t.Errorf("infer after erasure = %s, want String", inf)
 	}
 }
@@ -441,8 +441,8 @@ func TestGraphInvariantsOnGeneratedPrograms(t *testing.T) {
 					}
 				}
 				// Infer is deterministic.
-				i1 := graph.Infer(c.NodeID, nil)
-				i2 := graph.Infer(c.NodeID, nil)
+				i1 := graph.Infer(c.NodeID)
+				i2 := graph.Infer(c.NodeID)
 				if !i1.Equal(i2) {
 					t.Errorf("seed %d %s: Infer nondeterministic on %s", seed, name, c.NodeID)
 				}
