@@ -155,6 +155,10 @@ func BenchmarkFig10SuiteCoverage(b *testing.B) {
 // generating and compiling a batch of packaged programs.
 func BenchmarkBatchCompilation(b *testing.B) { benchkit.BatchCompilation(b) }
 
+// BenchmarkExecuteInput measures one input's Execute stage: the program
+// compiled by all three compilers through the default harness.
+func BenchmarkExecuteInput(b *testing.B) { benchkit.ExecuteInput(b) }
+
 // BenchmarkTEMCombinationSearch measures Algorithm 2's maximal-set
 // enumeration, whose worst case is exponential but is tamed by the
 // preservation filter (the paper's complexity remark).

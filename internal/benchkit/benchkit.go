@@ -5,12 +5,14 @@
 //
 // Each Spec measures one pipeline stage in isolation: generation, the
 // reference checker, type-graph construction, the two mutations, each
-// language translator, unification, subtyping, and batch compilation —
+// language translator, unification, subtyping, batch compilation, and
+// one input's Execute stage across the three compilers —
 // the hot paths the performance pass (see DESIGN.md "Performance")
 // optimizes and the regression harness guards.
 package benchkit
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,6 +21,8 @@ import (
 	"repro/internal/generator"
 	"repro/internal/ir"
 	"repro/internal/mutation"
+	"repro/internal/oracle"
+	"repro/internal/pipeline"
 	"repro/internal/translate"
 	"repro/internal/typegraph"
 	"repro/internal/types"
@@ -46,6 +50,7 @@ func Specs() []Spec {
 		{"Subtype", Subtype},
 		{"SubtypeReflexive", SubtypeReflexive},
 		{"BatchCompilation", BatchCompilation},
+		{"ExecuteInput", ExecuteInput},
 	}
 }
 
@@ -199,6 +204,22 @@ func BatchCompilation(b *testing.B) {
 		g := generator.New(generator.DefaultConfig().WithSeed(int64(i)))
 		for _, p := range g.GenerateBatch(10) {
 			comp.Compile(p, nil)
+		}
+	}
+}
+
+// ExecuteInput measures the Execute stage on one generated program: the
+// program compiled by all three compilers through the default harness.
+func ExecuteInput(b *testing.B) {
+	progs := benchPrograms(8)
+	exec := &pipeline.Execute{Compilers: compilers.All()}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := &pipeline.Unit{Seed: int64(i), Inputs: []pipeline.Input{{Kind: oracle.Generated, Prog: progs[i%len(progs)]}}}
+		if err := exec.Run(ctx, u); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func DefaultOptions() Options {
 type BugRecord struct {
 	Bug *bugs.Bug
 	// FoundBy records which input kinds triggered the bug.
-	FoundBy map[oracle.InputKind]bool
+	FoundBy oracle.KindSet
 	// FirstSeed is the lowest seed whose pipeline hit the bug.
 	FirstSeed int64
 	// Hits counts total triggerings (before deduplication).
@@ -173,14 +173,14 @@ type BugRecord struct {
 // otherwise a bug only API-driven synthesis reached is "Synthesized",
 // and a bug found by both mutations is "TEM & TOM".
 func (r *BugRecord) Technique() string {
-	if r.FoundBy[oracle.Generated] || r.FoundBy[oracle.Suite] {
+	if r.FoundBy.Has(oracle.Generated) || r.FoundBy.Has(oracle.Suite) {
 		return "Generator"
 	}
-	if r.FoundBy[oracle.Synthesized] {
+	if r.FoundBy.Has(oracle.Synthesized) {
 		return "Synthesized"
 	}
-	tem := r.FoundBy[oracle.TEMMutant]
-	tom := r.FoundBy[oracle.TOMMutant] || r.FoundBy[oracle.TEMTOMMutant]
+	tem := r.FoundBy.Has(oracle.TEMMutant)
+	tom := r.FoundBy.Has(oracle.TOMMutant) || r.FoundBy.Has(oracle.TEMTOMMutant)
 	switch {
 	case tem && tom:
 		return "TEM & TOM"
@@ -188,7 +188,7 @@ func (r *BugRecord) Technique() string {
 		return "TEM"
 	case tom:
 		return "TOM"
-	case r.FoundBy[oracle.REMMutant]:
+	case r.FoundBy.Has(oracle.REMMutant):
 		return "REM"
 	default:
 		return "Generator"
@@ -212,7 +212,7 @@ type DisagreementRecord struct {
 	// vote tied (unattributed).
 	Suspects []string
 	// FoundBy records which input kinds hit the disagreement.
-	FoundBy map[oracle.InputKind]bool
+	FoundBy oracle.KindSet
 	// FirstSeed is the lowest seed whose unit hit it.
 	FirstSeed int64
 	// Hits counts total occurrences (before deduplication).
@@ -583,12 +583,12 @@ func (a *reportAggregator) fold(rec *unitRecord) {
 			}
 			brec := r.Found[id]
 			if brec == nil {
-				brec = &BugRecord{Bug: bug, FoundBy: map[oracle.InputKind]bool{}, FirstSeed: rec.Seed}
+				brec = &BugRecord{Bug: bug, FirstSeed: rec.Seed}
 				r.Found[id] = brec
 			} else if rec.Seed < brec.FirstSeed {
 				brec.FirstSeed = rec.Seed
 			}
-			brec.FoundBy[e.Kind] = true
+			brec.FoundBy.Add(e.Kind)
 			brec.Hits++
 		}
 	}
@@ -606,14 +606,13 @@ func (a *reportAggregator) fold(rec *unitRecord) {
 			drec = &DisagreementRecord{
 				ID: id, Translators: d.Xlate, Vector: d.vector(),
 				Suspects:  append([]string(nil), d.Sus...),
-				FoundBy:   map[oracle.InputKind]bool{},
 				FirstSeed: rec.Seed,
 			}
 			r.Disagreements[id] = drec
 		} else if rec.Seed < drec.FirstSeed {
 			drec.FirstSeed = rec.Seed
 		}
-		drec.FoundBy[d.Kind] = true
+		drec.FoundBy.Add(d.Kind)
 		drec.Hits++
 	}
 }
@@ -626,9 +625,9 @@ func (a *reportAggregator) restoreFound(found []foundState) {
 		if bug == nil {
 			continue
 		}
-		rec := &BugRecord{Bug: bug, FoundBy: map[oracle.InputKind]bool{}, FirstSeed: f.FirstSeed, Hits: f.Hits}
+		rec := &BugRecord{Bug: bug, FirstSeed: f.FirstSeed, Hits: f.Hits}
 		for _, k := range f.FoundBy {
-			rec.FoundBy[k] = true
+			rec.FoundBy.Add(k)
 		}
 		a.report.Found[f.ID] = rec
 	}
@@ -639,11 +638,10 @@ func (a *reportAggregator) restoreDiffs(diffs []diffState) {
 	for _, d := range diffs {
 		rec := &DisagreementRecord{
 			ID: d.ID, Translators: d.Translators, Vector: d.Vector,
-			Suspects: d.Suspects, FoundBy: map[oracle.InputKind]bool{},
-			FirstSeed: d.FirstSeed, Hits: d.Hits,
+			Suspects: d.Suspects, FirstSeed: d.FirstSeed, Hits: d.Hits,
 		}
 		for _, k := range d.FoundBy {
-			rec.FoundBy[k] = true
+			rec.FoundBy.Add(k)
 		}
 		a.report.Disagreements[d.ID] = rec
 	}

@@ -83,7 +83,7 @@ func TestDifferentialCampaignFindsDisagreements(t *testing.T) {
 		u := rebuildUnit(t, rec.FirstSeed)
 		matched := false
 		for _, in := range u.Inputs {
-			if !rec.FoundBy[in.Kind] {
+			if !rec.FoundBy.Has(in.Kind) {
 				continue
 			}
 			samples := diffSamples(comps, in)
@@ -167,7 +167,7 @@ scan:
 	}
 	found := false
 	for _, rec := range report.Disagreements {
-		if rec.Translators || !rec.FoundBy[oracle.TOMMutant] {
+		if rec.Translators || !rec.FoundBy.Has(oracle.TOMMutant) {
 			continue
 		}
 		if len(rec.Suspects) == 1 && rec.Suspects[0] == suspect {

@@ -112,10 +112,8 @@ func (r *Report) Doc() *ReportDoc {
 			FirstSeed: rec.FirstSeed,
 			Hits:      rec.Hits,
 		}
-		for kind, on := range rec.FoundBy {
-			if on {
-				bd.FoundBy = append(bd.FoundBy, kind.String())
-			}
+		for _, kind := range rec.FoundBy.Kinds() {
+			bd.FoundBy = append(bd.FoundBy, kind.String())
 		}
 		sort.Strings(bd.FoundBy)
 		doc.Bugs = append(doc.Bugs, bd)
@@ -149,10 +147,8 @@ func (r *Report) Doc() *ReportDoc {
 		if rec.Translators {
 			dd.Source = "translators"
 		}
-		for kind, on := range rec.FoundBy {
-			if on {
-				dd.FoundBy = append(dd.FoundBy, kind.String())
-			}
+		for _, kind := range rec.FoundBy.Kinds() {
+			dd.FoundBy = append(dd.FoundBy, kind.String())
 		}
 		sort.Strings(dd.FoundBy)
 		doc.Disagreements = append(doc.Disagreements, dd)

@@ -672,14 +672,7 @@ func writeMeta(store *journal.Store, meta metaState) error {
 func foundStates(found map[string]*BugRecord) []foundState {
 	out := make([]foundState, 0, len(found))
 	for id, rec := range found {
-		fs := foundState{ID: id, FirstSeed: rec.FirstSeed, Hits: rec.Hits}
-		for k, on := range rec.FoundBy {
-			if on {
-				fs.FoundBy = append(fs.FoundBy, k)
-			}
-		}
-		sort.Slice(fs.FoundBy, func(i, j int) bool { return fs.FoundBy[i] < fs.FoundBy[j] })
-		out = append(out, fs)
+		out = append(out, foundState{ID: id, FoundBy: rec.FoundBy.Kinds(), FirstSeed: rec.FirstSeed, Hits: rec.Hits})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -690,39 +683,22 @@ func foundStates(found map[string]*BugRecord) []foundState {
 func diffStates(diffs map[string]*DisagreementRecord) []diffState {
 	out := make([]diffState, 0, len(diffs))
 	for id, rec := range diffs {
-		ds := diffState{
+		out = append(out, diffState{
 			ID: id, Translators: rec.Translators, Vector: rec.Vector,
-			Suspects: rec.Suspects, FirstSeed: rec.FirstSeed, Hits: rec.Hits,
-		}
-		for k, on := range rec.FoundBy {
-			if on {
-				ds.FoundBy = append(ds.FoundBy, k)
-			}
-		}
-		sort.Slice(ds.FoundBy, func(i, j int) bool { return ds.FoundBy[i] < ds.FoundBy[j] })
-		out = append(out, ds)
+			Suspects: rec.Suspects, FoundBy: rec.FoundBy.Kinds(),
+			FirstSeed: rec.FirstSeed, Hits: rec.Hits,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // unionKinds merges a FoundBy set into a sorted kind list.
-func unionKinds(have []oracle.InputKind, add map[oracle.InputKind]bool) []oracle.InputKind {
-	seen := map[oracle.InputKind]bool{}
+func unionKinds(have []oracle.InputKind, add oracle.KindSet) []oracle.InputKind {
 	for _, k := range have {
-		seen[k] = true
+		add.Add(k)
 	}
-	for k, on := range add {
-		if on {
-			seen[k] = true
-		}
-	}
-	out := make([]oracle.InputKind, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return add.Kinds()
 }
 
 // bugIndexFor maps bug ID to its catalog entry across the compilers

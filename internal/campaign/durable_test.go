@@ -9,6 +9,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/compilers"
+	"repro/internal/oracle"
 )
 
 // assertSameOutcome compares every deterministic report field between a
@@ -287,5 +290,39 @@ func TestDurablePartialReportSurvivesAbort(t *testing.T) {
 	}
 	if total < 400 {
 		t.Errorf("resumed run folded %d program executions, want at least one per seed", total)
+	}
+}
+
+// TestRestoreKeepsUnknownKinds: a snapshot from a newer build may carry
+// input kinds this build does not define. Kinds 7–63 round-trip through
+// restore and snapshot and print as unknown(N); kinds outside 0–63 are
+// dropped on restore, as unknown bug IDs are.
+func TestRestoreKeepsUnknownKinds(t *testing.T) {
+	comps := compilers.All()
+	bugID := comps[0].Catalog()[0].ID
+	stored := []oracle.InputKind{oracle.TEMMutant, 9, 63, 64, -1}
+	want := []oracle.InputKind{oracle.TEMMutant, 9, 63}
+
+	report := newReport(Options{Compilers: comps})
+	agg := &reportAggregator{report: report, bugIndex: bugIndexFor(comps)}
+	agg.restoreFound([]foundState{{ID: bugID, FoundBy: stored, FirstSeed: 4, Hits: 2}, {ID: "no-such-bug", FoundBy: stored}})
+	agg.restoreDiffs([]diffState{{ID: "v", Vector: "v", FoundBy: stored, FirstSeed: 5, Hits: 1}})
+
+	if len(report.Found) != 1 {
+		t.Fatalf("restored %d bugs, want 1", len(report.Found))
+	}
+	if got := foundStates(report.Found)[0].FoundBy; !reflect.DeepEqual(got, want) {
+		t.Errorf("found_by round trip = %v, want %v", got, want)
+	}
+	if got := diffStates(report.Disagreements)[0].FoundBy; !reflect.DeepEqual(got, want) {
+		t.Errorf("diff found_by round trip = %v, want %v", got, want)
+	}
+	doc := report.Doc()
+	wantDoc := []string{"TEM", "unknown(63)", "unknown(9)"}
+	if got := doc.Bugs[0].FoundBy; !reflect.DeepEqual(got, wantDoc) {
+		t.Errorf("bug doc found_by = %q, want %q", got, wantDoc)
+	}
+	if got := doc.Disagreements[0].FoundBy; !reflect.DeepEqual(got, wantDoc) {
+		t.Errorf("diff doc found_by = %q, want %q", got, wantDoc)
 	}
 }

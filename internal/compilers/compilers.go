@@ -3,13 +3,15 @@
 // checker (internal/checker) — its "compiler codebase", instrumented with
 // coverage probes — and overlays a seeded bug catalog (internal/bugs).
 //
-// Compilation runs the reference checker to obtain the ground-truth
-// verdict, computes the program's trigger evidence, and applies the first
+// Compilation has two halves. Check runs the reference checker to obtain
+// the ground-truth verdict and computes the program's trigger evidence;
+// it depends on no compiler. Overlay then applies one compiler's first
 // firing bugs: a crash bug aborts compilation with an internal error, a
 // UCTE bug makes the compiler reject a well-typed program, and a URB bug
 // makes it accept an ill-typed one. The Result records the triggered bugs
 // so campaign accounting has ground truth, exactly like a real campaign's
-// issue tracker does after developers triage.
+// issue tracker does after developers triage. A context carrying
+// WithSharedCheck lets every compiler of one input overlay a single check.
 package compilers
 
 import (
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"regexp"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bugs"
 	"repro/internal/checker"
@@ -84,7 +87,6 @@ type Compiler struct {
 	language string
 	catalog  []*bugs.Bug
 	versions []string
-	builtins *types.Builtins
 	// packages maps the neutral checker probe regions onto this
 	// compiler's package naming, for the Figure 9 breakdown.
 	packages map[string]string
@@ -116,9 +118,11 @@ func (c *Compiler) PackageFor(region string) string {
 	return region
 }
 
-// The bug catalogs are read-only ground truth, so every Compiler shares
-// one per-process copy of each instead of rebuilding it per campaign.
+// The bug catalogs and the builtin type universe are read-only, so every
+// Compiler shares one per-process copy of each instead of rebuilding it
+// per campaign.
 var (
+	builtins       = sync.OnceValue(types.NewBuiltins)
 	javacCatalog   = sync.OnceValue(func() []*bugs.Bug { return bugs.Build(bugs.JavacSpec()) })
 	kotlincCatalog = sync.OnceValue(func() []*bugs.Bug { return bugs.Build(bugs.KotlincSpec()) })
 	groovycCatalog = sync.OnceValue(func() []*bugs.Bug { return bugs.Build(bugs.GroovycSpec()) })
@@ -132,7 +136,6 @@ func Javac() *Compiler {
 		language: "java",
 		catalog:  javacCatalog(),
 		versions: versionsN("jdk-", 8, spec.StableVersions),
-		builtins: types.NewBuiltins(),
 		packages: map[string]string{
 			"resolve": "comp.Resolve",
 			"infer":   "comp.Infer",
@@ -151,7 +154,6 @@ func Kotlinc() *Compiler {
 		language: "kotlin",
 		catalog:  kotlincCatalog(),
 		versions: kotlinVersions(spec.StableVersions),
-		builtins: types.NewBuiltins(),
 		packages: map[string]string{
 			"resolve": "resolve.calls",
 			"infer":   "resolve.calls.inference",
@@ -170,7 +172,6 @@ func Groovyc() *Compiler {
 		language: "groovy",
 		catalog:  groovycCatalog(),
 		versions: versionsN("groovy-2.", 0, spec.StableVersions),
-		builtins: types.NewBuiltins(),
 		packages: map[string]string{
 			"resolve": "stc.StaticTypeCheckingSupport",
 			"infer":   "stc.StaticTypeCheckingVisitor",
@@ -230,19 +231,53 @@ func (c *Compiler) CompileAtVersion(p *ir.Program, version int, cov coverage.Rec
 }
 
 // CompileAtVersionContext is CompileAtVersion under the resource budget
-// carried by ctx. When the governor halts the check:
+// carried by ctx: it overlays the compiler's catalog on Check's verdict.
+// When ctx carries a shared check (WithSharedCheck) that already holds
+// this program's check, the check is read from it instead of run again.
+// When the governor halts the check:
 //
 //   - a cancelled context surfaces as (nil, ctx.Err()) so the harness
 //     classifies it like any other abandoned invocation (timeout/abort);
 //   - fuel or depth exhaustion yields a deterministic ResourceExhausted
-//     Result. The bug overlay is skipped: the reference verdict is
-//     unknown, so no accept/reject-flipping bug can meaningfully fire.
+//     Result (see Overlay).
 func (c *Compiler) CompileAtVersionContext(ctx context.Context, p *ir.Program, version int, cov coverage.Recorder) (*Result, error) {
+	shared, _ := ctx.Value(sharedCheckKey{}).(*sharedCheck)
+	checked := shared.load(p)
+	if checked == nil {
+		var err error
+		if checked, err = Check(ctx, p, cov); err != nil {
+			return nil, err
+		}
+		shared.store(checked)
+	}
+	return c.Overlay(checked, version), nil
+}
+
+// Checked is the compiler-independent half of a compile: the reference
+// checker's verdict on one program and the program's trigger evidence.
+// It is immutable once Check returns, so any number of compilers may
+// overlay their catalogs on one Checked concurrently.
+type Checked struct {
+	prog *ir.Program
+	// exhausted is the governor's fuel or depth bailout message; empty
+	// when the check finished.
+	exhausted string
+	evidence  bugs.Evidence
+	// diags are the reference checker's rendered diagnostics.
+	diags []string
+}
+
+// Check runs the reference checker on p under the resource budget carried
+// by ctx (see internal/governor; a nil/absent budget is unmetered) and
+// computes the trigger evidence every catalog is judged against. Coverage
+// probes (may be nil) observe the checker. A cancelled check returns
+// (nil, err); fuel or depth exhaustion is a finished check, because it is
+// a pure function of the program and the budget.
+func Check(ctx context.Context, p *ir.Program, cov coverage.Recorder) (*Checked, error) {
 	if cov == nil {
 		cov = coverage.Nop{}
 	}
-	gov := governor.FromContext(ctx)
-	res := checker.Check(p, c.builtins, checker.Options{Probes: cov, Budget: gov})
+	res := checker.Check(p, builtins(), checker.Options{Probes: cov, Budget: governor.FromContext(ctx)})
 	if bail := res.Bailout; bail != nil {
 		if bail.Reason == governor.Cancelled {
 			err := bail.Err
@@ -254,19 +289,34 @@ func (c *Compiler) CompileAtVersionContext(ctx context.Context, p *ir.Program, v
 			}
 			return nil, err
 		}
-		return &Result{
-			Status:      ResourceExhausted,
-			Diagnostics: []string{fmt.Sprintf("resource governor: %s", bail)},
-		}, nil
+		return &Checked{prog: p, exhausted: fmt.Sprintf("resource governor: %s", bail)}, nil
 	}
-	evidence := bugs.Evidence{
-		WellTyped:    res.OK(),
-		OmittedTypes: bugs.OmitsTypes(p),
-		Signature:    bugs.Signature(p),
+	out := &Checked{
+		prog: p,
+		evidence: bugs.Evidence{
+			WellTyped:    res.OK(),
+			OmittedTypes: bugs.OmitsTypes(p),
+			Signature:    bugs.Signature(p),
+		},
 	}
-	out := &Result{ReferenceOK: res.OK()}
+	for _, d := range res.Diags {
+		out.diags = append(out.diags, d.String())
+	}
+	return out, nil
+}
+
+// Overlay applies the compiler's bug catalog, as of the given version, to
+// a finished check. An exhausted check skips the catalog: the reference
+// verdict is unknown, so no accept/reject-flipping bug can meaningfully
+// fire.
+func (c *Compiler) Overlay(checked *Checked, version int) *Result {
+	if checked.exhausted != "" {
+		return &Result{Status: ResourceExhausted, Diagnostics: []string{checked.exhausted}}
+	}
+	wellTyped := checked.evidence.WellTyped
+	out := &Result{ReferenceOK: wellTyped}
 	for _, b := range c.catalog {
-		if !b.AffectsVersion(version) || !b.Fires(evidence) {
+		if !b.AffectsVersion(version) || !b.Fires(checked.evidence) {
 			continue
 		}
 		out.Triggered = append(out.Triggered, b)
@@ -276,34 +326,77 @@ func (c *Compiler) CompileAtVersionContext(ctx context.Context, p *ir.Program, v
 		if b.Symptom == bugs.Crash {
 			out.Status = Crashed
 			out.Diagnostics = append(out.Diagnostics, b.Diagnostic())
-			return out, nil
+			return out
 		}
 	}
-	if res.OK() {
+	if wellTyped {
 		// Correct outcome is acceptance; a UCTE bug flips it.
 		for _, b := range out.Triggered {
 			if b.Symptom == bugs.UCTE {
 				out.Status = Rejected
 				out.Diagnostics = append(out.Diagnostics, b.Diagnostic())
-				return out, nil
+				return out
 			}
 		}
 		out.Status = OK
-		return out, nil
+		return out
 	}
 	// Correct outcome is rejection; a URB bug silently accepts.
 	for _, b := range out.Triggered {
 		if b.Symptom == bugs.URB {
 			out.Status = OK
 			out.Diagnostics = append(out.Diagnostics, b.Diagnostic())
-			return out, nil
+			return out
 		}
 	}
 	out.Status = Rejected
-	for _, d := range res.Diags {
-		out.Diagnostics = append(out.Diagnostics, d.String())
+	out.Diagnostics = append(out.Diagnostics, checked.diags...)
+	return out
+}
+
+// sharedCheck holds one input's finished check for every compiler that
+// compiles it. Only a finished check is stored: a cancelled check or a
+// panic stores nothing, so the next compiler checks again. The first
+// check to finish wins the compare-and-swap, which keeps a compile the
+// harness watchdog abandoned, finishing late on its own goroutine, from
+// racing the compiles after it.
+type sharedCheck struct{ checked atomic.Pointer[Checked] }
+
+type sharedCheckKey struct{}
+
+// WithSharedCheck returns a context under which compiles of one program
+// share a single reference check: the first compile to finish its check
+// stores it, and every later compile overlays its own catalog on the
+// stored check. Attach one per input. A compile that reads the shared
+// check runs no checker, so it charges no fuel and fires no coverage
+// probes.
+func WithSharedCheck(ctx context.Context) context.Context {
+	return context.WithValue(ctx, sharedCheckKey{}, &sharedCheck{})
+}
+
+// WithoutSharedCheck returns ctx with any shared check detached, so the
+// next compile runs the checker itself (the harness's double-compile
+// probe needs this to observe a nondeterministic checker).
+func WithoutSharedCheck(ctx context.Context) context.Context {
+	return context.WithValue(ctx, sharedCheckKey{}, (*sharedCheck)(nil))
+}
+
+// load returns the stored check if it is p's, else nil.
+func (s *sharedCheck) load(p *ir.Program) *Checked {
+	if s == nil {
+		return nil
 	}
-	return out, nil
+	if checked := s.checked.Load(); checked != nil && checked.prog == p {
+		return checked
+	}
+	return nil
+}
+
+// store publishes a finished check unless one is already stored.
+func (s *sharedCheck) store(checked *Checked) {
+	if s != nil {
+		s.checked.CompareAndSwap(nil, checked)
+	}
 }
 
 // CompileBatch compiles a batch of programs in one (simulated) compiler

@@ -21,7 +21,7 @@
 //     fuel budget (or a slow machine) synthesize disagreements out of
 //     thin air. In particular a per-compiler ResourceExhausted result
 //     skips that compiler's bug-catalog overlay entirely
-//     (compilers.CompileAtVersionContext returns before the overlay),
+//     (compilers.(*Compiler).Overlay returns before the catalog),
 //     so an exhausted lane carries no catalog signal at all.
 //
 // When the vote splits, the minority side is the suspect (majority-vote

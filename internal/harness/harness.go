@@ -203,8 +203,9 @@ type Invocation struct {
 	// into journals or reports, because unguarded budgets count memo-cache
 	// hits and the number is therefore machine-history-dependent (only a
 	// guarded budget's count is deterministic). Zero when the invocation
-	// never reached the compiler (quarantined/aborted) or when the
-	// watchdog synthesized the result.
+	// never reached the compiler (quarantined/aborted), when the watchdog
+	// synthesized the result, or when the compile read its input's shared
+	// check (compilers.WithSharedCheck) instead of running the checker.
 	FuelSpent int64
 
 	// transient marks an Errored ending as retryable.
@@ -388,8 +389,10 @@ func (h *Harness) Compile(ctx context.Context, t Target, p *ir.Program, cov cove
 		key.Replica = 1
 		key.Attempt = 0
 		// The probe gets no coverage recorder: it must not double-count
-		// probe sites.
-		probe := h.invokeOnce(ctx, t, p, nil, key)
+		// probe sites. It must also run the checker itself rather than
+		// read the input's shared check, or it could never see a
+		// nondeterministic checker.
+		probe := h.invokeOnce(compilers.WithoutSharedCheck(ctx), t, p, nil, key)
 		if probe.Outcome != Aborted &&
 			(probe.Outcome != Completed || probe.Result.Status != inv.Result.Status) {
 			inv.Flaky = true
@@ -520,7 +523,10 @@ func (h *Harness) finish(parent context.Context, t Target, out oneResult, gov *g
 			Kind: "fuel", Unit: key.Unit, Compiler: t.Name(), Detail: detail,
 		})
 	}
-	if h.opts.Metrics != nil {
+	// Only an invocation that ran the checker charges fuel; a compile
+	// that read its input's shared check (or never reached the compiler)
+	// would mix zeros into the fuel-per-check distribution.
+	if h.opts.Metrics != nil && inv.FuelSpent > 0 {
 		h.fuelHistogram(t.Name()).Observe(inv.FuelSpent)
 	}
 	return inv

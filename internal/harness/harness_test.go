@@ -10,7 +10,10 @@ import (
 
 	"repro/internal/compilers"
 	"repro/internal/coverage"
+	"repro/internal/generator"
+	"repro/internal/governor"
 	"repro/internal/ir"
+	"repro/internal/metrics"
 )
 
 // fakeTarget scripts a Target's behaviour per call.
@@ -182,6 +185,69 @@ func TestDoubleCompileFlagsFlakyVerdicts(t *testing.T) {
 	}}
 	if inv := h.Compile(context.Background(), steady, nil, nil, Key{}); inv.Flaky {
 		t.Error("deterministic target flagged flaky")
+	}
+}
+
+// fuelTarget wraps a simulated compiler and records, per replica, the
+// fuel each compile charged: zero means the compile read its input's
+// shared check instead of running the checker.
+type fuelTarget struct {
+	Target
+	spent [2]atomic.Int64
+}
+
+func (t *fuelTarget) Compile(ctx context.Context, p *ir.Program, cov coverage.Recorder) (*compilers.Result, error) {
+	res, err := t.Target.Compile(ctx, p, cov)
+	key, _ := KeyFrom(ctx)
+	t.spent[key.Replica].Store(governor.FromContext(ctx).Spent())
+	return res, err
+}
+
+// TestDoubleCompileProbeRunsChecker: compiles of one input share its
+// reference check, but the double-compile probe must run the checker
+// again, or it could never catch a nondeterministic one.
+func TestDoubleCompileProbeRunsChecker(t *testing.T) {
+	p := generator.New(generator.DefaultConfig().WithSeed(4)).Generate()
+	first := &fuelTarget{Target: WrapCompiler(compilers.Groovyc())}
+	second := &fuelTarget{Target: WrapCompiler(compilers.Kotlinc())}
+	h := New(Options{DoubleCompile: true})
+	ctx := compilers.WithSharedCheck(context.Background())
+	for _, target := range []*fuelTarget{first, second} {
+		if inv := h.Compile(ctx, target, p, nil, Key{}); inv.Outcome != Completed || inv.Flaky {
+			t.Fatalf("%s: outcome %s, flaky %v", target.Name(), inv.Outcome, inv.Flaky)
+		}
+	}
+	if first.spent[0].Load() == 0 {
+		t.Error("the first compile of the input did not run the checker")
+	}
+	if second.spent[0].Load() != 0 {
+		t.Error("the second compile of the input ran the checker instead of reading the shared check")
+	}
+	for _, target := range []*fuelTarget{first, second} {
+		if target.spent[1].Load() == 0 {
+			t.Errorf("%s: the double-compile probe read the shared check instead of running the checker", target.Name())
+		}
+	}
+}
+
+// TestFuelHistogramCountsOnlyChecks: a compile that reads its input's
+// shared check spends no fuel and must not mix a zero into the
+// fuel-per-check histogram.
+func TestFuelHistogramCountsOnlyChecks(t *testing.T) {
+	p := generator.New(generator.DefaultConfig().WithSeed(4)).Generate()
+	reg := metrics.NewRegistry()
+	h := New(Options{Metrics: reg})
+	ctx := compilers.WithSharedCheck(context.Background())
+	for _, c := range compilers.All() {
+		if inv := h.Compile(ctx, WrapCompiler(c), p, nil, Key{}); inv.Outcome != Completed {
+			t.Fatalf("%s: outcome %s", c.Name(), inv.Outcome)
+		}
+	}
+	want := map[string]int64{"groovyc": 1, "kotlinc": 0, "javac": 0}
+	for name, n := range want {
+		if got := reg.Histogram("harness.fuel_spent." + name).Snapshot().Count; got != n {
+			t.Errorf("harness.fuel_spent.%s: %d observations, want %d", name, got, n)
+		}
 	}
 }
 

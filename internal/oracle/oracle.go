@@ -92,6 +92,34 @@ func Kinds() []InputKind {
 	return ks
 }
 
+// KindSet is a set of input kinds, one bit per kind. It holds kinds 0–63,
+// which covers every defined kind and the unknown kinds a journal from a
+// newer build may carry; Add ignores a kind outside that range.
+type KindSet uint64
+
+// Add inserts k into the set.
+func (s *KindSet) Add(k InputKind) {
+	if k >= 0 && k < 64 {
+		*s |= 1 << uint(k)
+	}
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k InputKind) bool {
+	return k >= 0 && k < 64 && s&(1<<uint(k)) != 0
+}
+
+// Kinds returns the set's kinds in ascending order.
+func (s KindSet) Kinds() []InputKind {
+	var out []InputKind
+	for k := InputKind(0); s != 0; k, s = k+1, s>>1 {
+		if s&1 != 0 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 func (k InputKind) String() string {
 	if k.Known() {
 		return kindSpecs[k].name

@@ -241,3 +241,30 @@ func TestUnknownValuesNeverMislabel(t *testing.T) {
 		t.Errorf("Crashed.String() = %q", got)
 	}
 }
+
+// TestKindSet: Add/Has/Kinds over every defined kind and the unknown
+// kinds a newer build's journal may carry; kinds outside 0–63 are
+// dropped rather than aliased onto another bit.
+func TestKindSet(t *testing.T) {
+	var s oracle.KindSet
+	if len(s.Kinds()) != 0 {
+		t.Fatalf("empty set lists %v", s.Kinds())
+	}
+	for _, k := range []oracle.InputKind{63, oracle.TOMMutant, 9, oracle.Generated, oracle.TOMMutant, -1, 64, 200} {
+		s.Add(k)
+	}
+	want := []oracle.InputKind{oracle.Generated, oracle.TOMMutant, 9, 63}
+	if got := s.Kinds(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Kinds() = %v, want %v", got, want)
+	}
+	for _, k := range want {
+		if !s.Has(k) {
+			t.Errorf("Has(%v) = false", k)
+		}
+	}
+	for _, k := range []oracle.InputKind{oracle.TEMMutant, -1, 64, 200} {
+		if s.Has(k) {
+			t.Errorf("Has(%d) = true", int(k))
+		}
+	}
+}

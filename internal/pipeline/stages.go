@@ -332,9 +332,13 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 
 // Execute compiles every input with every compiler under test, each
 // compile running through the resilient harness (sandbox, watchdog,
-// retries, circuit breaker). An optional Coverage selector routes probe
+// retries, circuit breaker). The compilers of one input share one
+// reference check (compilers.WithSharedCheck) and differ only in the bug
+// catalog each overlays. An optional Coverage selector routes probe
 // events to a per-input-kind recorder (the RQ3/RQ4 experiments);
-// recorders must be safe for concurrent use, as Collector is.
+// recorders must be safe for concurrent use, as Collector is. Under a
+// Coverage selector every compile runs its own check, because a compile
+// that reads a shared check fires no probes.
 type Execute struct {
 	Compilers []*compilers.Compiler
 	Coverage  func(kind oracle.InputKind) coverage.Recorder
@@ -383,14 +387,17 @@ func (e *Execute) Run(ctx context.Context, u *Unit) error {
 	e.init()
 	for i, in := range u.Inputs {
 		var cov coverage.Recorder
+		ictx := ctx
 		if e.Coverage != nil {
 			cov = e.Coverage(in.Kind)
+		} else {
+			ictx = compilers.WithSharedCheck(ctx)
 		}
 		for _, t := range e.targets {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			inv := e.h.Compile(ctx, t, in.Prog, cov, harness.Key{Unit: u.Seed, Input: i})
+			inv := e.h.Compile(ictx, t, in.Prog, cov, harness.Key{Unit: u.Seed, Input: i})
 			switch inv.Outcome {
 			case harness.Aborted:
 				return ctx.Err()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/compilers"
@@ -137,14 +136,8 @@ func deriveTrigger(opts campaign.Options, rec *campaign.BugRecord, comp *compile
 		b = types.NewBuiltins()
 	}
 
-	var kinds []oracle.InputKind
-	for k := range rec.FoundBy {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-
 	var lastErr error
-	for _, kind := range kinds {
+	for _, kind := range rec.FoundBy.Kinds() {
 		prog, err := deriveKind(base, b, rec.FirstSeed, kind)
 		if err != nil {
 			lastErr = err
