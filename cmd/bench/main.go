@@ -3,8 +3,8 @@
 // record per benchmark with ns/op, B/op, allocs/op, and any domain metrics
 // the benchmark reported. When a baseline file is given (or auto-detected
 // as the most recent other BENCH_*.json in the output directory), it diffs
-// ns/op against it and exits non-zero if any benchmark regressed past the
-// threshold.
+// against it and exits non-zero if any benchmark's allocs/op regressed past
+// the threshold; ns/op is printed beside it but not gated.
 //
 // Usage:
 //
@@ -18,6 +18,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -62,7 +64,7 @@ func run(argv []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	out := fs.String("out", "BENCH_5.json", "output JSON file")
 	baseline := fs.String("baseline", "", "baseline BENCH_*.json to diff against (default: newest other BENCH_*.json beside -out)")
-	threshold := fs.Float64("threshold", 0.15, "relative ns/op regression threshold (0.15 = +15%)")
+	threshold := fs.Float64("threshold", 0.15, "relative allocs/op regression threshold (0.15 = +15%)")
 	benchtime := fs.String("benchtime", "0.2s", "per-benchmark duration or iteration count (e.g. 1x)")
 	runFilter := fs.String("run", "", "regexp selecting benchmarks to run")
 	noFail := fs.Bool("no-fail", false, "report regressions but exit 0")
@@ -238,9 +240,11 @@ func newestSibling(out string) string {
 }
 
 // report prints a per-benchmark comparison and returns the number of
-// ns/op regressions beyond threshold. Benchmarks present on only one side
-// are listed but never counted as regressions.
-func report(w *os.File, old, cur *File, threshold float64) int {
+// allocs/op regressions beyond threshold. Allocs/op is deterministic for a
+// given toolchain, so it is the gated currency; ns/op swings with the host
+// and is printed beside it for reading, never gated. Benchmarks present on
+// only one side are listed but never counted as regressions.
+func report(w io.Writer, old, cur *File, threshold float64) int {
 	oldBy := map[string]Record{}
 	for _, b := range old.Benchmarks {
 		oldBy[b.Name] = b
@@ -254,29 +258,40 @@ func report(w *os.File, old, cur *File, threshold float64) int {
 	sort.Strings(names)
 
 	regressions := 0
-	fmt.Fprintf(w, "%-24s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(w, "%-24s %12s %12s %8s %14s %14s %8s\n",
+		"benchmark", "old allocs", "new allocs", "delta", "old ns/op", "new ns/op", "delta")
 	for _, name := range names {
 		nb := curBy[name]
 		ob, ok := oldBy[name]
 		if !ok {
-			fmt.Fprintf(w, "%-24s %14s %14.0f %8s\n", name, "-", nb.NsPerOp, "new")
+			fmt.Fprintf(w, "%-24s %12s %12d %8s %14s %14.0f %8s\n", name, "-", nb.AllocsPerOp, "new", "-", nb.NsPerOp, "new")
 			continue
 		}
-		delta := 0.0
-		if ob.NsPerOp > 0 {
-			delta = nb.NsPerOp/ob.NsPerOp - 1
-		}
+		allocDelta := relDelta(float64(ob.AllocsPerOp), float64(nb.AllocsPerOp))
 		mark := ""
-		if delta > threshold {
+		if allocDelta > threshold {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-24s %14.0f %14.0f %+7.1f%%%s\n", name, ob.NsPerOp, nb.NsPerOp, delta*100, mark)
+		fmt.Fprintf(w, "%-24s %12d %12d %+7.1f%% %14.0f %14.0f %+7.1f%%%s\n", name,
+			ob.AllocsPerOp, nb.AllocsPerOp, allocDelta*100,
+			ob.NsPerOp, nb.NsPerOp, relDelta(ob.NsPerOp, nb.NsPerOp)*100, mark)
 	}
 	for _, b := range old.Benchmarks {
 		if _, ok := curBy[b.Name]; !ok {
-			fmt.Fprintf(w, "%-24s %14.0f %14s %8s\n", b.Name, b.NsPerOp, "-", "gone")
+			fmt.Fprintf(w, "%-24s %12d %12s %8s %14.0f %14s %8s\n", b.Name, b.AllocsPerOp, "-", "gone", b.NsPerOp, "-", "gone")
 		}
 	}
 	return regressions
+}
+
+// relDelta is cur/old - 1; a rise from zero is +Inf, and zero to zero is 0.
+func relDelta(old, cur float64) float64 {
+	if old > 0 {
+		return cur/old - 1
+	}
+	if cur > 0 {
+		return math.Inf(1)
+	}
+	return 0
 }

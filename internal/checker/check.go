@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/coverage"
 	"repro/internal/governor"
@@ -67,38 +68,51 @@ func Check(p *ir.Program, b *types.Builtins, opts Options) (res *Result) {
 	return res
 }
 
-// scope is a lexical frame of local variables and parameters.
+// scope is a lexical frame of local variables and parameters: one slice
+// of declarations, scanned newest first so a redeclaration shadows.
 type scope struct {
-	parent  *scope
-	vars    map[string]types.Type
-	mutable map[string]bool
+	parent *scope
+	vars   []local
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, vars: map[string]types.Type{}, mutable: map[string]bool{}}
+type local struct {
+	name    string
+	t       types.Type
+	mutable bool
+}
+
+// newScope returns a frame with room for n declarations, so filling it
+// never regrows the slice.
+func newScope(parent *scope, n int) *scope {
+	return &scope{parent: parent, vars: make([]local, 0, n)}
 }
 
 func (s *scope) declare(name string, t types.Type, mutable bool) {
-	s.vars[name] = t
-	s.mutable[name] = mutable
+	s.vars = append(s.vars, local{name, t, mutable})
 }
 
-func (s *scope) lookup(name string) (types.Type, bool) {
+// find returns the innermost, latest declaration of name.
+func (s *scope) find(name string) (*local, bool) {
 	for cur := s; cur != nil; cur = cur.parent {
-		if t, ok := cur.vars[name]; ok {
-			return t, true
+		for i := len(cur.vars) - 1; i >= 0; i-- {
+			if cur.vars[i].name == name {
+				return &cur.vars[i], true
+			}
 		}
 	}
 	return nil, false
 }
 
-func (s *scope) isMutable(name string) bool {
-	for cur := s; cur != nil; cur = cur.parent {
-		if _, ok := cur.vars[name]; ok {
-			return cur.mutable[name]
-		}
+func (s *scope) lookup(name string) (types.Type, bool) {
+	if v, ok := s.find(name); ok {
+		return v.t, true
 	}
-	return false
+	return nil, false
+}
+
+func (s *scope) isMutable(name string) bool {
+	v, ok := s.find(name)
+	return ok && v.mutable
 }
 
 type checker struct {
@@ -292,9 +306,40 @@ func (c *checker) errorf(kind DiagKind, format string, args ...any) {
 	})
 }
 
+// subject names what a conformance or well-formedness check is about
+// ("parameter x", "argument 0 of f"). It is rendered only when a
+// diagnostic is reported, so checking well-typed code builds no strings.
+type subject struct {
+	prefix string
+	arg    int  // argument index printed after prefix, or noArg
+	of     bool // the index is followed by " of " and name
+	name   string
+}
+
+const noArg = -1
+
+// named is the subject prefix+name.
+func named(prefix, name string) subject { return subject{prefix: prefix, arg: noArg, name: name} }
+
+// argOf is the subject "<prefix><i> of <name>".
+func argOf(prefix string, i int, name string) subject {
+	return subject{prefix: prefix, arg: i, of: true, name: name}
+}
+
+func (s subject) String() string {
+	if s.arg == noArg {
+		return s.prefix + s.name
+	}
+	out := s.prefix + strconv.Itoa(s.arg)
+	if s.of {
+		out += " of " + s.name
+	}
+	return out
+}
+
 // conforms checks got <: want and reports a TypeMismatch otherwise.
 // A nil want imposes no constraint; a Unit want discards the value.
-func (c *checker) conforms(got, want types.Type, what string) bool {
+func (c *checker) conforms(got, want types.Type, what subject) bool {
 	if want == nil || got == nil {
 		return true
 	}
@@ -330,7 +375,7 @@ func (c *checker) checkProgram(p *ir.Program) {
 			c.checkFunc(t, nil)
 		case *ir.VarDecl:
 			c.curClass, c.curFunc = nil, nil
-			c.checkVarDecl(newScope(nil), t)
+			c.checkVarDecl(newScope(nil, 1), t)
 		}
 	}
 }
@@ -350,7 +395,7 @@ func (c *checker) checkClass(cls *ir.ClassDecl) {
 			c.errorf(IllegalDeclaration, "duplicate member %s", f.Name)
 		}
 		seen[f.Name] = true
-		c.checkTypeWellFormed(f.Type, "field "+f.Name)
+		c.checkTypeWellFormed(f.Type, named("field ", f.Name))
 	}
 	for _, m := range cls.Methods {
 		// Methods may be overloaded: duplicates are keyed by the full
@@ -386,7 +431,7 @@ func (c *checker) checkSuper(cls *ir.ClassDecl) {
 			c.errorf(UnresolvedReference, "unknown supertype %s", s.Ctor.TypeName)
 			return
 		}
-		c.checkTypeWellFormed(s, "supertype of "+cls.Name)
+		c.checkTypeWellFormed(s, named("supertype of ", cls.Name))
 	default:
 		c.errorf(IllegalDeclaration, "cannot extend %s", sup)
 		return
@@ -401,7 +446,7 @@ func (c *checker) checkSuper(cls *ir.ClassDecl) {
 		if supCls.Kind != ir.InterfaceClass {
 			_, sigma := c.env.receiverSubstitution(sup)
 			want := c.env.ConstructorParams(supCls, sigma)
-			sc := newScope(nil)
+			sc := newScope(nil, len(cls.Fields))
 			for _, f := range cls.Fields {
 				sc.declare(f.Name, f.Type, f.Mutable)
 			}
@@ -413,7 +458,7 @@ func (c *checker) checkSuper(cls *ir.ClassDecl) {
 			}
 			for i, a := range cls.Super.Args {
 				got := c.typeOf(sc, a, want[i])
-				c.conforms(got, want[i], fmt.Sprintf("super constructor argument %d", i))
+				c.conforms(got, want[i], subject{prefix: "super constructor argument ", arg: i})
 			}
 		}
 	}
@@ -421,7 +466,7 @@ func (c *checker) checkSuper(cls *ir.ClassDecl) {
 
 // checkTypeWellFormed validates a type mention: known names and type
 // arguments satisfying their parameters' bounds.
-func (c *checker) checkTypeWellFormed(t types.Type, what string) {
+func (c *checker) checkTypeWellFormed(t types.Type, what subject) {
 	c.probes.Func("types.wellFormed")
 	app, ok := t.(*types.App)
 	if !ok {
@@ -466,7 +511,7 @@ func (c *checker) checkFunc(f *ir.FuncDecl, owner *ir.ClassDecl) {
 	}
 	defer func() { c.curFunc, c.curClass = prevF, prevC }()
 
-	sc := newScope(nil)
+	sc := newScope(nil, frameSize(f, owner))
 	if owner != nil {
 		sc.declare("this", SelfType(owner), false)
 		for _, fd := range owner.Fields {
@@ -478,7 +523,7 @@ func (c *checker) checkFunc(f *ir.FuncDecl, owner *ir.ClassDecl) {
 			c.errorf(InferenceFailure, "parameter %s of %s needs a type", p.Name, f.Name)
 			continue
 		}
-		c.checkTypeWellFormed(p.Type, "parameter "+p.Name)
+		c.checkTypeWellFormed(p.Type, named("parameter ", p.Name))
 		sc.declare(p.Name, p.Type, false)
 	}
 	if f.Body == nil {
@@ -490,8 +535,8 @@ func (c *checker) checkFunc(f *ir.FuncDecl, owner *ir.ClassDecl) {
 	}
 	if f.Ret != nil {
 		got := c.typeOf(sc, f.Body, f.Ret)
-		c.checkTypeWellFormed(f.Ret, "return type of "+f.Name)
-		c.conforms(got, f.Ret, "return value of "+f.Name)
+		c.checkTypeWellFormed(f.Ret, named("return type of ", f.Name))
+		c.conforms(got, f.Ret, named("return value of ", f.Name))
 		return
 	}
 	// Inferred return type (type-erasure case 3). Memoized, because other
@@ -503,6 +548,16 @@ func (c *checker) checkFunc(f *ir.FuncDecl, owner *ir.ClassDecl) {
 		key = owner.Name + "." + f.Name
 	}
 	c.result.InferredReturns[key] = got.String()
+}
+
+// frameSize is the number of declarations a function's frame receives:
+// this and the owner's fields, then the parameters.
+func frameSize(f *ir.FuncDecl, owner *ir.ClassDecl) int {
+	n := len(f.Params)
+	if owner != nil {
+		n += 1 + len(owner.Fields)
+	}
+	return n
 }
 
 // returnTypeOf yields a function's declared or inferred return type,
@@ -522,7 +577,7 @@ func (c *checker) returnTypeOf(f *ir.FuncDecl, owner *ir.ClassDecl) types.Type {
 	c.inFly[f] = true
 	defer delete(c.inFly, f)
 
-	sc := newScope(nil)
+	sc := newScope(nil, frameSize(f, owner))
 	if owner != nil {
 		sc.declare("this", SelfType(owner), false)
 		for _, fd := range owner.Fields {
@@ -553,8 +608,8 @@ func (c *checker) checkVarDecl(sc *scope, v *ir.VarDecl) {
 	}
 	got := c.typeOf(sc, v.Init, v.DeclType)
 	if v.DeclType != nil {
-		c.checkTypeWellFormed(v.DeclType, "variable "+v.Name)
-		c.conforms(got, v.DeclType, "initializer of "+v.Name)
+		c.checkTypeWellFormed(v.DeclType, named("variable ", v.Name))
+		c.conforms(got, v.DeclType, named("initializer of ", v.Name))
 		sc.declare(v.Name, v.DeclType, v.Mutable)
 		return
 	}
@@ -617,7 +672,13 @@ func (c *checker) typeOfInner(sc *scope, e ir.Expr, expected types.Type) types.T
 
 	case *ir.Block:
 		c.probes.Line("stc.block")
-		inner := newScope(sc)
+		decls := 0
+		for _, s := range t.Stmts {
+			if _, ok := s.(*ir.VarDecl); ok {
+				decls++
+			}
+		}
+		inner := newScope(sc, decls)
 		for _, s := range t.Stmts {
 			switch st := s.(type) {
 			case *ir.VarDecl:
@@ -665,7 +726,7 @@ func (c *checker) typeOfInner(sc *scope, e ir.Expr, expected types.Type) types.T
 	case *ir.Cast:
 		c.probes.Line("stc.cast")
 		c.typeOf(sc, t.Expr, nil)
-		c.checkTypeWellFormed(t.Target, "cast target")
+		c.checkTypeWellFormed(t.Target, named("cast target", ""))
 		return t.Target
 
 	case *ir.Is:
@@ -723,7 +784,7 @@ func (c *checker) checkAssign(sc *scope, a *ir.Assign) {
 			return
 		}
 		got := c.typeOf(sc, a.Value, ty)
-		c.conforms(got, ty, "assignment to "+target.Name)
+		c.conforms(got, ty, named("assignment to ", target.Name))
 	case *ir.FieldAccess:
 		recv := c.typeOf(sc, target.Recv, nil)
 		f, ok := c.env.FieldOf(recv, target.Field)
@@ -736,7 +797,7 @@ func (c *checker) checkAssign(sc *scope, a *ir.Assign) {
 			c.errorf(InvalidAssignment, "val %s cannot be reassigned", target.Field)
 		}
 		got := c.typeOf(sc, a.Value, f.Type)
-		c.conforms(got, f.Type, "assignment to "+target.Field)
+		c.conforms(got, f.Type, named("assignment to ", target.Field))
 	default:
 		c.errorf(InvalidAssignment, "invalid assignment target")
 		c.typeOf(sc, a.Value, nil)
@@ -770,7 +831,7 @@ func (c *checker) typeOfLambda(sc *scope, t *ir.Lambda, expected types.Type) typ
 		target = f
 	}
 	c.probes.Branch("infer.lambda.hasTarget", target != nil)
-	inner := newScope(sc)
+	inner := newScope(sc, len(t.Params))
 	paramTypes := make([]types.Type, len(t.Params))
 	for i, p := range t.Params {
 		switch {
@@ -796,7 +857,7 @@ func (c *checker) typeOfLambda(sc *scope, t *ir.Lambda, expected types.Type) typ
 	}
 	body := c.typeOf(inner, t.Body, want)
 	if target != nil {
-		c.conforms(body, target.Ret, "lambda body")
+		c.conforms(body, target.Ret, named("lambda body", ""))
 	}
 	return &types.Func{Params: paramTypes, Ret: body}
 }

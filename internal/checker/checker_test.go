@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -708,5 +709,64 @@ func TestDiagnosticRendering(t *testing.T) {
 		if k.String() == "" {
 			t.Errorf("kind %d has empty rendering", k)
 		}
+	}
+}
+
+// TestSubjectRendering checks every diagnostic subject against the text
+// the checker used to build eagerly at the call site.
+func TestSubjectRendering(t *testing.T) {
+	cases := []struct {
+		got  subject
+		want string
+	}{
+		{named("field ", "x"), "field " + "x"},
+		{named("supertype of ", "A"), "supertype of " + "A"},
+		{subject{prefix: "super constructor argument ", arg: 2}, fmt.Sprintf("super constructor argument %d", 2)},
+		{named("parameter ", "p"), "parameter " + "p"},
+		{named("return type of ", "f"), "return type of " + "f"},
+		{named("return value of ", "f"), "return value of " + "f"},
+		{named("variable ", "v"), "variable " + "v"},
+		{named("initializer of ", "v"), "initializer of " + "v"},
+		{named("cast target", ""), "cast target"},
+		{named("assignment to ", "y"), "assignment to " + "y"},
+		{named("lambda body", ""), "lambda body"},
+		{argOf("argument ", 0, "m"), fmt.Sprintf("argument %d of %s", 0, "m")},
+		{argOf("argument ", 11, ""), fmt.Sprintf("argument %d of %s", 11, "")},
+		{named("constructor call of ", "Box"), "constructor call of " + "Box"},
+		{argOf("constructor argument ", 1, "Box"), fmt.Sprintf("constructor argument %d of %s", 1, "Box")},
+		{named("inferred instantiation of ", "Box"), "inferred instantiation of " + "Box"},
+	}
+	for _, c := range cases {
+		if got := c.got.String(); got != c.want {
+			t.Errorf("subject %+v renders %q, want %q", c.got, got, c.want)
+		}
+		if got := fmt.Sprintf("%s: rest", c.got); got != c.want+": rest" {
+			t.Errorf("subject %+v formats as %q in a diagnostic", c.got, got)
+		}
+	}
+}
+
+// TestScopeShadowing pins the lookup rules of the one-slice scope: the
+// latest declaration of a name in the innermost frame wins, for its type
+// and for its mutability alike.
+func TestScopeShadowing(t *testing.T) {
+	b := types.NewBuiltins()
+	outer := newScope(nil, 2)
+	outer.declare("x", b.Int, true)
+	outer.declare("y", b.Int, false)
+	inner := newScope(outer, 1)
+	inner.declare("x", b.String, false)
+	inner.declare("x", b.Boolean, true)
+	if ty, ok := inner.lookup("x"); !ok || ty != b.Boolean || !inner.isMutable("x") {
+		t.Errorf("inner x = %v,%v mutable=%v; want the latest inner declaration", ty, ok, inner.isMutable("x"))
+	}
+	if ty, ok := inner.lookup("y"); !ok || ty != b.Int || inner.isMutable("y") {
+		t.Errorf("inner y = %v,%v; want outer's immutable y", ty, ok)
+	}
+	if ty, ok := outer.lookup("x"); !ok || ty != b.Int || !outer.isMutable("x") {
+		t.Errorf("outer x = %v,%v; inner declarations must not leak out", ty, ok)
+	}
+	if _, ok := inner.lookup("z"); ok || inner.isMutable("z") {
+		t.Error("undeclared z must not resolve")
 	}
 }

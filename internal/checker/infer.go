@@ -1,8 +1,6 @@
 package checker
 
 import (
-	"fmt"
-
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -72,7 +70,7 @@ func (c *checker) typeOfCall(sc *scope, call *ir.Call, expected types.Type) type
 		// Monomorphic call: straightforward conformance.
 		for i, a := range call.Args {
 			got := c.typeOf(sc, a, sig.Params[i])
-			c.conforms(got, sig.Params[i], fmt.Sprintf("argument %d of %s", i, call.Name))
+			c.conforms(got, sig.Params[i], argOf("argument ", i, call.Name))
 		}
 		return sig.Ret
 	}
@@ -89,7 +87,7 @@ func (c *checker) checkLambdaInvocation(sc *scope, call *ir.Call, ft *types.Func
 	}
 	for i, a := range call.Args {
 		got := c.typeOf(sc, a, ft.Params[i])
-		c.conforms(got, ft.Params[i], fmt.Sprintf("argument %d of %s", i, call.Name))
+		c.conforms(got, ft.Params[i], argOf("argument ", i, call.Name))
 	}
 	return ft.Ret
 }
@@ -208,7 +206,7 @@ func (c *checker) checkGenericCall(sc *scope, call *ir.Call, sig MethodSig, expe
 	for i, a := range call.Args {
 		want := sigma.ApplyB(c.gov, sig.Params[i])
 		got := c.typeOf(sc, a, want)
-		c.conforms(got, want, fmt.Sprintf("argument %d of %s", i, call.Name))
+		c.conforms(got, want, argOf("argument ", i, call.Name))
 	}
 	return sigma.ApplyB(c.gov, sig.Ret)
 }
@@ -302,7 +300,7 @@ func (c *checker) typeOfNew(sc *scope, n *ir.New, expected types.Type) types.Typ
 				return types.Top{}
 			}
 			app := cls.Apply(n.TypeArgs...)
-			c.checkTypeWellFormed(app, "constructor call of "+cls.TypeName)
+			c.checkTypeWellFormed(app, named("constructor call of ", cls.TypeName))
 			_, sigma := c.env.receiverSubstitution(app)
 			c.checkCtorArgs(sc, n, cls.TypeName, c.env.ConstructorParams(decl, sigma))
 			return app
@@ -326,7 +324,7 @@ func (c *checker) checkCtorArgs(sc *scope, n *ir.New, name string, want []types.
 	}
 	for i, a := range n.Args {
 		got := c.typeOf(sc, a, want[i])
-		c.conforms(got, want[i], fmt.Sprintf("constructor argument %d of %s", i, name))
+		c.conforms(got, want[i], argOf("constructor argument ", i, name))
 	}
 }
 
@@ -395,7 +393,7 @@ func (c *checker) inferDiamond(sc *scope, n *ir.New, decl *ir.ClassDecl, ctor *t
 		args[i], _ = sigma.Lookup(tp)
 	}
 	app := ctor.Apply(args...)
-	c.checkTypeWellFormed(app, "inferred instantiation of "+decl.Name)
+	c.checkTypeWellFormed(app, named("inferred instantiation of ", decl.Name))
 	// Conformance of arguments under the inferred instantiation.
 	for i, a := range n.Args {
 		want := sigma.ApplyB(c.gov, fieldTypes[i])
@@ -403,7 +401,7 @@ func (c *checker) inferDiamond(sc *scope, n *ir.New, decl *ir.ClassDecl, ctor *t
 		if got == nil {
 			got = c.typeOf(sc, a, want)
 		}
-		c.conforms(got, want, fmt.Sprintf("constructor argument %d of %s", i, decl.Name))
+		c.conforms(got, want, argOf("constructor argument ", i, decl.Name))
 	}
 	return app
 }

@@ -315,7 +315,7 @@ func climb(base, sub occRef) ([]position, []position, bool) {
 				// Find the positional index of p in sub's ctor to carry
 				// nested refs along.
 				for j, sp := range sub.app.Ctor.Params {
-					if sp.ID() == p.ID() {
+					if sp.SameAs(p) {
 						if n, ok := sub.nested[j]; ok {
 							nn := n
 							subPos[i].nested = &nn

@@ -1,58 +1,80 @@
 package types
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/governor"
 )
 
 // Substitution is a finite map [α ↦ t] from type parameters to types
-// (Definition 3.1). Keys are parameter IDs; Params retains the *Parameter
-// for each key so substitutions can be enumerated.
+// (Definition 3.1), keyed by parameter identity (Parameter.SameAs, i.e.
+// equal IDs). A substitution holds the few parameters of one constructor
+// or method, so it is a slice scanned linearly, with inline room for the
+// common case: building, binding and looking up allocate nothing beyond
+// the substitution itself.
 type Substitution struct {
-	bindings map[string]Type
-	params   map[string]*Parameter
+	binds  []binding
+	inline [4]binding
+}
+
+type binding struct {
+	p *Parameter
+	t Type
 }
 
 // NewSubstitution returns an empty substitution.
 func NewSubstitution() *Substitution {
-	return &Substitution{
-		bindings: map[string]Type{},
-		params:   map[string]*Parameter{},
-	}
+	s := &Substitution{}
+	s.binds = s.inline[:0]
+	return s
 }
 
-// Bind records [p ↦ t]. Rebinding the same parameter to an equal type is a
-// no-op; rebinding to a different type overwrites (callers that need
-// conflict detection use Merge).
+// index returns the position of p's binding, or -1.
+func (s *Substitution) index(p *Parameter) int {
+	for i := range s.binds {
+		if s.binds[i].p.SameAs(p) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Bind records [p ↦ t]. Rebinding the same parameter overwrites: the last
+// bind wins (callers that need conflict detection use Merge).
 func (s *Substitution) Bind(p *Parameter, t Type) {
-	s.bindings[p.ID()] = t
-	s.params[p.ID()] = p
+	if i := s.index(p); i >= 0 {
+		s.binds[i] = binding{p, t}
+		return
+	}
+	s.binds = append(s.binds, binding{p, t})
 }
 
 // Lookup returns the binding for p, if any.
 func (s *Substitution) Lookup(p *Parameter) (Type, bool) {
-	t, ok := s.bindings[p.ID()]
-	return t, ok
+	if i := s.index(p); i >= 0 {
+		return s.binds[i].t, true
+	}
+	return nil, false
 }
 
 // Len returns the number of bound parameters.
-func (s *Substitution) Len() int { return len(s.bindings) }
+func (s *Substitution) Len() int { return len(s.binds) }
 
 // IsEmpty reports whether no parameter is bound.
-func (s *Substitution) IsEmpty() bool { return len(s.bindings) == 0 }
+func (s *Substitution) IsEmpty() bool { return len(s.binds) == 0 }
 
 // Domain returns the bound parameters in deterministic (ID-sorted) order.
 func (s *Substitution) Domain() []*Parameter {
-	ids := make([]string, 0, len(s.params))
-	for id := range s.params {
-		ids = append(ids, id)
+	out := make([]*Parameter, len(s.binds))
+	for i, bd := range s.binds {
+		out[i] = bd.p
 	}
-	sort.Strings(ids)
-	out := make([]*Parameter, len(ids))
-	for i, id := range ids {
-		out[i] = s.params[id]
+	// Insertion sort: domains are a handful of parameters, and IDs are
+	// unique within a substitution.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && compareIDs(out[j], out[j-1]) < 0; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
 	}
 	return out
 }
@@ -60,10 +82,7 @@ func (s *Substitution) Domain() []*Parameter {
 // Clone returns an independent copy of the substitution.
 func (s *Substitution) Clone() *Substitution {
 	c := NewSubstitution()
-	for id, t := range s.bindings {
-		c.bindings[id] = t
-		c.params[id] = s.params[id]
-	}
+	c.binds = append(c.binds, s.binds...)
 	return c
 }
 
@@ -73,12 +92,11 @@ func (s *Substitution) Merge(other *Substitution) bool {
 	if other == nil {
 		return true
 	}
-	for id, t := range other.bindings {
-		if prev, ok := s.bindings[id]; ok && !prev.Equal(t) {
+	for _, bd := range other.binds {
+		if prev, ok := s.Lookup(bd.p); ok && !prev.Equal(bd.t) {
 			return false
 		}
-		s.bindings[id] = t
-		s.params[id] = other.params[id]
+		s.Bind(bd.p, bd.t)
 	}
 	return true
 }
@@ -96,7 +114,7 @@ func (s *Substitution) Apply(t Type) Type { return s.ApplyB(nil, t) }
 // metering per node (rather than per call) is what makes fuel exhaustion
 // track the real cost.
 func (s *Substitution) ApplyB(b *governor.Budget, t Type) Type {
-	if t == nil || s == nil || len(s.bindings) == 0 {
+	if t == nil || s == nil || len(s.binds) == 0 {
 		return t
 	}
 	b.Charge(1)
@@ -109,8 +127,8 @@ func (s *Substitution) ApplyB(b *governor.Budget, t Type) Type {
 func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	switch tt := t.(type) {
 	case *Parameter:
-		if bound, ok := s.bindings[tt.ID()]; ok {
-			return bound
+		if i := s.index(tt); i >= 0 {
+			return s.binds[i].t
 		}
 		return tt
 	case *App:
@@ -147,12 +165,11 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	case *Constructor:
 		// Substituting under a binder: Definition 3.1 substitutes only
 		// free parameters, so skip the constructor's own parameters.
-		inner := s.Clone()
-		for _, p := range tt.Params {
-			delete(inner.bindings, p.ID())
-			delete(inner.params, p.ID())
+		if tt.Super == nil {
+			return tt
 		}
-		if tt.Super == nil || len(inner.bindings) == 0 {
+		inner := s.without(tt.Params)
+		if len(inner.binds) == 0 {
 			return tt
 		}
 		return &Constructor{
@@ -166,10 +183,39 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	}
 }
 
+// without returns s minus the bindings of the given parameters: s itself
+// when none of them is bound, otherwise a filtered copy.
+func (s *Substitution) without(params []*Parameter) *Substitution {
+	shadows := func(p *Parameter) bool {
+		for _, q := range params {
+			if q.SameAs(p) {
+				return true
+			}
+		}
+		return false
+	}
+	i := 0
+	for i < len(s.binds) && !shadows(s.binds[i].p) {
+		i++
+	}
+	if i == len(s.binds) {
+		return s
+	}
+	out := NewSubstitution()
+	out.binds = append(out.binds, s.binds[:i]...)
+	for _, bd := range s.binds[i+1:] {
+		if !shadows(bd.p) {
+			out.binds = append(out.binds, bd)
+		}
+	}
+	return out
+}
+
 func (s *Substitution) String() string {
-	parts := make([]string, 0, len(s.bindings))
+	parts := make([]string, 0, len(s.binds))
 	for _, p := range s.Domain() {
-		parts = append(parts, p.ID()+" ↦ "+s.bindings[p.ID()].String())
+		t, _ := s.Lookup(p)
+		parts = append(parts, p.ID()+" ↦ "+t.String())
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
 }

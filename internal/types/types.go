@@ -17,6 +17,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -129,6 +130,43 @@ func NewParameter(owner, name string) *Parameter {
 // ID returns the program-wide unique identity of the parameter.
 func (p *Parameter) ID() string { return p.Owner + "." + p.ParamName }
 
+// SameAs reports p.ID() == q.ID() without building either string. With
+// equal owner lengths the IDs match exactly when owners and names do;
+// otherwise the dotted forms are compared byte by byte, so ("A.B", "C")
+// and ("A", "B.C") are the same parameter, as their IDs are.
+func (p *Parameter) SameAs(q *Parameter) bool {
+	if p == q {
+		return true
+	}
+	if len(p.Owner) == len(q.Owner) {
+		return p.Owner == q.Owner && p.ParamName == q.ParamName
+	}
+	return len(p.Owner)+len(p.ParamName) == len(q.Owner)+len(q.ParamName) && compareIDs(p, q) == 0
+}
+
+// compareIDs orders p and q as strings.Compare(p.ID(), q.ID()) does,
+// reading the dotted form in place.
+func compareIDs(p, q *Parameter) int {
+	n, m := len(p.Owner)+1+len(p.ParamName), len(q.Owner)+1+len(q.ParamName)
+	for i := 0; i < n && i < m; i++ {
+		if a, b := p.idByte(i), q.idByte(i); a != b {
+			return cmp.Compare(a, b)
+		}
+	}
+	return cmp.Compare(n, m)
+}
+
+// idByte returns byte i of p.ID().
+func (p *Parameter) idByte(i int) byte {
+	switch {
+	case i < len(p.Owner):
+		return p.Owner[i]
+	case i == len(p.Owner):
+		return '.'
+	}
+	return p.ParamName[i-len(p.Owner)-1]
+}
+
 func (p *Parameter) Name() string { return p.ParamName }
 
 func (p *Parameter) String() string {
@@ -140,7 +178,7 @@ func (p *Parameter) String() string {
 
 func (p *Parameter) Equal(o Type) bool {
 	op, ok := o.(*Parameter)
-	return ok && op.ID() == p.ID()
+	return ok && op.SameAs(p)
 }
 
 // UpperBound returns the declared bound, or ⊤ when unbounded.
@@ -331,7 +369,7 @@ func IsParameterized(t Type) bool {
 func ContainsParameter(t Type, p *Parameter) bool {
 	switch tt := t.(type) {
 	case *Parameter:
-		return tt.ID() == p.ID()
+		return tt.SameAs(p)
 	case *App:
 		for _, a := range tt.Args {
 			if ContainsParameter(a, p) {
@@ -394,15 +432,16 @@ func HasFreeParameters(t Type) bool {
 // order and without duplicates.
 func FreeParameters(t Type) []*Parameter {
 	var out []*Parameter
-	seen := map[string]bool{}
 	var walk func(Type)
 	walk = func(t Type) {
 		switch tt := t.(type) {
 		case *Parameter:
-			if !seen[tt.ID()] {
-				seen[tt.ID()] = true
-				out = append(out, tt)
+			for _, q := range out {
+				if q.SameAs(tt) {
+					return
+				}
 			}
+			out = append(out, tt)
 		case *App:
 			for _, a := range tt.Args {
 				walk(a)
