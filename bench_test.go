@@ -14,7 +14,7 @@
 package repro_test
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +38,6 @@ func campaignForBench(i int, programs int) *campaign.Report {
 	return campaign.Run(campaign.Options{
 		Seed:      int64(i) * 10_000,
 		Programs:  programs,
-		BatchSize: 10,
 		GenConfig: generator.DefaultConfig(),
 		Mutate:    true,
 	})
@@ -131,7 +130,10 @@ func BenchmarkFig8AffectedVersions(b *testing.B) {
 func BenchmarkFig9MutationCoverage(b *testing.B) {
 	var temBranches, tomBranches int
 	for i := 0; i < b.N; i++ {
-		cov := campaign.RunMutationCoverage(compilers.Kotlinc(), 15, int64(i)*999, generator.DefaultConfig())
+		cov, err := campaign.RunMutationCoverageContext(context.Background(), compilers.Kotlinc(), 15, int64(i)*999, generator.DefaultConfig(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		temBranches += cov.TEMDelta.Branches
 		tomBranches += cov.TOMDelta.Branches
 	}
@@ -145,7 +147,10 @@ func BenchmarkFig9MutationCoverage(b *testing.B) {
 func BenchmarkFig10SuiteCoverage(b *testing.B) {
 	var change float64
 	for i := 0; i < b.N; i++ {
-		cov := campaign.RunSuiteCoverage(compilers.Javac(), 30, int64(i)*777, generator.DefaultConfig())
+		cov, err := campaign.RunSuiteCoverageContext(context.Background(), compilers.Javac(), 30, int64(i)*777, generator.DefaultConfig(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		change += cov.LineChange()
 	}
 	b.ReportMetric(change/float64(b.N), "line-pct-change")
@@ -342,30 +347,6 @@ func BenchmarkREM(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(applied)/float64(b.N)*100, "applied-%")
-}
-
-// BenchmarkBatchSizeSweep compares compilation throughput across batch
-// sizes (the Section 3.5 batching ablation): larger batches amortize the
-// per-invocation cost.
-func BenchmarkBatchSizeSweep(b *testing.B) {
-	comp := compilers.Javac()
-	g := generator.New(generator.DefaultConfig().WithSeed(42))
-	programs := g.GenerateBatch(16)
-	for _, size := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(programs); lo += size {
-					hi := lo + size
-					if hi > len(programs) {
-						hi = len(programs)
-					}
-					if _, err := comp.CompileBatch(programs[lo:hi], nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkReduction measures the delta-debugging reducer on a

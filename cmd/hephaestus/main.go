@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hephaestus generate  [-seed N] [-lang ir|java|kotlin|groovy]
-//	hephaestus mutate    [-seed N] [-lang ...]     show TEM and TOM mutants
+//	hephaestus mutate    [-seed N] [-lang ...]     show the unit's mutants
 //	hephaestus translate [-seed N] -lang kotlin    translate to a language
 //	hephaestus fuzz      [-seed N] [-n programs] [-workers W] [-stats]
 //	                     [-compile-timeout D] [-retries R] [-chaos RATE]
@@ -15,6 +15,10 @@
 //	                                               run a campaign
 //	hephaestus reduce    [-seed N]                 reduce a bug trigger
 //	hephaestus typegraph [-seed N]                 dump type graphs (DOT)
+//
+// Every subcommand derives the seed's unit exactly as a campaign with
+// the same flags would: -synth, -synth-every and -stress-every pick the
+// producer, and the mutants are the ones the campaign compiles.
 package main
 
 import (
@@ -27,12 +31,14 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/mutation"
 	"repro/internal/oracle"
+	"repro/internal/pipeline"
+	"repro/internal/reduce"
+	"repro/internal/translate"
 	"repro/internal/typegraph"
-	"repro/internal/types"
 )
 
 func main() {
@@ -49,8 +55,19 @@ func main() {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
+	switch cmd {
+	case "generate", "mutate", "reduce", "typegraph", "fuzz":
+	case "translate":
+		if *lang == "ir" {
+			fmt.Fprintln(os.Stderr, "translate needs -lang java|kotlin|groovy")
+			os.Exit(2)
+		}
+	default:
+		usage()
+		os.Exit(2)
+	}
 
-	coreCfg, err := cfg.CoreConfig()
+	opts, err := cfg.CampaignOptions()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -61,154 +78,187 @@ func main() {
 		os.Exit(1)
 	}
 	defer obs.Close()
-	coreCfg.Metrics = obs.Registry
-	coreCfg.Trace = obs.Trace
+	opts.Metrics = obs.Registry
+	opts.Trace = obs.Trace
 
-	h := core.New(coreCfg)
+	if cmd == "fuzz" {
+		fuzz(cfg, opts)
+		return
+	}
+	derive, err := campaign.NewDerivation(opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	u := derive.Derive(cfg.Seed)
 	switch cmd {
-	case "generate":
-		tc := h.GenerateTestCaseSeed(cfg.Seed)
-		emit(h, tc.Program, *lang)
+	case "generate", "translate":
+		emit(u.Program, *lang)
 	case "mutate":
-		tc := h.GenerateTestCaseSeed(cfg.Seed)
-		fmt.Println("== original ==")
-		emit(h, tc.Program, *lang)
-		if tc.TEM != nil {
-			fmt.Println("\n== TEM mutant (well-typed; erased points below) ==")
-			for _, e := range tc.TEMReport.Erased {
-				fmt.Printf("  %s\n", e)
-			}
-		} else {
-			fmt.Println("\n== TEM: nothing erasable ==")
+		printMutants(u, *lang)
+	case "reduce":
+		reduceUnit(u, opts, *lang)
+	case "typegraph":
+		for name, g := range typegraph.Analyze(u.Program, u.Builtins).BuildAll() {
+			fmt.Printf("// method %s (%d nodes, %d edges, %d candidates)\n",
+				name, g.NumNodes(), g.NumEdges(), len(g.Candidates))
+			fmt.Println(g.Dot())
 		}
-		if r := tc.TEMReport; r.CapHit {
+	}
+}
+
+// printMutants prints the unit's base program and every mutant the
+// campaign derives from it, with each mutation's report.
+func printMutants(u *pipeline.Unit, lang string) {
+	fmt.Println("== original ==")
+	emit(u.Program, lang)
+	if !u.Mutable() {
+		what := u.Kind.String()
+		if u.Stress {
+			what = "stress"
+		}
+		fmt.Printf("\n== %s unit: not mutated ==\n", what)
+		return
+	}
+	byKind := map[oracle.InputKind]pipeline.Input{}
+	for _, in := range u.Inputs {
+		byKind[in.Kind] = in
+	}
+	if tem, ok := byKind[oracle.TEMMutant]; ok {
+		r := tem.Report.(*mutation.TEMReport)
+		fmt.Println("\n== TEM mutant (well-typed; erased points below) ==")
+		for _, e := range r.Erased {
+			fmt.Printf("  %s\n", e)
+		}
+		if r.CapHit {
 			fmt.Printf("  cap hit: %d combinations tried, budget %d; later methods kept all annotations\n",
 				r.CombinationsTried, mutation.MaxCombinations)
 		}
-		if tc.TEM != nil {
-			emit(h, tc.TEM, *lang)
+		emit(tem.Prog, lang)
+	} else {
+		fmt.Println("\n== TEM: nothing erasable ==")
+	}
+	for _, m := range []struct {
+		kind        oracle.InputKind
+		title, none string
+	}{
+		{oracle.TOMMutant, "TOM mutant (ill-typed)", "TOM: no overwrite point"},
+		{oracle.TEMTOMMutant, "TEM∘TOM mutant (ill-typed)", "TEM∘TOM: no overwrite point"},
+		{oracle.REMMutant, "REM mutant (well-typed)", "REM: no resolution site"},
+	} {
+		in, ok := byKind[m.kind]
+		if !ok {
+			fmt.Printf("\n== %s ==\n", m.none)
+			continue
 		}
-		if tc.TOM != nil {
-			fmt.Printf("\n== TOM mutant (ill-typed): %s ==\n", tc.TOMReport)
-			emit(h, tc.TOM, *lang)
-		} else {
-			fmt.Println("\n== TOM: no overwrite point ==")
+		fmt.Printf("\n== %s: %s ==\n", m.title, in.Report)
+		emit(in.Prog, lang)
+	}
+}
+
+// reduceUnit reduces the unit's first input that triggers a bug in the
+// first compiler under test. Every compile runs through the harness
+// under the campaign's options (watchdog, fuel budget).
+func reduceUnit(u *pipeline.Unit, opts campaign.Options, lang string) {
+	comp := opts.Compilers[0]
+	target := harness.WrapCompiler(comp)
+	sandbox := harness.New(opts.Harness)
+	for i, in := range u.Inputs {
+		inv := sandbox.Compile(context.Background(), target, in.Prog, nil, harness.Key{Unit: u.Seed, Input: i})
+		if inv.Outcome != harness.Completed || len(inv.Result.Triggered) == 0 ||
+			oracle.Judge(in.Kind, inv.Result) == oracle.Pass {
+			continue
 		}
-		if tc.REM != nil {
-			fmt.Printf("\n== REM mutant (well-typed): %s ==\n", tc.REMReport)
-			emit(h, tc.REM, *lang)
-		} else {
-			fmt.Println("\n== REM: no resolution site ==")
-		}
-	case "translate":
-		if *lang == "ir" {
-			fmt.Fprintln(os.Stderr, "translate needs -lang java|kotlin|groovy")
-			os.Exit(2)
-		}
-		tc := h.GenerateTestCaseSeed(cfg.Seed)
-		emit(h, tc.Program, *lang)
-	case "fuzz":
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		c := h.FuzzCampaign(cfg.Programs)
-		stopBeat := campaign.StartHeartbeat(os.Stderr, c.Status, cfg.Heartbeat)
-		if err := c.Start(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+		bug := inv.Result.Triggered[0]
+		fmt.Printf("reducing the seed-%d %s input for %s (%d nodes)...\n", u.Seed, in.Kind, bug.ID, ir.CountNodes(in.Prog))
+		reduced := reduce.ForBug(in.Prog, target, bug.ID, opts.Harness)
+		fmt.Printf("reduced to %d nodes:\n\n", ir.CountNodes(reduced))
+		emit(reduced, lang)
+		return
+	}
+	fmt.Printf("seed %d triggers no %s bug; try another seed\n", u.Seed, comp.Name())
+}
+
+// fuzz runs a campaign and prints its findings and figures.
+func fuzz(cfg *cli.Config, opts campaign.Options) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	c := campaign.New(opts)
+	stopBeat := campaign.StartHeartbeat(os.Stderr, c.Status, cfg.Heartbeat)
+	if err := c.Start(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+		os.Exit(1)
+	}
+	report, err := c.Wait()
+	stopBeat()
+	if report != nil && report.Recovery.Resumed {
+		fmt.Printf("resumed: %d units restored (%d from snapshot prefix, %d journal records replayed)\n\n",
+			report.Recovery.Recovered, report.Recovery.SnapshotSeq, report.Recovery.Replayed)
+	}
+	if err != nil {
+		// Flush what the truncated run still found — findings, the
+		// partial figure, the fault ledger, the stage stats — then
+		// signal the incomplete campaign through the exit code. A
+		// durable run has also just snapshotted this state.
+		fmt.Fprintf(os.Stderr, "campaign aborted: %v\n", err)
+		if report == nil {
 			os.Exit(1)
 		}
-		report, err := c.Wait()
-		stopBeat()
-		findings := core.Findings(report)
-		if report != nil && report.Recovery.Resumed {
-			fmt.Printf("resumed: %d units restored (%d from snapshot prefix, %d journal records replayed)\n\n",
-				report.Recovery.Recovered, report.Recovery.SnapshotSeq, report.Recovery.Replayed)
-		}
-		if err != nil {
-			// Flush what the truncated run still found — findings, the
-			// partial figure, the fault ledger, the stage stats — then
-			// signal the incomplete campaign through the exit code. A
-			// durable run has also just snapshotted this state.
-			fmt.Fprintf(os.Stderr, "campaign aborted: %v\n", err)
-			if report == nil {
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "partial report: %d distinct bugs before the abort\n", len(findings))
-			for _, f := range findings {
-				fmt.Printf("  %-22s %-8s %-6s found by %-9s (seed %d)\n",
-					f.BugID, f.Compiler, f.Symptom, f.Technique, f.FirstSeed)
-			}
-			printDifferential(report)
-			fmt.Println(report.Figure7c().String())
-			if report.Faults.Faults() {
-				fmt.Println(report.Faults)
-			}
-			if cfg.Stats && report.Stats != nil {
-				fmt.Println("pipeline stages:")
-				fmt.Println(report.Stats)
-			}
-			if cfg.StateDir != "" {
-				fmt.Fprintf(os.Stderr, "state saved; resume with -state %s -resume\n", cfg.StateDir)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("campaign: %d programs (plus mutants), %d distinct bugs\n\n",
-			cfg.Programs, len(findings))
-		for _, f := range findings {
-			fmt.Printf("  %-22s %-8s %-6s found by %-9s (seed %d)\n",
-				f.BugID, f.Compiler, f.Symptom, f.Technique, f.FirstSeed)
-		}
-		fmt.Println()
+		findings := report.Findings()
+		fmt.Fprintf(os.Stderr, "partial report: %d distinct bugs before the abort\n", len(findings))
+		printFindings(findings)
 		printDifferential(report)
 		fmt.Println(report.Figure7c().String())
 		if report.Faults.Faults() {
 			fmt.Println(report.Faults)
 		}
-		if report.Corpus != nil {
-			fmt.Printf("bug corpus: %d distinct bugs over %d campaigns\n",
-				len(report.Corpus.Bugs), report.Corpus.Campaigns)
-		}
-		if cfg.Stats {
+		if cfg.Stats && report.Stats != nil {
 			fmt.Println("pipeline stages:")
 			fmt.Println(report.Stats)
 		}
-	case "reduce":
-		tc := h.GenerateTestCaseSeed(cfg.Seed)
-		comp := h.Compilers()[0]
-		verdict, res := h.Judge(oracle.Generated, comp, tc.Program)
-		if verdict == oracle.Pass || len(res.Triggered) == 0 {
-			fmt.Printf("seed %d triggers no %s bug; try another seed\n", cfg.Seed, comp.Name())
-			return
+		if cfg.StateDir != "" {
+			fmt.Fprintf(os.Stderr, "state saved; resume with -state %s -resume\n", cfg.StateDir)
 		}
-		bug := res.Triggered[0]
-		fmt.Printf("reducing seed %d for %s (%d nodes)...\n", cfg.Seed, bug.ID, ir.CountNodes(tc.Program))
-		reduced := h.ReduceFor(tc.Program, comp, bug.ID)
-		fmt.Printf("reduced to %d nodes:\n\n", ir.CountNodes(reduced))
-		emit(h, reduced, *lang)
-	case "typegraph":
-		tc := h.GenerateTestCaseSeed(cfg.Seed)
-		a := typegraph.Analyze(tc.Program, types.NewBuiltins())
-		for name, g := range a.BuildAll() {
-			fmt.Printf("// method %s (%d nodes, %d edges, %d candidates)\n",
-				name, g.NumNodes(), g.NumEdges(), len(g.Candidates))
-			fmt.Println(g.Dot())
-		}
-	default:
-		usage()
-		os.Exit(2)
+		os.Exit(1)
+	}
+	findings := report.Findings()
+	fmt.Printf("campaign: %d programs (plus mutants), %d distinct bugs\n\n",
+		cfg.Programs, len(findings))
+	printFindings(findings)
+	fmt.Println()
+	printDifferential(report)
+	fmt.Println(report.Figure7c().String())
+	if report.Faults.Faults() {
+		fmt.Println(report.Faults)
+	}
+	if report.Corpus != nil {
+		fmt.Printf("bug corpus: %d distinct bugs over %d campaigns\n",
+			len(report.Corpus.Bugs), report.Corpus.Campaigns)
+	}
+	if cfg.Stats {
+		fmt.Println("pipeline stages:")
+		fmt.Println(report.Stats)
 	}
 }
 
-func emit(h *core.Hephaestus, p *ir.Program, lang string) {
+func printFindings(findings []campaign.BugDoc) {
+	for _, f := range findings {
+		fmt.Printf("  %-22s %-8s %-6s found by %-9s (seed %d)\n",
+			f.ID, f.Compiler, f.Symptom, f.Technique, f.FirstSeed)
+	}
+}
+
+func emit(p *ir.Program, lang string) {
 	if lang == "ir" {
 		fmt.Println(ir.Print(p))
 		return
 	}
-	src, err := h.Translate(p, lang)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	tr := translate.ByName(lang)
+	if tr == nil {
+		fmt.Fprintf(os.Stderr, "unknown target language %q (supported: %v)\n", lang, translate.Names())
 		os.Exit(1)
 	}
-	fmt.Println(src)
+	fmt.Println(tr.Translate(p))
 }
 
 func usage() {

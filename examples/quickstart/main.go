@@ -1,10 +1,11 @@
 // Quickstart: the whole Hephaestus pipeline in one file.
 //
-// Generates a random well-typed program, shows the type erasure mutant
-// (still well-typed, more inference work for the compiler) and the type
-// overwriting mutant (ill-typed by construction), translates the program
-// to Kotlin, and compiles everything with the three simulated compilers,
-// judging each outcome against the test oracle.
+// Derives one campaign unit — a random well-typed program and its
+// mutants: the type erasure mutant (still well-typed, more inference
+// work for the compiler) and the type overwriting mutant (ill-typed by
+// construction) — translates the program to Kotlin, and compiles every
+// input with the three simulated compilers, judging each outcome
+// against the test oracle.
 //
 // Run with:
 //
@@ -14,47 +15,47 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/campaign"
+	"repro/internal/compilers"
 	"repro/internal/ir"
+	"repro/internal/mutation"
 	"repro/internal/oracle"
+	"repro/internal/translate"
 )
 
 func main() {
-	h := core.New(core.Config{Seed: 7})
-
-	// 1. Generate a well-typed program and its mutants.
-	tc := h.GenerateTestCase()
-	fmt.Printf("generated program: %d AST nodes\n", ir.CountNodes(tc.Program))
-	if tc.TEM != nil {
-		fmt.Printf("TEM erased %d type annotations (program is still well-typed)\n",
-			len(tc.TEMReport.Erased))
-	}
-	if tc.TOM != nil {
-		fmt.Printf("TOM injected a type error: %s\n", tc.TOMReport)
-	}
-
-	// 2. Translate to a concrete language.
-	kotlin, err := h.Translate(tc.Program, "kotlin")
+	// 1. Derive seed 7's unit exactly as a campaign would.
+	derive, err := campaign.NewDerivation(campaign.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\n--- Kotlin translation (first lines) ---\n")
-	printHead(kotlin, 12)
-
-	// 3. Compile with each simulated compiler and consult the oracle.
-	fmt.Printf("\n--- compilations ---\n")
-	for _, comp := range h.Compilers() {
-		verdict, res := h.Judge(oracle.Generated, comp, tc.Program)
-		fmt.Printf("%-8s original: %-6s", comp.Name(), verdict)
-		if len(res.Triggered) > 0 {
-			fmt.Printf("  (triggered %s)", res.Triggered[0].ID)
+	u := derive.Derive(7)
+	fmt.Printf("generated program: %d AST nodes\n", ir.CountNodes(u.Program))
+	for _, in := range u.Inputs {
+		switch r := in.Report.(type) {
+		case *mutation.TEMReport:
+			fmt.Printf("TEM erased %d type annotations (program is still well-typed)\n", len(r.Erased))
+		case *mutation.TOMReport:
+			fmt.Printf("%s injected a type error: %s\n", in.Kind, r)
+		case *mutation.REMReport:
+			fmt.Printf("REM %s (program is still well-typed)\n", r)
 		}
-		fmt.Println()
-		if tc.TOM != nil {
-			verdict, res = h.Judge(oracle.TOMMutant, comp, tc.TOM)
-			fmt.Printf("%-8s TOM:      %-6s", comp.Name(), verdict)
-			if verdict == oracle.UnexpectedAcceptance {
-				fmt.Printf("  (soundness bug %s!)", res.Triggered[0].ID)
+	}
+
+	// 2. Translate to a concrete language.
+	fmt.Printf("\n--- Kotlin translation (first lines) ---\n")
+	printHead(translate.ByName("kotlin").Translate(u.Program), 12)
+
+	// 3. Compile every input with each simulated compiler and consult
+	// the oracle.
+	fmt.Printf("\n--- compilations ---\n")
+	for _, comp := range compilers.All() {
+		for _, in := range u.Inputs {
+			res := comp.Compile(in.Prog, nil)
+			verdict := oracle.Judge(in.Kind, res)
+			fmt.Printf("%-8s %-14s %-6s", comp.Name(), in.Kind, verdict)
+			if len(res.Triggered) > 0 {
+				fmt.Printf("  (triggered %s)", res.Triggered[0].ID)
 			}
 			fmt.Println()
 		}

@@ -1,7 +1,7 @@
 // Package campaign orchestrates testing campaigns against the simulated
-// compilers, reproducing the paper's evaluation pipeline (Figure 3): batch
-// program generation (Section 3.5), compilation of every program and of
-// its TEM / TOM / TEM∘TOM mutants, oracle checking, bug deduplication, and
+// compilers, reproducing the paper's evaluation pipeline (Figure 3):
+// program generation, compilation of every program and of its TEM /
+// TOM / TEM∘TOM mutants, oracle checking, bug deduplication, and
 // per-figure accounting for Figures 7a, 7b, 7c and 8, plus the coverage
 // experiments of Figures 9 and 10.
 //
@@ -73,9 +73,6 @@ type Options struct {
 	Seed int64
 	// Programs is the number of generated seed programs.
 	Programs int
-	// BatchSize groups programs per (simulated) compiler invocation
-	// (Section 3.5); it affects only batching accounting.
-	BatchSize int
 	// Workers is the number of concurrent workers per pipeline stage
 	// (the paper uses Python multiprocessing; we use goroutines).
 	// 0 means GOMAXPROCS.
@@ -151,7 +148,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Programs:  200,
-		BatchSize: 20,
 		GenConfig: generator.DefaultConfig(),
 		Mutate:    true,
 	}
@@ -231,8 +227,6 @@ type Report struct {
 	// mutant (TEM is skipped when nothing was erasable; TOM/REM find no
 	// site in some programs).
 	ProgramsRun map[oracle.InputKind]int
-	// Batches is the number of compiler invocations saved by batching.
-	Batches int
 	// TEMRepairs counts TEM verification-pass rollbacks.
 	TEMRepairs int
 	// Stats holds the per-stage pipeline statistics for this run
@@ -406,20 +400,13 @@ func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
 		mu:       &c.fold,
 	}
 
-	gen := &pipeline.Generate{Config: opts.GenConfig}
-	if opts.Synth.Enabled() {
-		prod, err := newSynthProducer(opts.Synth)
-		if err != nil {
-			report.Err = err
-			c.publish(report, nil, nil)
-			return err
-		}
-		gen.Producers = []pipeline.Producer{prod}
+	derive, err := NewDerivation(opts)
+	if err != nil {
+		report.Err = err
+		c.publish(report, nil, nil)
+		return err
 	}
-	stages := []pipeline.Stage{gen}
-	if opts.Mutate {
-		stages = append(stages, &pipeline.Mutate{TEM: true, TOM: true, TEMTOM: true, REM: true})
-	}
+	stages := derive.Stages()
 
 	// The execution layer: every compiler behind the resilient harness,
 	// optionally behind chaos fault injection first. Observability rides
@@ -476,7 +463,6 @@ func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
 	c.fold.Lock()
 	defer c.fold.Unlock()
 	report.Stats = stats
-	report.Batches = (opts.Programs + opts.BatchSize - 1) / opts.BatchSize
 	if state != nil {
 		if ferr := state.finish(report, h, err == nil); ferr != nil && err == nil {
 			err = ferr

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/generator"
+	"repro/internal/ir"
 	"repro/internal/oracle"
 	"repro/internal/pipeline"
 )
@@ -50,49 +51,13 @@ func (m *MutationCoverage) String() string {
 	return s
 }
 
-// RunMutationCoverage performs the RQ3 experiment (Figure 9): generate
-// programs, produce one TEM and one TOM mutant per program, and measure
-// the coverage increase each mutation brings over the generator baseline.
-func RunMutationCoverage(c *compilers.Compiler, programs int, seed int64, cfg generator.Config) *MutationCoverage {
-	out, _ := RunMutationCoverageContext(context.Background(), c, programs, seed, cfg, 0)
-	return out
-}
-
-// RunMutationCoverageContext is RunMutationCoverage with cancellation
-// and an explicit per-stage worker count (0 means GOMAXPROCS). The
-// reported quantities are distinct-site counts, so they are
-// deterministic regardless of worker interleaving.
-//
-// A shim over the lifecycle API: the experiment is a campaign plan.
+// RunMutationCoverageContext performs the RQ3 experiment (Figure 9):
+// generate programs, produce one TEM and one TOM mutant per program,
+// and measure the coverage increase each mutation brings over the
+// generator baseline. workers is the per-stage worker count (0 means
+// GOMAXPROCS); the reported quantities are distinct-site counts, so
+// they are deterministic regardless of worker interleaving.
 func RunMutationCoverageContext(ctx context.Context, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) (*MutationCoverage, error) {
-	plan := &mutationCoveragePlan{compiler: c, cfg: cfg}
-	camp := newCampaign(Options{
-		Seed: seed, Programs: programs, Workers: workers,
-		GenConfig: cfg, Compilers: []*compilers.Compiler{c},
-	}, plan)
-	if err := camp.Start(ctx); err != nil {
-		return nil, err
-	}
-	if _, err := camp.Wait(); err != nil {
-		return nil, err
-	}
-	return plan.out, nil
-}
-
-// mutationCoveragePlan is the Figure 9 experiment behind the lifecycle.
-// Coverage collectors accumulate as stage side effects, so the plan is
-// not pausable — there is no journaled fold to suspend into.
-type mutationCoveragePlan struct {
-	compiler *compilers.Compiler
-	cfg      generator.Config
-	out      *MutationCoverage
-}
-
-func (p *mutationCoveragePlan) name() string { return "mutation-coverage" }
-
-func (p *mutationCoveragePlan) pausable(*Campaign) bool { return false }
-
-func (p *mutationCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) error {
 	covGen := coverage.NewCollector()
 	covTEM := coverage.NewCollector()
 	covTOM := coverage.NewCollector()
@@ -101,33 +66,21 @@ func (p *mutationCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) err
 		oracle.TEMMutant: covTEM,
 		oracle.TOMMutant: covTOM,
 	}
-
-	pl := &pipeline.Pipeline{
-		Source: pipeline.NewGeneratorSource(c.opts.Seed, c.opts.Programs),
-		Stages: []pipeline.Stage{
-			&pipeline.Generate{Config: p.cfg},
-			&pipeline.Mutate{TEM: true, TOM: true},
-			&pipeline.Execute{
-				Compilers: []*compilers.Compiler{p.compiler},
-				Coverage:  func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
-			},
-			pipeline.Judge{},
-		},
-		Aggregator: pipeline.Discard{},
-		Workers:    c.opts.Workers,
-	}
-	stats, err := pl.Run(ctx)
+	stats, err := runCoverage(ctx, &coveragePlan{label: "mutation-coverage", passes: []coveragePass{{
+		label:  "generate+mutate",
+		mutate: &pipeline.Mutate{TEM: true, TOM: true},
+		record: func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
+	}}}, c, programs, seed, cfg, workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	universe := covGen.Clone()
 	universe.Merge(covTEM)
 	universe.Merge(covTOM)
-
 	out := &MutationCoverage{
-		Compiler:    p.compiler.Name(),
-		Programs:    c.opts.Programs,
+		Compiler:    c.Name(),
+		Programs:    programs,
 		TEMDelta:    covTEM.NewSites(covGen),
 		TOMDelta:    covTOM.NewSites(covGen),
 		TEMByRegion: map[string]coverage.Delta{},
@@ -135,11 +88,9 @@ func (p *mutationCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) err
 	}
 	out.GenLine, out.GenFunc, out.GenBranch = covGen.Percent(universe)
 	for _, region := range covTEM.Regions() {
-		d := covTEM.NewSitesIn(covGen, region)
-		out.TEMByRegion[p.compiler.PackageFor(region)] = d
+		out.TEMByRegion[c.PackageFor(region)] = covTEM.NewSitesIn(covGen, region)
 	}
-	p.out = out
-	return nil
+	return out, nil
 }
 
 // SynthCoverage is the three-way input-kind comparison extending RQ3/
@@ -183,59 +134,20 @@ func (s *SynthCoverage) String() string {
 	return out
 }
 
-// RunSynthCoverage performs the three-way generated vs mutated vs
-// synthesized coverage experiment.
-func RunSynthCoverage(c *compilers.Compiler, programs int, seed int64, cfg generator.Config, synth apisynth.Config) *SynthCoverage {
-	out, _ := RunSynthCoverageContext(context.Background(), c, programs, seed, cfg, synth, 0)
-	return out
-}
-
-// RunSynthCoverageContext is RunSynthCoverage with cancellation and an
-// explicit worker count. Two pipelines over the same seed range: one
-// generates and mutates, one synthesizes every unit from the API corpus
-// (synth.Corpus; the built-in default when empty). Distinct-site counts
-// are deterministic regardless of worker interleaving.
-//
-// A shim over the lifecycle API: the experiment is a campaign plan.
+// RunSynthCoverageContext performs the three-way generated vs mutated
+// vs synthesized coverage experiment with cancellation and an explicit
+// worker count. Two passes over the same seed range: one generates and
+// mutates, one synthesizes every unit from the API corpus (synth.Corpus;
+// the built-in default when empty). Distinct-site counts are
+// deterministic regardless of worker interleaving.
 func RunSynthCoverageContext(ctx context.Context, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, synth apisynth.Config, workers int) (*SynthCoverage, error) {
-	plan := &synthCoveragePlan{compiler: c, cfg: cfg, synth: synth}
-	camp := newCampaign(Options{
-		Seed: seed, Programs: programs, Workers: workers,
-		GenConfig: cfg, Compilers: []*compilers.Compiler{c},
-	}, plan)
-	if err := camp.Start(ctx); err != nil {
-		return nil, err
-	}
-	if _, err := camp.Wait(); err != nil {
-		return nil, err
-	}
-	return plan.out, nil
-}
-
-// synthCoveragePlan is the three-way experiment behind the lifecycle.
-// Not pausable — coverage accumulates as stage side effects with no
-// journaled fold.
-type synthCoveragePlan struct {
-	compiler *compilers.Compiler
-	cfg      generator.Config
-	synth    apisynth.Config
-	out      *SynthCoverage
-}
-
-func (p *synthCoveragePlan) name() string { return "synth-coverage" }
-
-func (p *synthCoveragePlan) pausable(*Campaign) bool { return false }
-
-func (p *synthCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) error {
 	// Cadence is forced to every-unit: the experiment compares N
 	// synthesized programs against N generated ones, whatever cadence
 	// the fuzzing campaign itself would use.
-	prod, err := newSynthProducer(apisynth.Config{Every: 1, Corpus: p.synth.Corpus})
+	prod, err := newSynthProducer(apisynth.Config{Every: 1, Corpus: synth.Corpus})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	stats := pipeline.NewStats()
 	covGen := coverage.NewCollector()
 	covMut := coverage.NewCollector()
 	covSynth := coverage.NewCollector()
@@ -244,53 +156,25 @@ func (p *synthCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) error 
 		oracle.TEMMutant: covMut,
 		oracle.TOMMutant: covMut,
 	}
-
-	genRun := &pipeline.Pipeline{
-		Source: pipeline.NewGeneratorSource(c.opts.Seed, c.opts.Programs),
-		Stages: []pipeline.Stage{
-			&pipeline.Generate{Config: p.cfg},
-			&pipeline.Mutate{TEM: true, TOM: true},
-			&pipeline.Execute{
-				Compilers: []*compilers.Compiler{p.compiler},
-				Coverage:  func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
-			},
-			pipeline.Judge{},
-		},
-		Aggregator: pipeline.Discard{},
-		Workers:    c.opts.Workers,
-		Stats:      stats,
-		Label:      "generate+mutate",
-	}
-	if _, err := genRun.Run(ctx); err != nil {
-		return err
-	}
-
-	synthRun := &pipeline.Pipeline{
-		Source: pipeline.NewGeneratorSource(c.opts.Seed, c.opts.Programs),
-		Stages: []pipeline.Stage{
-			&pipeline.Generate{Config: p.cfg, Producers: []pipeline.Producer{prod}},
-			&pipeline.Execute{
-				Compilers: []*compilers.Compiler{p.compiler},
-				Coverage:  func(oracle.InputKind) coverage.Recorder { return covSynth },
-			},
-			pipeline.Judge{},
-		},
-		Aggregator: pipeline.Discard{},
-		Workers:    c.opts.Workers,
-		Stats:      stats,
-		Label:      "synthesize",
-	}
-	if _, err := synthRun.Run(ctx); err != nil {
-		return err
+	stats, err := runCoverage(ctx, &coveragePlan{label: "synth-coverage", passes: []coveragePass{{
+		label:  "generate+mutate",
+		mutate: &pipeline.Mutate{TEM: true, TOM: true},
+		record: func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
+	}, {
+		label:     "synthesize",
+		producers: []pipeline.Producer{prod},
+		record:    func(oracle.InputKind) coverage.Recorder { return covSynth },
+	}}}, c, programs, seed, cfg, workers)
+	if err != nil {
+		return nil, err
 	}
 
 	universe := covGen.Clone()
 	universe.Merge(covMut)
 	universe.Merge(covSynth)
-
 	out := &SynthCoverage{
-		Compiler:      p.compiler.Name(),
-		Programs:      c.opts.Programs,
+		Compiler:      c.Name(),
+		Programs:      programs,
 		MutDelta:      covMut.NewSites(covGen),
 		SynthDelta:    covSynth.NewSites(covGen),
 		SynthByRegion: map[string]coverage.Delta{},
@@ -298,10 +182,9 @@ func (p *synthCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) error 
 	}
 	out.GenLine, out.GenFunc, out.GenBranch = covGen.Percent(universe)
 	for _, region := range covSynth.Regions() {
-		out.SynthByRegion[p.compiler.PackageFor(region)] = covSynth.NewSitesIn(covGen, region)
+		out.SynthByRegion[c.PackageFor(region)] = covSynth.NewSitesIn(covGen, region)
 	}
-	p.out = out
-	return nil
+	return out, nil
 }
 
 // SuiteCoverage is the Figure 10 experiment for one compiler: the
@@ -339,94 +222,100 @@ func (s *SuiteCoverage) String() string {
 		s.LineChange(), s.FuncChange(), s.BranchChange())
 }
 
-// RunSuiteCoverage performs the RQ4 experiment (Figure 10).
-func RunSuiteCoverage(c *compilers.Compiler, random int, seed int64, cfg generator.Config) *SuiteCoverage {
-	out, _ := RunSuiteCoverageContext(context.Background(), c, random, seed, cfg, 0)
-	return out
+// RunSuiteCoverageContext performs the RQ4 experiment (Figure 10) with
+// cancellation and an explicit per-stage worker count: one pass replays
+// the compiler's test suite, a second streams random programs on top.
+func RunSuiteCoverageContext(ctx context.Context, c *compilers.Compiler, random int, seed int64, cfg generator.Config, workers int) (*SuiteCoverage, error) {
+	covSuite := coverage.NewCollector()
+	covRandom := coverage.NewCollector()
+	stats, err := runCoverage(ctx, &coveragePlan{label: "suite-coverage", passes: []coveragePass{{
+		label:  "suite",
+		suite:  corpus.TestSuite(c.Name()),
+		record: func(oracle.InputKind) coverage.Recorder { return covSuite },
+	}, {
+		label:  "random",
+		record: func(oracle.InputKind) coverage.Recorder { return covRandom },
+	}}}, c, random, seed, cfg, workers)
+	if err != nil {
+		return nil, err
+	}
+
+	covBoth := covSuite.Clone()
+	covBoth.Merge(covRandom)
+	out := &SuiteCoverage{Compiler: c.Name(), Random: random, Stats: stats}
+	out.SuiteLine, out.SuiteFunc, out.SuiteBranch = covSuite.Percent(covBoth)
+	out.BothLine, out.BothFunc, out.BothBranch = covBoth.Percent(covBoth)
+	return out, nil
 }
 
-// RunSuiteCoverageContext is RunSuiteCoverage with cancellation and an
-// explicit per-stage worker count: one pipeline replays the compiler's
-// test suite, a second streams random programs on top.
-//
-// A shim over the lifecycle API: the experiment is a campaign plan.
-func RunSuiteCoverageContext(ctx context.Context, c *compilers.Compiler, random int, seed int64, cfg generator.Config, workers int) (*SuiteCoverage, error) {
-	plan := &suiteCoveragePlan{compiler: c, cfg: cfg}
+// coveragePass is one pipeline run of a coverage experiment: its
+// source (the experiment's seed range, or a fixed program list), the
+// producers and mutations that derive each unit's inputs, and the
+// recorder each input kind's probe events go to.
+type coveragePass struct {
+	label string
+	// suite, when non-nil, replaces the seed range as the source.
+	suite     []*ir.Program
+	producers []pipeline.Producer
+	// mutate is nil for a pass that compiles base programs only.
+	mutate *pipeline.Mutate
+	record func(oracle.InputKind) coverage.Recorder
+}
+
+// coveragePlan is the one driver behind the coverage experiments: it
+// runs its passes in order against the campaign's compiler, each pass
+// under its own labelled scope of one shared Stats. Not pausable —
+// coverage accumulates as stage side effects with no journaled fold.
+type coveragePlan struct {
+	label  string
+	passes []coveragePass
+	stats  *pipeline.Stats
+}
+
+func (p *coveragePlan) name() string { return p.label }
+
+func (p *coveragePlan) pausable(*Campaign) bool { return false }
+
+func (p *coveragePlan) run(ctx context.Context, c *Campaign, _ bool) error {
+	p.stats = pipeline.NewStats()
+	for _, pass := range p.passes {
+		var src pipeline.Source = pipeline.NewGeneratorSource(c.opts.Seed, c.opts.Programs)
+		if pass.suite != nil {
+			src = pipeline.NewProgramSource(oracle.Suite, pass.suite)
+		}
+		derive := pipeline.Derivation{
+			Generate: &pipeline.Generate{Config: c.opts.GenConfig, Producers: pass.producers},
+			Mutate:   pass.mutate,
+		}
+		pl := &pipeline.Pipeline{
+			Source: src,
+			Stages: append(derive.Stages(),
+				&pipeline.Execute{Compilers: c.opts.Compilers, Coverage: pass.record},
+				pipeline.Judge{}),
+			Aggregator: pipeline.Discard{},
+			Workers:    c.opts.Workers,
+			Stats:      p.stats,
+			Label:      pass.label,
+		}
+		if _, err := pl.Run(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runCoverage runs a coverage plan as a campaign of the given size
+// against one compiler and returns the passes' stage statistics.
+func runCoverage(ctx context.Context, p *coveragePlan, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) (*pipeline.Stats, error) {
 	camp := newCampaign(Options{
-		Seed: seed, Programs: random, Workers: workers,
+		Seed: seed, Programs: programs, Workers: workers,
 		GenConfig: cfg, Compilers: []*compilers.Compiler{c},
-	}, plan)
+	}, p)
 	if err := camp.Start(ctx); err != nil {
 		return nil, err
 	}
 	if _, err := camp.Wait(); err != nil {
 		return nil, err
 	}
-	return plan.out, nil
-}
-
-// suiteCoveragePlan is the Figure 10 experiment behind the lifecycle:
-// one pipeline replays the compiler's test suite, a second streams
-// random programs on top. Not pausable — coverage accumulates as stage
-// side effects with no journaled fold.
-type suiteCoveragePlan struct {
-	compiler *compilers.Compiler
-	cfg      generator.Config
-	out      *SuiteCoverage
-}
-
-func (p *suiteCoveragePlan) name() string { return "suite-coverage" }
-
-func (p *suiteCoveragePlan) pausable(*Campaign) bool { return false }
-
-func (p *suiteCoveragePlan) run(ctx context.Context, c *Campaign, _ bool) error {
-	// Both pipelines share one Stats: each Run opens its own scope, so
-	// the suite replay and the random top-up report side by side instead
-	// of folding into the same per-stage buckets.
-	stats := pipeline.NewStats()
-	covSuite := coverage.NewCollector()
-	suite := &pipeline.Pipeline{
-		Source: pipeline.NewProgramSource(oracle.Suite, corpus.TestSuite(p.compiler.Name())),
-		Stages: []pipeline.Stage{
-			&pipeline.Generate{Config: p.cfg},
-			&pipeline.Execute{
-				Compilers: []*compilers.Compiler{p.compiler},
-				Coverage:  func(oracle.InputKind) coverage.Recorder { return covSuite },
-			},
-			pipeline.Judge{},
-		},
-		Aggregator: pipeline.Discard{},
-		Workers:    c.opts.Workers,
-		Stats:      stats,
-		Label:      "suite",
-	}
-	if _, err := suite.Run(ctx); err != nil {
-		return err
-	}
-
-	covBoth := covSuite.Clone()
-	randomRun := &pipeline.Pipeline{
-		Source: pipeline.NewGeneratorSource(c.opts.Seed, c.opts.Programs),
-		Stages: []pipeline.Stage{
-			&pipeline.Generate{Config: p.cfg},
-			&pipeline.Execute{
-				Compilers: []*compilers.Compiler{p.compiler},
-				Coverage:  func(oracle.InputKind) coverage.Recorder { return covBoth },
-			},
-			pipeline.Judge{},
-		},
-		Aggregator: pipeline.Discard{},
-		Workers:    c.opts.Workers,
-		Stats:      stats,
-		Label:      "random",
-	}
-	if _, err := randomRun.Run(ctx); err != nil {
-		return err
-	}
-
-	out := &SuiteCoverage{Compiler: p.compiler.Name(), Random: c.opts.Programs, Stats: stats}
-	out.SuiteLine, out.SuiteFunc, out.SuiteBranch = covSuite.Percent(covBoth)
-	out.BothLine, out.BothFunc, out.BothBranch = covBoth.Percent(covBoth)
-	p.out = out
-	return nil
+	return p.stats, nil
 }

@@ -34,7 +34,6 @@ type ReportDoc struct {
 	Programs int    `json:"programs"`
 	// ProgramsRun counts pipeline executions per input kind.
 	ProgramsRun map[string]int `json:"programs_run"`
-	Batches     int            `json:"batches"`
 	TEMRepairs  int            `json:"tem_repairs"`
 	// Bugs lists the distinct bugs found, sorted by compiler then ID.
 	Bugs []BugDoc `json:"bugs"`
@@ -91,9 +90,8 @@ func (r *Report) Doc() *ReportDoc {
 		Complete:    r.Complete(),
 		Programs:    r.Opts.Programs,
 		ProgramsRun: map[string]int{},
-		Batches:     r.Batches,
 		TEMRepairs:  r.TEMRepairs,
-		Bugs:        []BugDoc{},
+		Bugs:        r.Findings(),
 		Verdicts:    map[string]map[string]map[string]int{},
 		BugRate:     r.BugRateSeries(),
 	}
@@ -103,27 +101,6 @@ func (r *Report) Doc() *ReportDoc {
 	for kind, n := range r.ProgramsRun {
 		doc.ProgramsRun[kind.String()] = n
 	}
-	for id, rec := range r.Found {
-		bd := BugDoc{
-			ID:        id,
-			Compiler:  rec.Bug.Compiler,
-			Symptom:   rec.Bug.Symptom.String(),
-			Technique: rec.Technique(),
-			FirstSeed: rec.FirstSeed,
-			Hits:      rec.Hits,
-		}
-		for _, kind := range rec.FoundBy.Kinds() {
-			bd.FoundBy = append(bd.FoundBy, kind.String())
-		}
-		sort.Strings(bd.FoundBy)
-		doc.Bugs = append(doc.Bugs, bd)
-	}
-	sort.Slice(doc.Bugs, func(i, j int) bool {
-		if doc.Bugs[i].Compiler != doc.Bugs[j].Compiler {
-			return doc.Bugs[i].Compiler < doc.Bugs[j].Compiler
-		}
-		return doc.Bugs[i].ID < doc.Bugs[j].ID
-	})
 	for comp, perKind := range r.Verdicts {
 		m := map[string]map[string]int{}
 		for kind, perVerdict := range perKind {
@@ -173,4 +150,33 @@ func (r *Report) Doc() *ReportDoc {
 		}
 	}
 	return doc
+}
+
+// Findings lists the distinct bugs found, sorted by compiler then ID:
+// the report document's bug list, and the flat view the CLI and the
+// examples print.
+func (r *Report) Findings() []BugDoc {
+	out := []BugDoc{}
+	for id, rec := range r.Found {
+		bd := BugDoc{
+			ID:        id,
+			Compiler:  rec.Bug.Compiler,
+			Symptom:   rec.Bug.Symptom.String(),
+			Technique: rec.Technique(),
+			FirstSeed: rec.FirstSeed,
+			Hits:      rec.Hits,
+		}
+		for _, kind := range rec.FoundBy.Kinds() {
+			bd.FoundBy = append(bd.FoundBy, kind.String())
+		}
+		sort.Strings(bd.FoundBy)
+		out = append(out, bd)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Compiler != out[j].Compiler {
+			return out[i].Compiler < out[j].Compiler
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
 }

@@ -103,9 +103,9 @@ type plan interface {
 	pausable(c *Campaign) bool
 }
 
-// Campaign is a lifecycle-managed campaign. Construct with New (or
-// NewMutationCoverage / NewSuiteCoverage), drive with Start, Pause,
-// Resume, Cancel, and Wait, and observe with Status from any
+// Campaign is a lifecycle-managed campaign. Construct with New (the
+// coverage experiments build theirs internally), drive with Start,
+// Pause, Resume, Cancel, and Wait, and observe with Status from any
 // goroutine. The zero value is not usable.
 type Campaign struct {
 	opts Options
@@ -133,9 +133,9 @@ type Campaign struct {
 }
 
 // New returns an unstarted campaign for the options. The options are
-// normalized once here (nil Compilers means all three, BatchSize is
-// clamped), so every segment and the durable fingerprint agree on what
-// the campaign is.
+// normalized once here (nil Compilers means all three, the generator
+// config is clamped), so every segment and the durable fingerprint
+// agree on what the campaign is.
 func New(opts Options) *Campaign {
 	return newCampaign(opts, fuzzPlan{})
 }
@@ -143,9 +143,6 @@ func New(opts Options) *Campaign {
 func newCampaign(opts Options, p plan) *Campaign {
 	if opts.Compilers == nil {
 		opts.Compilers = compilers.All()
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 1
 	}
 	// The generator clamps limits to workable minimums at construction;
 	// normalize here so the fingerprint and journal record the effective

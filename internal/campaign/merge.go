@@ -29,16 +29,12 @@ type Merger struct {
 	done   map[int]bool
 }
 
-// NewMerger returns a merger for the global campaign options,
-// normalized exactly as New normalizes them (nil Compilers means all
-// three, BatchSize clamps to 1), so the merged report and a
+// NewMerger returns a merger for the global campaign options, with nil
+// Compilers meaning all three as in New, so the merged report and a
 // single-process report agree on what the campaign was.
 func NewMerger(opts Options) *Merger {
 	if opts.Compilers == nil {
 		opts.Compilers = compilers.All()
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 1
 	}
 	report := newReport(opts)
 	return &Merger{
@@ -98,13 +94,10 @@ func (m *Merger) Missing(lo, hi int) []int {
 	return out
 }
 
-// Finish seals the merge and returns the global report: Batches is
-// computed from the global options (batching is accounting, not
-// execution, so it is independent of sharding) and err — nil for a
-// fully covered campaign — becomes Report.Err, exactly as a
+// Finish seals the merge and returns the global report: err — nil for
+// a fully covered campaign — becomes Report.Err, exactly as a
 // single-process run records it.
 func (m *Merger) Finish(err error) *Report {
-	m.report.Batches = (m.report.Opts.Programs + m.report.Opts.BatchSize - 1) / m.report.Opts.BatchSize
 	m.report.Err = err
 	return m.report
 }

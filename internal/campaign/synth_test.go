@@ -195,7 +195,10 @@ func TestSynthCampaignBadCorpusFailsFast(t *testing.T) {
 // programs must reach probe sites a same-seed generated-only campaign
 // does not — that is the reason the input kind exists.
 func TestSynthCoverageAdvantage(t *testing.T) {
-	cov := RunSynthCoverage(compilers.Kotlinc(), 25, 0, generator.DefaultConfig(), apisynth.Config{})
+	cov, err := RunSynthCoverageContext(context.Background(), compilers.Kotlinc(), 25, 0, generator.DefaultConfig(), apisynth.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cov == nil {
 		t.Fatal("experiment returned nothing")
 	}

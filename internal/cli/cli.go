@@ -16,7 +16,6 @@ import (
 	"repro/internal/apisynth"
 	"repro/internal/campaign"
 	"repro/internal/compilers"
-	"repro/internal/core"
 	"repro/internal/generator"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -64,8 +63,6 @@ type Config struct {
 	Seed int64 `json:"seed"`
 	// Programs is the number of generated seed programs.
 	Programs int `json:"programs"`
-	// BatchSize groups programs per simulated compiler invocation.
-	BatchSize int `json:"batch_size,omitempty"`
 	// Workers is the per-stage pipeline worker count (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Compilers names the compilers under test (groovyc, kotlinc,
@@ -141,11 +138,10 @@ type Config struct {
 }
 
 // NewConfig returns the defaults both CLIs and the server share:
-// 10-second compile watchdog, 2 retries, batches of 20, 200 programs.
+// 10-second compile watchdog, 2 retries, 200 programs.
 func NewConfig() *Config {
 	return &Config{
 		Programs:       200,
-		BatchSize:      20,
 		CompileTimeout: Duration(10 * time.Second),
 		Retries:        2,
 	}
@@ -258,7 +254,6 @@ func (c *Config) CampaignOptions() (campaign.Options, error) {
 	return campaign.Options{
 		Seed:          c.Seed,
 		Programs:      c.Programs,
-		BatchSize:     c.BatchSize,
 		Workers:       c.Workers,
 		Compilers:     comps,
 		Oracle:        mode,
@@ -286,35 +281,6 @@ func (c *Config) SynthConfig() apisynth.Config {
 		every = 1
 	}
 	return apisynth.Config{Every: every, Corpus: c.SynthCorpus}
-}
-
-// CoreConfig builds the core façade configuration the hephaestus CLI
-// uses, sharing the same harness and chaos surface as CampaignOptions.
-func (c *Config) CoreConfig() (core.Config, error) {
-	comps, err := c.ResolveCompilers()
-	if err != nil {
-		return core.Config{}, err
-	}
-	mode, err := campaign.ParseOracleMode(c.Oracle)
-	if err != nil {
-		return core.Config{}, err
-	}
-	gen := generator.DefaultConfig()
-	gen.Stress.Every = c.StressEvery
-	return core.Config{
-		Seed:          c.Seed,
-		Generator:     gen,
-		Compilers:     comps,
-		Oracle:        mode,
-		Synth:         c.SynthConfig(),
-		Workers:       c.Workers,
-		Harness:       c.HarnessOptions(),
-		Chaos:         c.ChaosOptions(),
-		StateDir:      c.StateDir,
-		Resume:        c.Resume,
-		SnapshotEvery: c.SnapshotEvery,
-		SyncEvery:     c.SyncEvery,
-	}, nil
 }
 
 // Validate rejects configs a server should not admit: nonsensical

@@ -81,6 +81,16 @@ type Result struct {
 	ReferenceOK bool
 }
 
+// Triggers reports whether the compilation hit the seeded bug id.
+func (r *Result) Triggers(id string) bool {
+	for _, b := range r.Triggered {
+		if b.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // Compiler simulates one JVM compiler.
 type Compiler struct {
 	name     string
@@ -397,49 +407,6 @@ func (s *sharedCheck) store(checked *Checked) {
 	if s != nil {
 		s.checked.CompareAndSwap(nil, checked)
 	}
-}
-
-// CompileBatch compiles a batch of programs in one (simulated) compiler
-// invocation — the Section 3.5 batching optimization. In the real tool a
-// batch shares one JVM bootstrap; here the shared cost is the coverage
-// recorder and the invocation accounting. Programs must carry distinct
-// package names (GenerateBatch guarantees this); a conflict aborts the
-// whole batch the way a real compiler invocation would.
-//
-// CompileBatch is unmetered; budgeted or cancellable batches go through
-// CompileBatchContext.
-func (c *Compiler) CompileBatch(batch []*ir.Program, cov coverage.Recorder) ([]*Result, error) {
-	return c.CompileBatchContext(context.Background(), batch, cov)
-}
-
-// CompileBatchContext is CompileBatch under the resource budget and
-// cancellation carried by ctx: every program in the batch compiles
-// through CompileAtVersionContext, so one shared fuel/depth budget
-// meters the whole batch exactly as it would the equivalent sequence of
-// single CompileContext calls, and cancellation aborts the remainder.
-// The first cancellation error aborts the batch (like a real compiler
-// invocation dying mid-run); per-program governor exhaustion is not an
-// error — it yields that program's ResourceExhausted Result and the
-// batch continues, since the budget position is deterministic either
-// way.
-func (c *Compiler) CompileBatchContext(ctx context.Context, batch []*ir.Program, cov coverage.Recorder) ([]*Result, error) {
-	seen := map[string]bool{}
-	for _, p := range batch {
-		if p.Package != "" && seen[p.Package] {
-			return nil, fmt.Errorf("%s: conflicting declarations: duplicate package %q in batch",
-				c.name, p.Package)
-		}
-		seen[p.Package] = true
-	}
-	out := make([]*Result, len(batch))
-	for i, p := range batch {
-		res, err := c.CompileAtVersionContext(ctx, p, c.MasterVersion(), cov)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // Crash detection mirrors the paper's per-language detectors: "a

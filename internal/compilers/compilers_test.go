@@ -1,14 +1,12 @@
 package compilers
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bugs"
 	"repro/internal/coverage"
 	"repro/internal/generator"
-	"repro/internal/governor"
 	"repro/internal/ir"
 	"repro/internal/mutation"
 	"repro/internal/types"
@@ -260,95 +258,5 @@ func TestDeterministicCompilation(t *testing.T) {
 	c2 := Groovyc().Compile(p, nil)
 	if c1.Status != c2.Status || len(c1.Triggered) != len(c2.Triggered) {
 		t.Error("compilation must be deterministic")
-	}
-}
-
-func TestCompileBatch(t *testing.T) {
-	g := generator.New(generator.DefaultConfig().WithSeed(3))
-	batch := g.GenerateBatch(4)
-	comp := Kotlinc()
-	results, err := comp.CompileBatch(batch, nil)
-	if err != nil {
-		t.Fatalf("batch failed: %v", err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if !r.ReferenceOK {
-			t.Errorf("batch program %d should be well-typed", i)
-		}
-	}
-	// Conflicting packages abort the batch.
-	batch[1].Package = batch[0].Package
-	if _, err := comp.CompileBatch(batch, nil); err == nil {
-		t.Error("duplicate packages must abort the batch")
-	}
-}
-
-// TestCompileBatchContextHonorsGovernor pins the batched-compile
-// governor fix: CompileBatchContext must exhaust a shared fuel budget
-// at exactly the same step count as the equivalent sequence of single
-// CompileContext calls. The old CompileBatch compiled each program
-// under a background context, silently bypassing the budget.
-func TestCompileBatchContextHonorsGovernor(t *testing.T) {
-	g := generator.New(generator.DefaultConfig().WithSeed(3))
-	batch := g.GenerateBatch(6)
-	comp := Kotlinc()
-
-	// Measure the batch's unconstrained appetite, then afford half.
-	free := governor.New(1<<40, 0)
-	if _, err := comp.CompileBatchContext(governor.WithBudget(context.Background(), free), batch, nil); err != nil {
-		t.Fatalf("unmetered batch: %v", err)
-	}
-	fuel := free.Spent() / 2
-	if fuel == 0 {
-		t.Fatal("batch consumed no fuel; cannot exercise exhaustion")
-	}
-
-	govBatch := governor.New(fuel, 0)
-	batched, err := comp.CompileBatchContext(governor.WithBudget(context.Background(), govBatch), batch, nil)
-	if err != nil {
-		t.Fatalf("metered batch: %v", err)
-	}
-
-	govSingle := governor.New(fuel, 0)
-	ctx := governor.WithBudget(context.Background(), govSingle)
-	singles := make([]*Result, len(batch))
-	for i, p := range batch {
-		if singles[i], err = comp.CompileContext(ctx, p, nil); err != nil {
-			t.Fatalf("metered single %d: %v", i, err)
-		}
-	}
-
-	exhausted := 0
-	for i := range batch {
-		if batched[i].Status != singles[i].Status {
-			t.Errorf("program %d: batch status %v, singles status %v", i, batched[i].Status, singles[i].Status)
-		}
-		if batched[i].Status == ResourceExhausted {
-			exhausted++
-		}
-	}
-	if exhausted == 0 {
-		t.Error("half the batch's fuel exhausted nothing; budget not shared across the batch")
-	}
-	if govBatch.Spent() != govSingle.Spent() {
-		t.Errorf("batch spent %d steps, equivalent singles spent %d; paths must meter identically",
-			govBatch.Spent(), govSingle.Spent())
-	}
-}
-
-// TestCompileBatchContextCancellation: a cancelled context aborts the
-// batch with the context's error, like a single CompileContext call.
-func TestCompileBatchContextCancellation(t *testing.T) {
-	g := generator.New(generator.DefaultConfig().WithSeed(5))
-	batch := g.GenerateBatch(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	gov := governor.New(1<<40, 0)
-	gov.Bind(ctx)
-	cancel()
-	if _, err := Javac().CompileBatchContext(governor.WithBudget(ctx, gov), batch, nil); err == nil {
-		t.Error("cancelled batch must surface the context error")
 	}
 }

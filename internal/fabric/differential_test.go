@@ -22,7 +22,6 @@ func TestFabricShardedDifferentialMatchesSingleProcess(t *testing.T) {
 	cfg := cli.Config{
 		Seed:           20220401,
 		Programs:       24,
-		BatchSize:      7,
 		Workers:        2,
 		CompileTimeout: cli.Duration(5 * time.Second),
 		Oracle:         "differential",

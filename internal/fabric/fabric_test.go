@@ -30,7 +30,6 @@ func soakConfig(programs int) cli.Config {
 	return cli.Config{
 		Seed:           20220401,
 		Programs:       programs,
-		BatchSize:      7,
 		Workers:        2,
 		CompileTimeout: cli.Duration(250 * time.Millisecond),
 		Retries:        2,

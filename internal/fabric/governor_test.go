@@ -22,7 +22,6 @@ func TestFabricShardedFuelExhaustionMatchesSingleProcess(t *testing.T) {
 	cfg := cli.Config{
 		Seed:           20220401,
 		Programs:       24,
-		BatchSize:      7,
 		Workers:        2,
 		CompileTimeout: cli.Duration(5 * time.Second),
 		Fuel:           30000,

@@ -21,7 +21,6 @@ func TestFabricShardedSynthesisMatchesSingleProcess(t *testing.T) {
 	cfg := cli.Config{
 		Seed:           20231104,
 		Programs:       24,
-		BatchSize:      7,
 		Workers:        2,
 		CompileTimeout: cli.Duration(5 * time.Second),
 		SynthEvery:     2,

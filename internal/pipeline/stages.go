@@ -21,6 +21,10 @@ import (
 type Input struct {
 	Kind oracle.InputKind
 	Prog *ir.Program
+	// Report is the mutation's account of what it changed
+	// (*mutation.TEMReport, *mutation.TOMReport, *mutation.REMReport);
+	// nil for a base program.
+	Report any
 }
 
 // Execution is the outcome of compiling one Input with one compiler,
@@ -297,14 +301,14 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 	tem, temReport := mutation.TypeErasure(u.Program, b)
 	u.Repairs += temReport.RepairedMethods
 	if m.TEM && temReport.Changed() {
-		u.Inputs = append(u.Inputs, Input{Kind: oracle.TEMMutant, Prog: tem})
+		u.Inputs = append(u.Inputs, Input{Kind: oracle.TEMMutant, Prog: tem, Report: temReport})
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if m.TOM {
-		if tom, _ := mutation.TypeOverwriting(u.Program, b, rand.New(rand.NewSource(u.Seed))); tom != nil {
-			u.Inputs = append(u.Inputs, Input{Kind: oracle.TOMMutant, Prog: tom})
+		if tom, rep := mutation.TypeOverwriting(u.Program, b, rand.New(rand.NewSource(u.Seed))); tom != nil {
+			u.Inputs = append(u.Inputs, Input{Kind: oracle.TOMMutant, Prog: tom, Report: rep})
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -312,8 +316,8 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 	}
 	if m.TEMTOM {
 		// TOM on top of TEM reaches the CombinedClass bugs.
-		if temtom, _ := mutation.TypeOverwriting(tem, b, rand.New(rand.NewSource(u.Seed^0x5bd1e995))); temtom != nil {
-			u.Inputs = append(u.Inputs, Input{Kind: oracle.TEMTOMMutant, Prog: temtom})
+		if temtom, rep := mutation.TypeOverwriting(tem, b, rand.New(rand.NewSource(u.Seed^0x5bd1e995))); temtom != nil {
+			u.Inputs = append(u.Inputs, Input{Kind: oracle.TEMTOMMutant, Prog: temtom, Report: rep})
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -323,11 +327,41 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 		// The resolution mutation (the paper's future-work extension):
 		// decoy overloads stress overload resolution while preserving
 		// well-typedness.
-		if rem, _ := mutation.ResolutionMutation(u.Program, b, rand.New(rand.NewSource(u.Seed^0x9e3779b9))); rem != nil {
-			u.Inputs = append(u.Inputs, Input{Kind: oracle.REMMutant, Prog: rem})
+		if rem, rep := mutation.ResolutionMutation(u.Program, b, rand.New(rand.NewSource(u.Seed^0x9e3779b9))); rem != nil {
+			u.Inputs = append(u.Inputs, Input{Kind: oracle.REMMutant, Prog: rem, Report: rep})
 		}
 	}
 	return nil
+}
+
+// Derivation is the seed→inputs recipe: the Generate stage and, when
+// mutation is on, the Mutate stage. A campaign's pipeline runs these
+// stage values; Derive runs the same values on one unit, so a
+// re-derived input is exactly the input the campaign compiled.
+type Derivation struct {
+	Generate *Generate
+	// Mutate is nil when the campaign does not mutate.
+	Mutate *Mutate
+}
+
+// Stages returns the derivation's stages in pipeline order.
+func (d *Derivation) Stages() []Stage {
+	if d.Mutate == nil {
+		return []Stage{d.Generate}
+	}
+	return []Stage{d.Generate, d.Mutate}
+}
+
+// Derive materializes the unit of one seed outside any pipeline: its
+// base program and, when the unit is mutable, its mutants, in the
+// order the campaign compiles them.
+func (d *Derivation) Derive(seed int64) *Unit {
+	u := &Unit{Seed: seed, Kind: oracle.Generated}
+	for _, s := range d.Stages() {
+		// The stages fail only on a cancelled context.
+		_ = s.Run(context.Background(), u)
+	}
+	return u
 }
 
 // Execute compiles every input with every compiler under test, each

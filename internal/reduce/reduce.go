@@ -10,6 +10,9 @@
 package reduce
 
 import (
+	"context"
+
+	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -42,6 +45,22 @@ func Reduce(p *ir.Program, keep Interesting) *ir.Program {
 		}
 	}
 	return cur
+}
+
+// ForBug shrinks p while target keeps triggering the seeded bug bugID.
+// Every interestingness probe compiles through a harness sandbox built
+// from opts, so a compiler that panics or hangs mid-reduction becomes a
+// Crashed or TimedOut invocation — the candidate merely counts as
+// uninteresting — instead of killing the reducer thousands of probes
+// into a shrink.
+func ForBug(p *ir.Program, target harness.Target, bugID string, opts harness.Options) *ir.Program {
+	sandbox := harness.New(opts)
+	probe := 0
+	return Reduce(p, func(q *ir.Program) bool {
+		probe++
+		inv := sandbox.Compile(context.Background(), target, q, nil, harness.Key{Unit: -1, Input: probe})
+		return inv.Outcome == harness.Completed && inv.Result.Triggers(bugID)
+	})
 }
 
 // dropTopLevel removes top-level declarations one at a time.

@@ -1,11 +1,14 @@
 package reduce
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/checker"
 	"repro/internal/compilers"
+	"repro/internal/coverage"
 	"repro/internal/generator"
+	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -131,4 +134,70 @@ func TestReduceDropsClassMembers(t *testing.T) {
 	if got := len(r.ClassByName("C").Methods); got != 1 {
 		t.Errorf("want 1 surviving method, got %d", got)
 	}
+}
+
+// TestForBugPreservesBug: reduction through the harness sandbox keeps
+// the bug it reduces for.
+func TestForBugPreservesBug(t *testing.T) {
+	comp := compilers.Groovyc()
+	for seed := int64(0); seed < 60; seed++ {
+		prog := generator.New(generator.DefaultConfig().WithSeed(seed)).Generate()
+		res := comp.Compile(prog, nil)
+		if len(res.Triggered) == 0 {
+			continue
+		}
+		bugID := res.Triggered[0].ID
+		reduced := ForBug(prog, harness.WrapCompiler(comp), bugID, harness.Options{})
+		if !comp.Compile(reduced, nil).Triggers(bugID) {
+			t.Fatalf("seed %d: reduction lost bug %s", seed, bugID)
+		}
+		if ir.CountNodes(reduced) > ir.CountNodes(prog) {
+			t.Fatalf("seed %d: reduction grew the program", seed)
+		}
+		return
+	}
+	t.Skip("no triggering seed in range")
+}
+
+// panicEveryNth delegates to a real compiler but panics on every nth
+// compile — a compiler that falls over partway into a reduction.
+type panicEveryNth struct {
+	inner harness.Target
+	n     int
+	calls int
+}
+
+func (p *panicEveryNth) Name() string { return p.inner.Name() }
+
+func (p *panicEveryNth) Compile(ctx context.Context, prog *ir.Program, cov coverage.Recorder) (*compilers.Result, error) {
+	p.calls++
+	if p.calls%p.n == 0 {
+		panic("compiler segfault during reduction")
+	}
+	return p.inner.Compile(ctx, prog, cov)
+}
+
+func TestReduceSurvivesPanickingCompiler(t *testing.T) {
+	comp := compilers.Groovyc()
+	for seed := int64(0); seed < 60; seed++ {
+		prog := generator.New(generator.DefaultConfig().WithSeed(seed)).Generate()
+		res := comp.Compile(prog, nil)
+		if len(res.Triggered) == 0 {
+			continue
+		}
+		bugID := res.Triggered[0].ID
+		// Every 3rd probe panics; the sandbox must turn each panic into
+		// a Crashed invocation instead of killing the reducer, and the
+		// reduction must still preserve the bug.
+		flaky := &panicEveryNth{inner: harness.WrapCompiler(comp), n: 3}
+		reduced := ForBug(prog, flaky, bugID, harness.Options{})
+		if flaky.calls == 0 {
+			t.Fatal("reducer never probed the target")
+		}
+		if !comp.Compile(reduced, nil).Triggers(bugID) {
+			t.Fatalf("seed %d: reduction under a panicking compiler lost bug %s", seed, bugID)
+		}
+		return
+	}
+	t.Skip("no triggering seed in range")
 }

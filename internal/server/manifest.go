@@ -96,7 +96,6 @@ func (s *Server) loadManifest(resume bool) error {
 			tenant:    e.Tenant,
 			created:   e.Created,
 			cfg:       cfg,
-			opts:      opts,
 			camp:      campaign.New(opts),
 			trace:     trace,
 			suspended: true,

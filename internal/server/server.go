@@ -125,7 +125,6 @@ type hosted struct {
 	tenant  string
 	created time.Time
 	cfg     cli.Config
-	opts    campaign.Options
 	camp    *campaign.Campaign
 	trace   *metrics.Trace
 	// queued: waiting for a slot (still StateNew). holdsSlot: counted
@@ -296,7 +295,6 @@ func (s *Server) hostLocked(t *tenant, cfg cli.Config, resume bool) (*hosted, er
 		tenant:  t.name,
 		created: time.Now().UTC(),
 		cfg:     cfg,
-		opts:    opts,
 		camp:    campaign.New(opts),
 		trace:   trace,
 		repros:  map[string]*reproDoc{},

@@ -367,6 +367,46 @@ func TestServerCorpusAndRepro(t *testing.T) {
 	}
 }
 
+// TestServerReproServesSynthesizedBugs: /repro re-derives a bug first
+// found by a synthesized unit through the campaign's own derivation —
+// the synthesizer, not the grammar generator — and serves it.
+func TestServerReproServesSynthesizedBugs(t *testing.T) {
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
+	id := submit(t, ts, "", map[string]any{
+		"seed": 11, "programs": 16, "synth_every": 2, "compilers": []string{"groovyc"},
+	})
+	waitState(t, ts, "", id, "done")
+	code, raw := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
+	if code != http.StatusOK {
+		t.Fatalf("report: status %d: %s", code, raw)
+	}
+	var report campaign.ReportDoc
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	var bug *campaign.BugDoc
+	for i, b := range report.Bugs {
+		if b.Technique == "Synthesized" {
+			bug = &report.Bugs[i]
+			break
+		}
+	}
+	if bug == nil {
+		t.Fatalf("no synthesized-origin bug in %+v", report.Bugs)
+	}
+	code, raw = request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug="+bug.ID, "", nil)
+	if code != http.StatusOK {
+		t.Fatalf("repro %s: status %d: %s", bug.ID, code, raw)
+	}
+	var doc reproDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Kind != "synthesized" || doc.Seed != bug.FirstSeed || doc.IR == "" || doc.Source == "" {
+		t.Errorf("repro doc for %s: kind %q, seed %d (want synthesized, %d)", bug.ID, doc.Kind, doc.Seed, bug.FirstSeed)
+	}
+}
+
 func TestServerSSEStreamsHeartbeatsAndTrace(t *testing.T) {
 	_, ts := newTestServer(t, Options{Heartbeat: 20 * time.Millisecond})
 	id := submit(t, ts, "", map[string]any{
