@@ -40,6 +40,12 @@
 // -report-json FILE writes the deterministic report document — the
 // same bytes the fuzzing server's report endpoint serves — so CI can
 // diff an in-process run against an HTTP-fetched one.
+//
+// The coverage figures (9, 10, synth) run their own pipelines over
+// -covn programs and read only -seed, -workers, -stats, -debug-addr and,
+// for synth, -synth-corpus; the campaign figures (7a–8) read every flag
+// but -covn. A flag the chosen figure does not read is an error, not
+// silently ignored.
 package main
 
 import (
@@ -71,6 +77,14 @@ func main() {
 	cfg.RegisterCampaignFlags(flag.CommandLine)
 	cfg.RegisterFabricFlags(flag.CommandLine)
 	flag.Parse()
+	if !figures[*fig] {
+		fmt.Fprintf(os.Stderr, "unknown -fig %q (want 7a, 7b, 7c, 8, 9, 10, synth or all)\n", *fig)
+		os.Exit(2)
+	}
+	if unread := cli.UnreadFlags(flag.CommandLine, func(name string) bool { return readsFlag(*fig, name) }); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "campaign -fig %s does not read %s\n", *fig, strings.Join(unread, " "))
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -82,7 +96,7 @@ func main() {
 	}
 	defer obs.Close()
 
-	needCampaign := map[string]bool{"7a": true, "7b": true, "7c": true, "8": true, "all": true}[*fig]
+	needCampaign := *fig != "9" && *fig != "10" && *fig != "synth"
 	var report *campaign.Report
 	if needCampaign && cfg.Shards > 0 {
 		report = runFabric(ctx, cfg, obs, *reportJSON)
@@ -208,6 +222,28 @@ func main() {
 	if report != nil && *fig == "all" {
 		fmt.Println(report.VerdictSummary())
 	}
+}
+
+// figures lists the -fig values.
+var figures = map[string]bool{"7a": true, "7b": true, "7c": true, "8": true, "9": true, "10": true, "synth": true, "all": true}
+
+// readsFlag reports whether figure fig reads the named flag: -fig all
+// reads everything, the campaign figures everything but -covn, and the
+// coverage figures only the flags their pipelines take.
+func readsFlag(fig, name string) bool {
+	switch fig {
+	case "all":
+		return true
+	case "9", "10", "synth":
+		switch name {
+		case "fig", "covn", "seed", "workers", "stats", "debug-addr":
+			return true
+		case "synth-corpus":
+			return fig == "synth"
+		}
+		return false
+	}
+	return name != "covn"
 }
 
 // runFabric runs the campaign sharded across fabric workers — spawned

@@ -1,0 +1,71 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for the campaign command:
+// with CAMPAIGN_MAIN set it runs main on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("CAMPAIGN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFiguresRejectUnreadFlags: a flag the chosen figure does not read
+// exits 2 naming it, and before any output file or state directory is
+// created; the flags it does read still run.
+func TestFiguresRejectUnreadFlags(t *testing.T) {
+	dir := t.TempDir()
+	state, reportJSON := filepath.Join(dir, "state"), filepath.Join(dir, "report.json")
+	for _, tc := range []struct {
+		args   []string
+		unread []string // nil: the command must succeed
+	}{
+		{[]string{"-fig", "9", "-covn", "5", "-fuel", "10", "-chaos", "0.9", "-state", state, "-report-json", reportJSON},
+			[]string{"-fuel", "-chaos", "-state", "-report-json"}},
+		{[]string{"-fig", "10", "-n", "5", "-resume", "-stress-every", "4"}, []string{"-n", "-resume", "-stress-every"}},
+		{[]string{"-fig", "synth", "-oracle", "differential", "-synth-every", "2"}, []string{"-oracle", "-synth-every"}},
+		{[]string{"-fig", "9", "-synth-corpus", "corpus.json", "-shards", "2"}, []string{"-synth-corpus", "-shards"}},
+		{[]string{"-fig", "7c", "-covn", "5"}, []string{"-covn"}},
+		{[]string{"-fig", "8", "-n", "4", "-covn", "5"}, []string{"-covn"}},
+		{[]string{"-fig", "7", "-n", "4"}, []string{"-fig"}},
+		{[]string{"-fig", "9", "-covn", "2", "-seed", "3", "-workers", "1", "-stats"}, nil},
+		{[]string{"-fig", "7c", "-n", "4", "-workers", "1"}, nil},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "CAMPAIGN_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		name := strings.Join(tc.args, " ")
+		if tc.unread == nil {
+			if err != nil {
+				t.Errorf("campaign %s: %v\n%s", name, err, stderr.String())
+			}
+			continue
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("campaign %s: want exit 2, got %v", name, err)
+			continue
+		}
+		for _, f := range tc.unread {
+			if !strings.Contains(stderr.String(), f) {
+				t.Errorf("campaign %s: error does not name %s: %q", name, f, stderr.String())
+			}
+		}
+	}
+	for _, p := range []string{state, reportJSON} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("a rejected flag created %s", p)
+		}
+	}
+}

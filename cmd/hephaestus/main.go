@@ -18,7 +18,9 @@
 //
 // Every subcommand derives the seed's unit exactly as a campaign with
 // the same flags would: -synth, -synth-every and -stress-every pick the
-// producer, and the mutants are the ones the campaign compiles.
+// producer, and the mutants are the ones the campaign compiles. A flag
+// the subcommand does not read (say -n on generate) is an error, not
+// silently ignored.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"repro/internal/campaign"
@@ -66,21 +69,16 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if unread := cli.UnreadFlags(fs, func(name string) bool { return readsFlag(cmd, name) }); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "hephaestus %s does not read %s\n", cmd, strings.Join(unread, " "))
+		os.Exit(2)
+	}
 
 	opts, err := cfg.CampaignOptions()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	obs, err := cfg.StartObservability(os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer obs.Close()
-	opts.Metrics = obs.Registry
-	opts.Trace = obs.Trace
-
 	if cmd == "fuzz" {
 		fuzz(cfg, opts)
 		return
@@ -105,6 +103,23 @@ func main() {
 			fmt.Println(g.Dot())
 		}
 	}
+}
+
+// readsFlag reports whether subcommand cmd reads the named flag. fuzz
+// runs a campaign and reads every campaign flag. The single-unit
+// subcommands read the seed and the producer flags that derive the unit,
+// -lang when they print a program, and reduce also the harness flags its
+// compiles run under.
+func readsFlag(cmd, name string) bool {
+	switch name {
+	case "lang":
+		return cmd != "fuzz" && cmd != "typegraph"
+	case "seed", "stress-every", "synth", "synth-every", "synth-corpus":
+		return true
+	case "compile-timeout", "retries", "fuel", "max-depth":
+		return cmd == "fuzz" || cmd == "reduce"
+	}
+	return cmd == "fuzz"
 }
 
 // printMutants prints the unit's base program and every mutant the
@@ -181,6 +196,14 @@ func reduceUnit(u *pipeline.Unit, opts campaign.Options, lang string) {
 
 // fuzz runs a campaign and prints its findings and figures.
 func fuzz(cfg *cli.Config, opts campaign.Options) {
+	obs, err := cfg.StartObservability(os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer obs.Close()
+	opts.Metrics = obs.Registry
+	opts.Trace = obs.Trace
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	c := campaign.New(opts)

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,54 @@ func TestSubcommandsHonourProducerFlags(t *testing.T) {
 	}
 	if out := hephaestus(t, "mutate", "-seed", "4"); !strings.Contains(out, "== TOM mutant (ill-typed): ") {
 		t.Errorf("mutate on a grammar seed shows no TOM mutant:\n%s", tail(out))
+	}
+}
+
+// TestSubcommandsRejectUnreadFlags: a flag the subcommand does not read
+// exits 2 naming it, instead of being silently ignored; the flags it
+// does read still run.
+func TestSubcommandsRejectUnreadFlags(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "state")
+	for _, tc := range []struct {
+		args   []string
+		unread []string // nil: the command must succeed
+	}{
+		{[]string{"generate", "-n", "5"}, []string{"-n"}},
+		{[]string{"generate", "-seed", "3", "-n", "5", "-workers", "7", "-chaos", "0.5", "-state", state, "-resume", "-stats"},
+			[]string{"-n", "-workers", "-chaos", "-state", "-resume", "-stats"}},
+		{[]string{"typegraph", "-lang", "kotlin"}, []string{"-lang"}},
+		{[]string{"mutate", "-fuel", "30000", "-oracle", "differential"}, []string{"-fuel", "-oracle"}},
+		{[]string{"translate", "-lang", "java", "-heartbeat", "1s"}, []string{"-heartbeat"}},
+		{[]string{"reduce", "-debug-addr", "127.0.0.1:0"}, []string{"-debug-addr"}},
+		{[]string{"fuzz", "-n", "2", "-lang", "kotlin"}, []string{"-lang"}},
+		{[]string{"generate", "-seed", "3", "-lang", "kotlin", "-stress-every", "4", "-synth-every", "2"}, nil},
+		{[]string{"typegraph", "-seed", "3", "-synth"}, nil},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "HEPHAESTUS_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		name := strings.Join(tc.args, " ")
+		if tc.unread == nil {
+			if err != nil {
+				t.Errorf("hephaestus %s: %v\n%s", name, err, stderr.String())
+			}
+			continue
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("hephaestus %s: want exit 2, got %v", name, err)
+			continue
+		}
+		for _, f := range tc.unread {
+			if !strings.Contains(stderr.String(), " "+f) {
+				t.Errorf("hephaestus %s: error does not name %s: %q", name, f, stderr.String())
+			}
+		}
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Errorf("a rejected -state created %s", state)
 	}
 }
 

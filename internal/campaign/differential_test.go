@@ -12,7 +12,6 @@ import (
 	"repro/internal/generator"
 	"repro/internal/oracle"
 	"repro/internal/pipeline"
-	"repro/internal/types"
 )
 
 // diffOptions is a differential-oracle campaign over all three
@@ -182,51 +181,30 @@ scan:
 
 // TestDifferentialCampaignDeterministic is the differential oracle's
 // determinism soak: the report document is byte-identical across worker
-// counts and type-cache settings, because disagreements fold in unit
-// order from per-unit records that never depend on scheduling.
+// counts, because disagreements fold in unit order from per-unit records
+// that never depend on scheduling.
 func TestDifferentialCampaignDeterministic(t *testing.T) {
-	prevCaching := types.CachingEnabled()
-	defer types.SetCaching(prevCaching)
-
-	run := func(caching bool, workers int) *Report {
-		types.SetCaching(caching)
-		types.ResetCaches()
+	docBytes := func(t *testing.T, workers int) []byte {
+		t.Helper()
 		o := diffOptions(40)
 		o.Workers = workers
-		return Run(o)
-	}
-	docBytes := func(t *testing.T, r *Report, name string) []byte {
-		t.Helper()
+		r := Run(o)
 		if r.Err != nil {
-			t.Fatalf("%s campaign failed: %v", name, r.Err)
+			t.Fatalf("%d-worker campaign failed: %v", workers, r.Err)
+		}
+		if len(r.Disagreements) == 0 {
+			t.Fatalf("%d-worker differential campaign found no disagreements; soak proves nothing", workers)
 		}
 		b, err := json.Marshal(r.Doc())
 		if err != nil {
-			t.Fatalf("%s: marshal doc: %v", name, err)
+			t.Fatalf("%d workers: marshal doc: %v", workers, err)
 		}
 		return b
 	}
 
-	baseline := run(false, 1)
-	if len(baseline.Disagreements) == 0 {
-		t.Fatal("baseline differential campaign found no disagreements; soak proves nothing")
-	}
-	want := docBytes(t, baseline, "baseline")
-
-	for _, tc := range []struct {
-		name    string
-		caching bool
-		workers int
-	}{
-		{"cached-1-worker", true, 1},
-		{"cached-8-workers", true, 8},
-		{"uncached-8-workers", false, 8},
-	} {
-		got := docBytes(t, run(tc.caching, tc.workers), tc.name)
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s: report doc differs from uncached single-worker baseline:\n%s\nvs\n%s",
-				tc.name, want, got)
-		}
+	want, got := docBytes(t, 1), docBytes(t, 8)
+	if !bytes.Equal(want, got) {
+		t.Errorf("8-worker report doc differs from the single-worker one:\n%s\nvs\n%s", want, got)
 	}
 }
 

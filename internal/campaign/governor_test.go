@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/generator"
 	"repro/internal/oracle"
-	"repro/internal/types"
 )
 
 // governorOptions configures a small campaign with a fuel budget and the
@@ -34,23 +33,16 @@ func exhaustedCount(r *Report) int {
 
 // TestCampaignDeterministicUnderFuelExhaustion is the governor's
 // end-to-end determinism contract: with stress units exhausting the fuel
-// budget, the report is bit-for-bit identical at 1 and 8 workers and
-// with the type caches on or off. This only holds because a guarded
-// budget bypasses the cross-program memo caches — a cache hit would
-// skip steps a cold cache charges and move the bailout point.
+// budget, the report is bit-for-bit identical at 1 and 8 workers, because
+// the steps a guarded walk charges depend only on the program under check.
 func TestCampaignDeterministicUnderFuelExhaustion(t *testing.T) {
-	prevCaching := types.CachingEnabled()
-	defer types.SetCaching(prevCaching)
-
-	run := func(caching bool, workers int) *Report {
-		types.SetCaching(caching)
-		types.ResetCaches()
+	run := func(workers int) *Report {
 		o := governorOptions(24)
 		o.Workers = workers
 		return Run(o)
 	}
 
-	baseline := run(false, 1)
+	baseline := run(1)
 	if baseline.Err != nil {
 		t.Fatalf("baseline campaign failed: %v", baseline.Err)
 	}
@@ -58,28 +50,18 @@ func TestCampaignDeterministicUnderFuelExhaustion(t *testing.T) {
 		t.Fatal("no ResourceExhausted verdicts; the stress units never exhausted the budget")
 	}
 
-	for _, tc := range []struct {
-		name    string
-		caching bool
-		workers int
-	}{
-		{"cached-1-worker", true, 1},
-		{"cached-8-workers", true, 8},
-		{"uncached-8-workers", false, 8},
-	} {
-		got := run(tc.caching, tc.workers)
-		if got.Err != nil {
-			t.Fatalf("%s campaign failed: %v", tc.name, got.Err)
-		}
-		if !reflect.DeepEqual(baseline.Found, got.Found) {
-			t.Errorf("%s: Found differs from baseline", tc.name)
-		}
-		if !reflect.DeepEqual(baseline.Verdicts, got.Verdicts) {
-			t.Errorf("%s: Verdicts differ from baseline", tc.name)
-		}
-		if !reflect.DeepEqual(baseline.ProgramsRun, got.ProgramsRun) {
-			t.Errorf("%s: ProgramsRun %v, baseline %v", tc.name, got.ProgramsRun, baseline.ProgramsRun)
-		}
+	got := run(8)
+	if got.Err != nil {
+		t.Fatalf("8-worker campaign failed: %v", got.Err)
+	}
+	if !reflect.DeepEqual(baseline.Found, got.Found) {
+		t.Error("8 workers: Found differs from baseline")
+	}
+	if !reflect.DeepEqual(baseline.Verdicts, got.Verdicts) {
+		t.Error("8 workers: Verdicts differ from baseline")
+	}
+	if !reflect.DeepEqual(baseline.ProgramsRun, got.ProgramsRun) {
+		t.Errorf("8 workers: ProgramsRun %v, baseline %v", got.ProgramsRun, baseline.ProgramsRun)
 	}
 }
 

@@ -173,6 +173,19 @@ func (c *Config) RegisterCampaignFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Heartbeat, "heartbeat", c.Heartbeat, "print a one-line progress summary at this interval (0 disables)")
 }
 
+// UnreadFlags returns the flags set on fs that reads rejects, with
+// their leading dash, so a front end can refuse a flag its command
+// would silently ignore.
+func UnreadFlags(fs *flag.FlagSet, reads func(name string) bool) []string {
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads(f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	return unread
+}
+
 // RegisterFabricFlags registers the distributed-campaign flags: shard
 // count, coordinator state, and the worker topology (spawned processes
 // or attached addresses).

@@ -14,8 +14,8 @@ import (
 // budget set and pathological stress units exhausting it, the merged
 // sharded report must byte-match the single-process run. This holds
 // only because exhaustion is a pure function of (program, budget) —
-// never of which worker ran the unit, how its caches were warmed, or
-// where the shard boundaries fell — and because the fuel budget ships
+// never of which worker ran the unit or where the shard boundaries
+// fell — and because the fuel budget ships
 // to workers inside the lease's cli.Config.
 func TestFabricShardedFuelExhaustionMatchesSingleProcess(t *testing.T) {
 	t.Parallel()

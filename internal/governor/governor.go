@@ -16,13 +16,10 @@
 // wall-clock watchdog stays as a backstop for non-counting hangs.
 //
 // Determinism contract: a Budget is only deterministic if the charges
-// it sees are a pure function of the program under check. The memo
-// caches in internal/types are cross-program (a cache hit skips work a
-// cold cache would have charged), so guarded walks — any budget with a
-// finite fuel or depth limit — bypass those caches entirely; see
-// types.IsSubtypeB. Unguarded budgets (fuel 0, depth 0) still count
-// steps for metrics and still poll cancellation, but leave the caches
-// in play since their counts are advisory.
+// it sees are a pure function of the program under check. The relations
+// in internal/types keep no state between calls, so they are. Unguarded
+// budgets (fuel 0, depth 0) still count steps for metrics and still poll
+// cancellation, but never bail out.
 //
 // Charge points double as cancellation checkpoints: every
 // DefaultPollEvery charges the budget polls its bound context and
@@ -84,8 +81,7 @@ func (r Reason) String() string {
 type Bailout struct {
 	Reason Reason
 	// Spent is the fuel consumed when the guard tripped. Deterministic
-	// for FuelExhausted and DepthExceeded (guarded walks bypass the
-	// memo caches); meaningless for Cancelled.
+	// for FuelExhausted and DepthExceeded; meaningless for Cancelled.
 	Spent int64
 	// Limit is the fuel budget (0 = unlimited).
 	Limit int64
@@ -196,14 +192,6 @@ func (b *Budget) Exit() {
 	if b != nil {
 		b.depth--
 	}
-}
-
-// Guarded reports whether any deterministic guard (fuel or depth) is
-// armed. Guarded walks must bypass the cross-program memo caches in
-// internal/types: a cache hit skips steps a cold cache would charge,
-// which would make bailout points depend on what was checked before.
-func (b *Budget) Guarded() bool {
-	return b != nil && (b.limit > 0 || b.maxDepth > 0)
 }
 
 // Spent returns the steps charged so far. Only read it from the

@@ -30,9 +30,6 @@ func TestNilBudgetIsInert(t *testing.T) {
 	b.Enter()
 	b.Exit()
 	b.Bind(context.Background())
-	if b.Guarded() {
-		t.Fatal("nil budget reports Guarded")
-	}
 	if b.Spent() != 0 || b.Limit() != 0 {
 		t.Fatal("nil budget reports nonzero accounting")
 	}
@@ -40,9 +37,6 @@ func TestNilBudgetIsInert(t *testing.T) {
 
 func TestFuelExhaustion(t *testing.T) {
 	b := New(10, 0)
-	if !b.Guarded() {
-		t.Fatal("fuel-limited budget not Guarded")
-	}
 	bail := bailsWith(t, func() {
 		for i := 0; i < 100; i++ {
 			b.Charge(1)
@@ -78,9 +72,6 @@ func TestFuelDeterminism(t *testing.T) {
 
 func TestDepthGuard(t *testing.T) {
 	b := New(0, 4)
-	if !b.Guarded() {
-		t.Fatal("depth-limited budget not Guarded")
-	}
 	var rec func(n int)
 	rec = func(n int) {
 		b.Enter()
@@ -119,9 +110,6 @@ func TestFuelImpliesDepthGuard(t *testing.T) {
 
 func TestUnguardedBudgetCountsButNeverBails(t *testing.T) {
 	b := New(0, 0)
-	if b.Guarded() {
-		t.Fatal("unguarded budget reports Guarded")
-	}
 	for i := 0; i < 5000; i++ {
 		b.Charge(2)
 	}

@@ -200,12 +200,10 @@ type Invocation struct {
 	Stack string
 	// FuelSpent is the governor's step count for the final attempt.
 	// Observability only: it is exported to metrics but never serialized
-	// into journals or reports, because unguarded budgets count memo-cache
-	// hits and the number is therefore machine-history-dependent (only a
-	// guarded budget's count is deterministic). Zero when the invocation
-	// never reached the compiler (quarantined/aborted), when the watchdog
-	// synthesized the result, or when the compile read its input's shared
-	// check (compilers.WithSharedCheck) instead of running the checker.
+	// into journals or reports. Zero when the invocation never reached
+	// the compiler (quarantined/aborted), when the watchdog synthesized
+	// the result, or when the compile read its input's shared check
+	// (compilers.WithSharedCheck) instead of running the checker.
 	FuelSpent int64
 
 	// transient marks an Errored ending as retryable.

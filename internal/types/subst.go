@@ -132,18 +132,22 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 		}
 		return tt
 	case *App:
-		args := make([]Type, len(tt.Args))
-		changed := false
+		// Copy the application only once an argument changes.
+		var out *App
 		for i, a := range tt.Args {
-			args[i] = s.ApplyB(b, a)
-			if args[i] != tt.Args[i] {
-				changed = true
+			na := s.ApplyB(b, a)
+			if out == nil {
+				if na == a {
+					continue
+				}
+				out = newApp(tt.Ctor, tt.Args)
 			}
+			out.Args[i] = na
 		}
-		if !changed {
+		if out == nil {
 			return tt
 		}
-		return &App{Ctor: tt.Ctor, Args: args}
+		return out
 	case *Projection:
 		nb := s.ApplyB(b, tt.Bound)
 		if nb == tt.Bound {
@@ -181,6 +185,28 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	default:
 		return t
 	}
+}
+
+// newApp returns an application of c to a copy of args. Arities one and
+// two allocate the application and its argument array as one object.
+func newApp(c *Constructor, args []Type) *App {
+	switch len(args) {
+	case 1:
+		x := &struct {
+			App
+			args [1]Type
+		}{App{Ctor: c}, [1]Type(args)}
+		x.Args = x.args[:]
+		return &x.App
+	case 2:
+		x := &struct {
+			App
+			args [2]Type
+		}{App{Ctor: c}, [2]Type(args)}
+		x.Args = x.args[:]
+		return &x.App
+	}
+	return &App{Ctor: c, Args: append([]Type(nil), args...)}
 }
 
 // without returns s minus the bindings of the given parameters: s itself

@@ -10,9 +10,6 @@ import "repro/internal/governor"
 func Supertype(t Type) Type { return SupertypeB(nil, t) }
 
 // SupertypeB is Supertype metered by a governor budget (nil = unmetered).
-// Guarded budgets bypass the supertype memo cache: the cache is shared
-// across programs, so a hit would skip steps a cold cache charges and make
-// the exhaustion point depend on what was compiled before.
 func SupertypeB(b *governor.Budget, t Type) Type {
 	b.Charge(1)
 	switch tt := t.(type) {
@@ -42,21 +39,13 @@ func SupertypeB(b *governor.Budget, t Type) Type {
 			// range.
 			return Top{}
 		}
-		if b.Guarded() || cachingDisabled.Load() {
-			return appSupertype(b, tt)
+		// S((Λα.t)t̄): the constructor's supertype with the arguments
+		// substituted for its parameters.
+		sigma := NewSubstitution()
+		for i, p := range tt.Ctor.Params {
+			sigma.Bind(p, tt.Args[i])
 		}
-		bp := keyBufPool.Get().(*[]byte)
-		key := AppendFingerprint((*bp)[:0], tt)
-		if sup, ok := cachedSupertype(key); ok {
-			*bp = key
-			keyBufPool.Put(bp)
-			return sup
-		}
-		sup := appSupertype(b, tt)
-		storeSupertype(key, sup)
-		*bp = key
-		keyBufPool.Put(bp)
-		return sup
+		return sigma.ApplyB(b, tt.Ctor.Super)
 	case *Func:
 		return Top{}
 	case *Intersection:
@@ -65,17 +54,6 @@ func SupertypeB(b *governor.Budget, t Type) Type {
 		return tt.Bound
 	}
 	return Top{}
-}
-
-// appSupertype computes S((Λα.t)t̄): the constructor's supertype with the
-// application's arguments substituted for the parameters. The caller has
-// already checked Super != nil and the arity.
-func appSupertype(b *governor.Budget, tt *App) Type {
-	sigma := NewSubstitution()
-	for i, p := range tt.Ctor.Params {
-		sigma.Bind(p, tt.Args[i])
-	}
-	return sigma.ApplyB(b, tt.Ctor.Super)
 }
 
 // IsSubtype implements the nominal subtyping relation t1 <: t2 of the IR.
@@ -91,8 +69,9 @@ func IsSubtype(t1, t2 Type) bool { return IsSubtypeB(nil, t1, t2) }
 // IsSubtypeB is IsSubtype metered by a governor budget (nil = unmetered).
 // It charges one step per relation entry plus one per chain-climb link, so
 // a guarded walk over a pathological hierarchy exhausts its fuel after the
-// same number of steps on every machine. Guarded budgets skip the
-// cross-program pair cache for the same determinism reason as SupertypeB.
+// same number of steps on every machine. The walk is bracketed by the
+// governor's depth guard; re-entries through IsSubtypeB nest, so logical
+// recursion depth is what the guard sees.
 func IsSubtypeB(b *governor.Budget, t1, t2 Type) bool {
 	if t1 == nil || t2 == nil {
 		return false
@@ -107,49 +86,6 @@ func IsSubtypeB(b *governor.Budget, t1, t2 Type) bool {
 	if _, ok := t1.(Bottom); ok {
 		return true
 	}
-	// Memoize only cross-constructor application queries whose operands'
-	// fingerprints are already memoized. Cross-constructor, because only
-	// that walk climbs the substituted supertype chain, allocating a
-	// substitution per level (~880ns/12 allocs for a two-level climb), so a
-	// ~240ns hit pays for itself — Simple/Parameter name-chain climbs and
-	// same-constructor argument conformance are alloc-free walks cheaper
-	// than any cache lookup. Fingerprint-ready, because a type that is
-	// climbed repeatedly gets its fingerprint memoized by the Supertype
-	// memo below, while a freshly built type seen once would pay a full
-	// fingerprint walk just to miss; requiring readiness makes the skip
-	// cost two atomic loads and keeps one-shot traffic (the generator's
-	// candidate filtering, most checker conformance checks) off the cache
-	// entirely.
-	a1, app1 := t1.(*App)
-	if !app1 || !a1.fp.ready() || !fingerprintReady(t2) || b.Guarded() || cachingDisabled.Load() {
-		return isSubtypeUncached(b, t1, t2)
-	}
-	if a2, ok := t2.(*App); ok && a1.Ctor.Equal(a2.Ctor) {
-		return isSubtypeUncached(b, t1, t2)
-	}
-	// Memoized path: the relation is a pure function of the canonical
-	// fingerprints, so a hit returns exactly what the walk would.
-	// Recursive sub-queries re-enter IsSubtypeB and are memoized too.
-	bp := keyBufPool.Get().(*[]byte)
-	key := AppendFingerprint((*bp)[:0], t1)
-	key = append(key, pairSep)
-	key = AppendFingerprint(key, t2)
-	if val, ok := cachedSubtype(key); ok {
-		*bp = key
-		keyBufPool.Put(bp)
-		return val
-	}
-	val := isSubtypeUncached(b, t1, t2)
-	storeSubtype(key, val)
-	*bp = key
-	keyBufPool.Put(bp)
-	return val
-}
-
-// isSubtypeUncached brackets the recursive walk with the governor's depth
-// guard; re-entries through IsSubtypeB nest, so logical recursion depth is
-// what the guard sees.
-func isSubtypeUncached(b *governor.Budget, t1, t2 Type) bool {
 	b.Enter()
 	ok := isSubtypeWalk(b, t1, t2)
 	b.Exit()
@@ -456,3 +392,11 @@ func stripProjection(t Type) Type {
 	}
 	return t
 }
+
+// ResetCaches is a no-op kept for callers written against the removed
+// relation memo caches; the relations keep no state between calls.
+func ResetCaches() {}
+
+// CacheStats is a no-op kept for callers written against the removed
+// relation memo caches; it always returns 0, 0.
+func CacheStats() (hits, misses uint64) { return 0, 0 }

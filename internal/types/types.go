@@ -88,8 +88,6 @@ type Simple struct {
 	Builtin bool
 	// Sealed (non-open) types cannot be extended; mirrors Kotlin's default.
 	Final bool
-
-	fp fpBox
 }
 
 // NewSimple returns a nominal type with the given name and supertype
@@ -118,8 +116,6 @@ type Parameter struct {
 	Bound Type
 	// Var is the declaration-site variance (Kotlin `out T` / `in T`).
 	Var Variance
-
-	fp fpBox
 }
 
 // NewParameter returns an unbounded, invariant type parameter.
@@ -201,8 +197,6 @@ type Constructor struct {
 	// Super is the declared supertype (may reference Params); nil means ⊤.
 	Super Type
 	Final bool
-
-	fp fpBox
 }
 
 // NewConstructor returns a type constructor over the given parameters.
@@ -243,8 +237,6 @@ func (c *Constructor) Apply(args ...Type) *App {
 type App struct {
 	Ctor *Constructor
 	Args []Type
-
-	fp fpBox
 }
 
 func (a *App) Name() string { return a.Ctor.TypeName }

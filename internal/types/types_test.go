@@ -1,6 +1,10 @@
 package types
 
-import "testing"
+import (
+	"math/rand"
+	"sync"
+	"testing"
+)
 
 // hierarchy builds the running example of the paper:
 // open class A<T>; class B<T>(val f: A<T>) : A<T>().
@@ -446,4 +450,114 @@ func TestConstructorApplyArityPanics(t *testing.T) {
 		}
 	}()
 	ctorA.Apply(b.Int, b.String)
+}
+
+// TestSuperChainCyclicEndsInTop is the regression test for the capped
+// SuperChain path: even a cyclic hierarchy yields a chain terminated by ⊤,
+// preserving the invariant lub2 and UnifyPrime iterate on.
+func TestSuperChainCyclicEndsInTop(t *testing.T) {
+	a := NewSimple("A", nil)
+	b := NewSimple("B", a)
+	a.Super = b // cycle
+
+	chain := SuperChain(a)
+	if len(chain) == 0 {
+		t.Fatal("empty chain")
+	}
+	if _, ok := chain[len(chain)-1].(Top); !ok {
+		t.Fatalf("capped SuperChain must end in Top, got %s", chain[len(chain)-1])
+	}
+
+	// Lub over the cyclic hierarchy must terminate (and fall back to ⊤).
+	got := Lub(a, NewSimple("C", nil))
+	if _, ok := got.(Top); !ok {
+		t.Fatalf("Lub over unrelated cyclic hierarchy should be Top, got %s", got)
+	}
+}
+
+// TestMalformedAppArity checks that applications whose argument count does
+// not match their constructor — as partial erasure can produce — fail soft
+// in every entry point instead of panicking.
+func TestMalformedAppArity(t *testing.T) {
+	b := NewBuiltins()
+	p1 := NewParameter("Pair", "K")
+	p2 := NewParameter("Pair", "V")
+	sup := NewConstructor("Sup", []*Parameter{NewParameter("Sup", "T")}, nil)
+	pair := NewConstructor("Pair", []*Parameter{p1, p2}, sup.Apply(p1))
+
+	malformed := &App{Ctor: pair, Args: []Type{b.Int}} // one arg, two params
+	wellFormed := pair.Apply(b.Int, b.String)
+
+	if got := Supertype(malformed); got == nil {
+		t.Fatal("Supertype(malformed) must not be nil")
+	} else if _, ok := got.(Top); !ok {
+		t.Fatalf("Supertype(malformed) should fail soft to Top, got %s", got)
+	}
+
+	if IsSubtype(malformed, wellFormed) {
+		t.Fatal("malformed app must not be a subtype of a well-formed one")
+	}
+	if IsSubtype(wellFormed, malformed) {
+		t.Fatal("well-formed app must not be a subtype of a malformed one")
+	}
+	if IsSubtype(malformed, sup.Apply(b.Int)) {
+		t.Fatal("malformed app must not climb its hierarchy")
+	}
+
+	if sigma := Unify(malformed, wellFormed); sigma != nil {
+		t.Fatal("Unify(malformed, ...) should fail, not panic")
+	}
+	if sigma := Unify(wellFormed, malformed); sigma != nil {
+		t.Fatal("Unify(..., malformed) should fail, not panic")
+	}
+	// UnifyPrime reports "no dependency" as an empty substitution; the
+	// malformed operand must simply not panic the pointwise loops.
+	if sigma := UnifyPrime(malformed, wellFormed); sigma == nil {
+		t.Fatal("UnifyPrime never returns nil")
+	}
+	if sigma := UnifyPrime(wellFormed, malformed); sigma == nil {
+		t.Fatal("UnifyPrime never returns nil")
+	}
+
+	// Lub must also survive a malformed operand.
+	_ = Lub(malformed, wellFormed)
+}
+
+// TestHasFreeParametersAgreesWithFreeParameters pins the fast groundness
+// check to the reference implementation.
+func TestHasFreeParametersAgreesWithFreeParameters(t *testing.T) {
+	g := newTypeGen()
+	r := rand.New(rand.NewSource(123))
+	for i := 0; i < 3000; i++ {
+		tt := g.random(r, 4)
+		if HasFreeParameters(tt) != (len(FreeParameters(tt)) > 0) {
+			t.Fatalf("HasFreeParameters disagrees with FreeParameters for %s", tt)
+		}
+	}
+	if HasFreeParameters(nil) {
+		t.Fatal("nil type has no free parameters")
+	}
+}
+
+// TestConcurrentRelations runs the relations from many goroutines over a
+// shared universe, as pipeline workers do over shared Builtins; under
+// -race this proves the walks only read the types they are given.
+func TestConcurrentRelations(t *testing.T) {
+	g := newTypeGen()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				t1 := g.random(r, 3)
+				t2 := g.random(r, 3)
+				IsSubtype(t1, t2)
+				Supertype(t1)
+				Unify(t1, t2)
+			}
+		}(int64(w))
+	}
+	wg.Wait()
 }
