@@ -472,7 +472,7 @@ func (c *checker) checkTypeWellFormed(t types.Type, what subject) {
 	if !ok {
 		return
 	}
-	sigma := types.NewSubstitution()
+	var sigma types.Substitution // stays on the stack
 	for i, p := range app.Ctor.Params {
 		arg := app.Args[i]
 		if proj, isProj := arg.(*types.Projection); isProj {

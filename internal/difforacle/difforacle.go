@@ -271,10 +271,13 @@ func Conforms(p *ir.Program, src string) bool {
 }
 
 // balanced checks brace/paren balance outside double-quoted literals.
+// Every delimiter it counts is ASCII, and no byte of a multibyte UTF-8
+// sequence is below 0x80, so it scans bytes without decoding runes.
 func balanced(src string) bool {
 	braces, parens := 0, 0
 	inString, escaped := false, false
-	for _, r := range src {
+	for i := 0; i < len(src); i++ {
+		r := src[i]
 		if inString {
 			switch {
 			case escaped:

@@ -1,6 +1,7 @@
 package difforacle
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -212,5 +213,72 @@ func TestConformsReferenceCheck(t *testing.T) {
 	}
 	if !Conforms(p, "class Widget {}\ndef frobnicate() { f(\"}\") }") {
 		t.Error("balanced rendering with a brace inside a string literal rejected")
+	}
+}
+
+// balancedRunes is balanced as it was first written, decoding runes; the
+// byte scan must agree with it on every input.
+func balancedRunes(src string) bool {
+	braces, parens := 0, 0
+	inString, escaped := false, false
+	for _, r := range src {
+		if inString {
+			switch {
+			case escaped:
+				escaped = false
+			case r == '\\':
+				escaped = true
+			case r == '"':
+				inString = false
+			}
+			continue
+		}
+		switch r {
+		case '"':
+			inString = true
+		case '{':
+			braces++
+		case '}':
+			braces--
+		case '(':
+			parens++
+		case ')':
+			parens--
+		}
+		if braces < 0 || parens < 0 {
+			return false
+		}
+	}
+	return braces == 0 && parens == 0 && !inString
+}
+
+func TestBalancedByteScanMatchesRuneScan(t *testing.T) {
+	cases := []string{
+		"",
+		"fun f() { println(\"héllo → wörld\") }",
+		"val s = \"日本語 { ( \"; f(s)",
+		"val s = \"\\\"}\\\"\" + \"é\\é\"", // escaped quotes and an escaped multibyte rune
+		"val s = \"\\日\" }",                // unbalanced after an escaped multibyte rune
+		"class 🚀 { fun f() = (1 }",         // unbalanced parens around an emoji
+		"g(\"unterminated ✓",               // unterminated literal
+		"\xff\xfe{ \"\xc3\" }",             // invalid UTF-8 bytes
+		"\"\\\xe6\x97\xa5\" ()",            // escape before a multibyte sequence
+		")(",
+	}
+	for _, src := range cases {
+		if got, want := balanced(src), balancedRunes(src); got != want {
+			t.Errorf("balanced(%q) = %v, rune scan %v", src, got, want)
+		}
+	}
+	alphabet := []string{"{", "}", "(", ")", "\"", "\\", "a", " ", "é", "日", "🚀", "\xff", "\xc3"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		var src string
+		for n := rng.Intn(24); n > 0; n-- {
+			src += alphabet[rng.Intn(len(alphabet))]
+		}
+		if got, want := balanced(src), balancedRunes(src); got != want {
+			t.Fatalf("balanced(%q) = %v, rune scan %v", src, got, want)
+		}
 	}
 }

@@ -123,7 +123,7 @@ func (g *Generator) newExpr(t types.Type, sc *scope, depth int) ir.Expr {
 
 // instantiateConcrete instantiates a class with projection-free arguments.
 func (g *Generator) instantiateConcrete(cls *ir.ClassDecl, sc *scope, depth int) types.Type {
-	t := cls.Type()
+	t := g.classType(cls)
 	ctor, ok := t.(*types.Constructor)
 	if !ok {
 		return t
@@ -162,7 +162,7 @@ func (g *Generator) subclassNew(t types.Type, sc *scope, depth int) ir.Expr {
 // unification to bind parameters forced by t and random conforming types
 // for the rest. Returns nil when impossible.
 func (g *Generator) unifyInstantiation(cls *ir.ClassDecl, t types.Type, sc *scope, depth int) types.Type {
-	switch ct := cls.Type().(type) {
+	switch ct := g.classType(cls).(type) {
 	case *types.Simple:
 		if types.IsSubtype(ct, t) {
 			return ct
@@ -223,7 +223,7 @@ func (g *Generator) completeSubstitution(sigma *types.Substitution, params []*ty
 
 // buildNew emits new C<args>(ctor-args) for a concrete instantiation.
 func (g *Generator) buildNew(cls *ir.ClassDecl, inst types.Type, sc *scope, depth int) ir.Expr {
-	n := &ir.New{Class: cls.Type()}
+	n := &ir.New{Class: g.classType(cls)}
 	sigma := instantiationSubst(inst)
 	if app, ok := inst.(*types.App); ok {
 		n.TypeArgs = append([]types.Type{}, app.Args...)
@@ -278,7 +278,7 @@ func (g *Generator) methodRefExpr(ft *types.Func, sc *scope, depth int) ir.Expr 
 			if !okParams || !types.IsSubtype(sig, ft) {
 				continue
 			}
-			recv := g.generateExpr(cls.Type(), sc, depth-1)
+			recv := g.generateExpr(g.classType(cls), sc, depth-1)
 			return &ir.MethodRef{Recv: recv, Method: m.Name}
 		}
 	}

@@ -20,6 +20,12 @@ type Generator struct {
 	classes []*ir.ClassDecl
 	funcs   []*ir.FuncDecl
 
+	// Per-program memo of pure derivations, emptied by Generate and
+	// GenerateStress: the builtins conforming to each bound (keyed by the
+	// bound's identity; types are immutable) and each class's Type().
+	builtinPools map[types.Type][]types.Type
+	classTypes   map[*ir.ClassDecl]types.Type
+
 	classN, funcN, varN, fieldN, methodN int
 }
 
@@ -29,9 +35,11 @@ type Generator struct {
 func New(cfg Config) *Generator {
 	cfg = cfg.Normalized()
 	return &Generator{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		b:   types.NewBuiltins(),
+		cfg:          cfg,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		b:            types.NewBuiltins(),
+		builtinPools: map[types.Type][]types.Type{},
+		classTypes:   map[*ir.ClassDecl]types.Type{},
 	}
 }
 
@@ -41,9 +49,7 @@ func (g *Generator) Builtins() *types.Builtins { return g.b }
 
 // Generate produces one random program.
 func (g *Generator) Generate() *ir.Program {
-	g.prog = &ir.Program{}
-	g.classes = nil
-	g.funcs = nil
+	g.reset()
 
 	n := 2 + g.rng.Intn(g.cfg.MaxTopLevelDecls-1)
 	classCount := 1 + n/2
@@ -58,6 +64,15 @@ func (g *Generator) Generate() *ir.Program {
 	// bug-revealing example in the paper has.
 	g.generateTestFunc()
 	return g.prog
+}
+
+// reset starts a new program: an empty context and an empty memo.
+func (g *Generator) reset() {
+	g.prog = &ir.Program{}
+	g.classes = nil
+	g.funcs = nil
+	clear(g.builtinPools)
+	clear(g.classTypes)
 }
 
 // GenerateBatch produces n programs, each in its own package so batched
@@ -267,6 +282,19 @@ func (g *Generator) generateTestFunc() {
 }
 
 // ----- helpers over the context -----
+
+// classType is cls.Type(), built once per class and program. generateClass
+// sets a class's supertype before registering it, so the type is final by
+// the time anything asks for it. (Stress chains set it afterwards and call
+// cls.Type() directly.)
+func (g *Generator) classType(cls *ir.ClassDecl) types.Type {
+	t, ok := g.classTypes[cls]
+	if !ok {
+		t = cls.Type()
+		g.classTypes[cls] = t
+	}
+	return t
+}
 
 func (g *Generator) classByName(name string) *ir.ClassDecl {
 	for _, c := range g.classes {

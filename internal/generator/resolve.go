@@ -27,7 +27,11 @@ func (g *Generator) resolveMethodCall(t types.Type, sc *scope, depth int) ir.Exp
 			continue
 		}
 		opts = append(opts, func() ir.Expr {
-			return g.tryCall(nil, f.Name, f.TypeParams, paramTypes(f), f.Ret, types.NewSubstitution(), t, sc, depth)
+			var sigma *types.Substitution
+			if len(f.TypeParams) > 0 {
+				sigma = types.NewSubstitution()
+			}
+			return g.tryCall(nil, f.Name, f.TypeParams, paramTypes(f), f.Ret, sigma, t, sc, depth)
 		})
 	}
 	// Step 1b: methods of live objects in scope (resolveMatchingObjects).
@@ -45,8 +49,12 @@ func (g *Generator) resolveMethodCall(t types.Type, sc *scope, depth int) ir.Exp
 					continue
 				}
 				opts = append(opts, func() ir.Expr {
+					callSigma := sigma
+					if len(m.TypeParams) > 0 {
+						callSigma = sigma.Clone()
+					}
 					return g.tryCall(&ir.VarRef{Name: v.name}, m.Name, m.TypeParams,
-						paramTypes(m), m.Ret, sigma.Clone(), t, sc, depth)
+						paramTypes(m), m.Ret, callSigma, t, sc, depth)
 				})
 			}
 		}
@@ -84,7 +92,9 @@ func paramTypes(f *ir.FuncDecl) []types.Type {
 // tryCall attempts to build a call to a known callee so that its
 // (substituted) return type conforms to t: unify the return type with t,
 // complete the substitution with random conforming types, validate bounds,
-// and generate arguments for the substituted parameter types.
+// and generate arguments for the substituted parameter types. sigma is
+// only read when tps is empty, so such a callee may pass nil or a shared
+// substitution.
 func (g *Generator) tryCall(recv ir.Expr, name string, tps []*types.Parameter,
 	params []types.Type, ret types.Type, sigma *types.Substitution,
 	t types.Type, sc *scope, depth int) ir.Expr {
@@ -206,7 +216,7 @@ func (g *Generator) resolveMatchingClass(t types.Type, sc *scope, depth int) ir.
 		// Instantiate the receiver type from the substitution and
 		// generate an expression of that type (Algorithm 1, line 25).
 		var rt types.Type
-		switch ct := cls.Type().(type) {
+		switch ct := g.classType(cls).(type) {
 		case *types.Simple:
 			rt = ct
 		case *types.Constructor:
@@ -293,7 +303,7 @@ func (g *Generator) resolveFieldAccess(t types.Type, sc *scope, depth int) ir.Ex
 				continue
 			}
 			var rt types.Type
-			switch ct := cls.Type().(type) {
+			switch ct := g.classType(cls).(type) {
 			case *types.Simple:
 				rt = ct
 			case *types.Constructor:

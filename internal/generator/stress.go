@@ -72,9 +72,7 @@ func (g *Generator) GenerateStress() *ir.Program {
 	if cfg.NestDepth < 8 {
 		cfg.NestDepth = 1200
 	}
-	g.prog = &ir.Program{}
-	g.classes = nil
-	g.funcs = nil
+	g.reset()
 	switch uint64(g.cfg.Seed) % 3 {
 	case 0:
 		g.stressLubStorm(cfg.ChainLength)

@@ -59,7 +59,7 @@ func (g *Generator) randomClass() *ir.ClassDecl {
 // occasionally when enabled. Returns nil when no conforming argument
 // exists.
 func (g *Generator) instantiate(cls *ir.ClassDecl, sc *scope, depth int) types.Type {
-	t := cls.Type()
+	t := g.classType(cls)
 	ctor, ok := t.(*types.Constructor)
 	if !ok {
 		return t
@@ -86,47 +86,100 @@ func (g *Generator) instantiate(cls *ir.ClassDecl, sc *scope, depth int) types.T
 	return ctor.Apply(args...)
 }
 
-// conformingType picks a random available type that is a subtype of bound.
+// conformingType picks a random available type that is a subtype of bound:
+// a conforming builtin, type parameter in scope, or class type, drawn
+// uniformly from those in that order.
 func (g *Generator) conformingType(bound types.Type, sc *scope, depth int) types.Type {
 	if _, isTop := bound.(types.Top); isTop {
 		return g.generateType(sc, depth)
 	}
-	var pool []types.Type
-	for _, t := range g.b.All() {
-		if types.IsSubtype(t, bound) {
-			pool = append(pool, t)
-		}
-	}
+	builtins := g.builtinPool(bound)
+	var buf [8]types.Type
+	rest := buf[:0]
 	if sc != nil {
 		for _, p := range sc.typeParams {
 			if types.IsSubtype(p, bound) {
-				pool = append(pool, p)
+				rest = append(rest, p)
 			}
 		}
 	}
 	if depth > 0 {
 		for _, cls := range g.classes {
-			switch ct := cls.Type().(type) {
+			switch ct := g.classType(cls).(type) {
 			case *types.Simple:
 				if types.IsSubtype(ct, bound) {
-					pool = append(pool, ct)
+					rest = append(rest, ct)
 				}
 			case *types.Constructor:
 				// A parameterized class conforms when some instantiation
-				// does; try one.
-				if inst := g.instantiate(cls, sc, depth-1); inst != nil && types.IsSubtype(inst, bound) {
-					pool = append(pool, inst)
+				// does; try one. The instantiation draws from the RNG, so
+				// it is made even when the class cannot reach the bound.
+				if inst := g.instantiate(cls, sc, depth-1); inst != nil && mayReach(ct, bound) && types.IsSubtype(inst, bound) {
+					rest = append(rest, inst)
 				}
 			}
 		}
 	}
-	if len(pool) == 0 {
+	n := len(builtins) + len(rest)
+	if n == 0 {
 		if bt, ok := bound.(*types.Simple); ok {
 			return bt // the bound itself (reflexivity)
 		}
 		return nil
 	}
-	return pool[g.rng.Intn(len(pool))]
+	i := g.rng.Intn(n)
+	if i < len(builtins) {
+		return builtins[i]
+	}
+	return rest[i-len(builtins)]
+}
+
+// builtinPool returns the builtins that are subtypes of bound, in
+// Builtins.All order, computed once per bound and program.
+func (g *Generator) builtinPool(bound types.Type) []types.Type {
+	pool, ok := g.builtinPools[bound]
+	if !ok {
+		for _, t := range g.b.All() {
+			if types.IsSubtype(t, bound) {
+				pool = append(pool, t)
+			}
+		}
+		g.builtinPools[bound] = pool
+	}
+	return pool
+}
+
+// mayReach reports whether an application of ctor can be a subtype of
+// bound. Subtyping to a nominal bound (a simple type or an application)
+// needs the bound's name on the declared supertype chain, so a chain
+// without it is a sure "no"; any other bound answers true.
+func mayReach(ctor *types.Constructor, bound types.Type) bool {
+	var name string
+	switch bt := bound.(type) {
+	case *types.Simple:
+		name = bt.TypeName
+	case *types.App:
+		name = bt.Ctor.TypeName
+	default:
+		return true
+	}
+	var t types.Type = ctor
+	for i := 0; i < 64 && t != nil; i++ { // the relation's cap on cyclic chains
+		if t.Name() == name {
+			return true
+		}
+		switch tt := t.(type) {
+		case *types.Constructor:
+			t = tt.Super
+		case *types.App:
+			t = tt.Ctor.Super
+		case *types.Simple:
+			t = tt.Super
+		default:
+			return true
+		}
+	}
+	return t != nil // past the cap, let the relation decide
 }
 
 // subtypeOfTarget picks a concrete type conforming to a type-argument

@@ -182,7 +182,8 @@ type typePool struct {
 }
 
 func newTypePool(p *ir.Program, b *types.Builtins) *typePool {
-	pool := &typePool{ground: b.Defaultable()}
+	// Defaultable is shared and read-only; the pool grows its own copy.
+	pool := &typePool{ground: append([]types.Type(nil), b.Defaultable()...)}
 	for _, cls := range p.Classes() {
 		switch t := cls.Type().(type) {
 		case *types.Simple:

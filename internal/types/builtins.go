@@ -26,6 +26,8 @@ type Builtins struct {
 
 	// Array is the built-in invariant Array<T> constructor.
 	Array *Constructor
+
+	all, defaultable []Type
 }
 
 // NewBuiltins constructs a fresh builtin universe. Each call returns
@@ -48,27 +50,25 @@ func NewBuiltins() *Builtins {
 	b.String = &Simple{TypeName: "String", Builtin: true, Final: true}
 	b.Unit = &Simple{TypeName: "Unit", Builtin: true, Final: true}
 	b.Array = NewConstructor("Array", []*Parameter{NewParameter("Array", "T")}, nil)
+	// Both slices end at the end of one array, so their capacity is
+	// their length and an append to either copies.
+	b.all = []Type{
+		b.Number, b.Byte, b.Short, b.Int, b.Long, b.Float, b.Double,
+		b.Boolean, b.Char, b.String,
+	}
+	b.defaultable = b.all[1:]
 	return b
 }
 
 // All returns every ground builtin type (no Array, which is a constructor),
-// in a fixed order.
-func (b *Builtins) All() []Type {
-	return []Type{
-		b.Number, b.Byte, b.Short, b.Int, b.Long, b.Float, b.Double,
-		b.Boolean, b.Char, b.String,
-	}
-}
+// in a fixed order. The slice is built once and shared by every caller,
+// so it is read-only.
+func (b *Builtins) All() []Type { return b.all }
 
 // Defaultable returns builtins that have constant literals in the IR
 // (val(t) in Fig. 4a); Unit and Number are excluded because no literal
-// denotes them directly.
-func (b *Builtins) Defaultable() []Type {
-	return []Type{
-		b.Byte, b.Short, b.Int, b.Long, b.Float, b.Double,
-		b.Boolean, b.Char, b.String,
-	}
-}
+// denotes them directly. Like All, the slice is shared and read-only.
+func (b *Builtins) Defaultable() []Type { return b.defaultable }
 
 // ByName resolves a builtin ground type by its neutral name, or nil.
 func (b *Builtins) ByName(name string) Type {

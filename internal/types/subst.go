@@ -9,12 +9,16 @@ import (
 // Substitution is a finite map [α ↦ t] from type parameters to types
 // (Definition 3.1), keyed by parameter identity (Parameter.SameAs, i.e.
 // equal IDs). A substitution holds the few parameters of one constructor
-// or method, so it is a slice scanned linearly, with inline room for the
-// common case: building, binding and looking up allocate nothing beyond
-// the substitution itself.
+// or method, so its bindings sit in an inline array scanned linearly and
+// spill to the heap only past four. Its zero value is the empty
+// substitution, and no method retains its receiver, so a substitution
+// declared as a local variable stays on the stack: SupertypeB, the
+// checker's bound check and unification (until it succeeds) bind
+// constructor parameters without allocating.
 type Substitution struct {
-	binds  []binding
+	n      int
 	inline [4]binding
+	spill  bindings // all bindings, once more than len(inline)
 }
 
 type binding struct {
@@ -22,17 +26,25 @@ type binding struct {
 	t Type
 }
 
+// bindings is the substitution walk's representation: a plain binding
+// slice, which the walk reads and never retains.
+type bindings []binding
+
 // NewSubstitution returns an empty substitution.
-func NewSubstitution() *Substitution {
-	s := &Substitution{}
-	s.binds = s.inline[:0]
-	return s
+func NewSubstitution() *Substitution { return &Substitution{} }
+
+// view returns the bindings in insertion order.
+func (s *Substitution) view() bindings {
+	if s.spill != nil {
+		return s.spill
+	}
+	return s.inline[:s.n]
 }
 
 // index returns the position of p's binding, or -1.
-func (s *Substitution) index(p *Parameter) int {
-	for i := range s.binds {
-		if s.binds[i].p.SameAs(p) {
+func (bs bindings) index(p *Parameter) int {
+	for i := range bs {
+		if bs[i].p.SameAs(p) {
 			return i
 		}
 	}
@@ -42,31 +54,40 @@ func (s *Substitution) index(p *Parameter) int {
 // Bind records [p ↦ t]. Rebinding the same parameter overwrites: the last
 // bind wins (callers that need conflict detection use Merge).
 func (s *Substitution) Bind(p *Parameter, t Type) {
-	if i := s.index(p); i >= 0 {
-		s.binds[i] = binding{p, t}
-		return
+	bs := s.view()
+	switch i := bs.index(p); {
+	case i >= 0:
+		bs[i] = binding{p, t}
+	case s.spill != nil:
+		s.spill = append(s.spill, binding{p, t})
+	case s.n < len(s.inline):
+		s.inline[s.n] = binding{p, t}
+		s.n++
+	default:
+		s.spill = append(append(make(bindings, 0, 2*len(s.inline)), bs...), binding{p, t})
 	}
-	s.binds = append(s.binds, binding{p, t})
 }
 
 // Lookup returns the binding for p, if any.
 func (s *Substitution) Lookup(p *Parameter) (Type, bool) {
-	if i := s.index(p); i >= 0 {
-		return s.binds[i].t, true
+	bs := s.view()
+	if i := bs.index(p); i >= 0 {
+		return bs[i].t, true
 	}
 	return nil, false
 }
 
 // Len returns the number of bound parameters.
-func (s *Substitution) Len() int { return len(s.binds) }
+func (s *Substitution) Len() int { return len(s.view()) }
 
 // IsEmpty reports whether no parameter is bound.
-func (s *Substitution) IsEmpty() bool { return len(s.binds) == 0 }
+func (s *Substitution) IsEmpty() bool { return s.Len() == 0 }
 
 // Domain returns the bound parameters in deterministic (ID-sorted) order.
 func (s *Substitution) Domain() []*Parameter {
-	out := make([]*Parameter, len(s.binds))
-	for i, bd := range s.binds {
+	bs := s.view()
+	out := make([]*Parameter, len(bs))
+	for i, bd := range bs {
 		out[i] = bd.p
 	}
 	// Insertion sort: domains are a handful of parameters, and IDs are
@@ -81,8 +102,10 @@ func (s *Substitution) Domain() []*Parameter {
 
 // Clone returns an independent copy of the substitution.
 func (s *Substitution) Clone() *Substitution {
-	c := NewSubstitution()
-	c.binds = append(c.binds, s.binds...)
+	c := &Substitution{n: s.n, inline: s.inline}
+	if s.spill != nil {
+		c.spill = append(bindings(nil), s.spill...)
+	}
 	return c
 }
 
@@ -92,7 +115,7 @@ func (s *Substitution) Merge(other *Substitution) bool {
 	if other == nil {
 		return true
 	}
-	for _, bd := range other.binds {
+	for _, bd := range other.view() {
 		if prev, ok := s.Lookup(bd.p); ok && !prev.Equal(bd.t) {
 			return false
 		}
@@ -114,28 +137,36 @@ func (s *Substitution) Apply(t Type) Type { return s.ApplyB(nil, t) }
 // metering per node (rather than per call) is what makes fuel exhaustion
 // track the real cost.
 func (s *Substitution) ApplyB(b *governor.Budget, t Type) Type {
-	if t == nil || s == nil || len(s.binds) == 0 {
+	if s == nil {
+		return t
+	}
+	return s.view().applyB(b, t)
+}
+
+// applyB is ApplyB over a bare binding slice.
+func (bs bindings) applyB(b *governor.Budget, t Type) Type {
+	if t == nil || len(bs) == 0 {
 		return t
 	}
 	b.Charge(1)
 	b.Enter()
-	out := s.applyWalk(b, t)
+	out := bs.applyWalk(b, t)
 	b.Exit()
 	return out
 }
 
-func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
+func (bs bindings) applyWalk(b *governor.Budget, t Type) Type {
 	switch tt := t.(type) {
 	case *Parameter:
-		if i := s.index(tt); i >= 0 {
-			return s.binds[i].t
+		if i := bs.index(tt); i >= 0 {
+			return bs[i].t
 		}
 		return tt
 	case *App:
 		// Copy the application only once an argument changes.
 		var out *App
 		for i, a := range tt.Args {
-			na := s.ApplyB(b, a)
+			na := bs.applyB(b, a)
 			if out == nil {
 				if na == a {
 					continue
@@ -149,7 +180,7 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 		}
 		return out
 	case *Projection:
-		nb := s.ApplyB(b, tt.Bound)
+		nb := bs.applyB(b, tt.Bound)
 		if nb == tt.Bound {
 			return tt
 		}
@@ -157,13 +188,13 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	case *Func:
 		params := make([]Type, len(tt.Params))
 		for i, p := range tt.Params {
-			params[i] = s.ApplyB(b, p)
+			params[i] = bs.applyB(b, p)
 		}
-		return &Func{Params: params, Ret: s.ApplyB(b, tt.Ret)}
+		return &Func{Params: params, Ret: bs.applyB(b, tt.Ret)}
 	case *Intersection:
 		ms := make([]Type, len(tt.Members))
 		for i, m := range tt.Members {
-			ms[i] = s.ApplyB(b, m)
+			ms[i] = bs.applyB(b, m)
 		}
 		return &Intersection{Members: ms}
 	case *Constructor:
@@ -172,14 +203,14 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 		if tt.Super == nil {
 			return tt
 		}
-		inner := s.without(tt.Params)
-		if len(inner.binds) == 0 {
+		inner := bs.without(tt.Params)
+		if len(inner) == 0 {
 			return tt
 		}
 		return &Constructor{
 			TypeName: tt.TypeName,
 			Params:   tt.Params,
-			Super:    inner.ApplyB(b, tt.Super),
+			Super:    inner.applyB(b, tt.Super),
 			Final:    tt.Final,
 		}
 	default:
@@ -209,9 +240,9 @@ func newApp(c *Constructor, args []Type) *App {
 	return &App{Ctor: c, Args: append([]Type(nil), args...)}
 }
 
-// without returns s minus the bindings of the given parameters: s itself
-// when none of them is bound, otherwise a filtered copy.
-func (s *Substitution) without(params []*Parameter) *Substitution {
+// without returns bs minus the bindings of the given parameters: bs
+// itself when none of them is bound, otherwise a filtered copy.
+func (bs bindings) without(params []*Parameter) bindings {
 	shadows := func(p *Parameter) bool {
 		for _, q := range params {
 			if q.SameAs(p) {
@@ -221,24 +252,23 @@ func (s *Substitution) without(params []*Parameter) *Substitution {
 		return false
 	}
 	i := 0
-	for i < len(s.binds) && !shadows(s.binds[i].p) {
+	for i < len(bs) && !shadows(bs[i].p) {
 		i++
 	}
-	if i == len(s.binds) {
-		return s
+	if i == len(bs) {
+		return bs
 	}
-	out := NewSubstitution()
-	out.binds = append(out.binds, s.binds[:i]...)
-	for _, bd := range s.binds[i+1:] {
+	out := append(make(bindings, 0, len(bs)-1), bs[:i]...)
+	for _, bd := range bs[i+1:] {
 		if !shadows(bd.p) {
-			out.binds = append(out.binds, bd)
+			out = append(out, bd)
 		}
 	}
 	return out
 }
 
 func (s *Substitution) String() string {
-	parts := make([]string, 0, len(s.binds))
+	parts := make([]string, 0, s.Len())
 	for _, p := range s.Domain() {
 		t, _ := s.Lookup(p)
 		parts = append(parts, p.ID()+" ↦ "+t.String())

@@ -40,8 +40,8 @@ func SupertypeB(b *governor.Budget, t Type) Type {
 			return Top{}
 		}
 		// S((Λα.t)t̄): the constructor's supertype with the arguments
-		// substituted for its parameters.
-		sigma := NewSubstitution()
+		// substituted for its parameters, bound on the stack.
+		var sigma Substitution
 		for i, p := range tt.Ctor.Params {
 			sigma.Bind(p, tt.Args[i])
 		}

@@ -24,9 +24,16 @@ func Unify(t1, t2 Type) *Substitution { return UnifyB(nil, t1, t2) }
 
 // UnifyB is Unify metered by a governor budget (nil = unmetered).
 func UnifyB(b *governor.Budget, t1, t2 Type) *Substitution {
-	sigma := NewSubstitution()
-	if unifyInto(b, t1, t2, sigma, true) && groundVerified(b, sigma, t1, t2) {
-		return sigma
+	return unify(b, t1, t2, true)
+}
+
+// unify binds into a stack-held substitution and copies it to the heap
+// only on success, so a failed unification allocates nothing for its
+// bindings.
+func unify(b *governor.Budget, t1, t2 Type, checkBounds bool) *Substitution {
+	var sigma Substitution
+	if unifyInto(b, t1, t2, &sigma, checkBounds) && groundVerified(b, &sigma, t1, t2) {
+		return sigma.Clone()
 	}
 	return nil
 }
@@ -52,11 +59,7 @@ func UnifyUnchecked(t1, t2 Type) *Substitution { return UnifyUncheckedB(nil, t1,
 
 // UnifyUncheckedB is UnifyUnchecked metered by a governor budget.
 func UnifyUncheckedB(b *governor.Budget, t1, t2 Type) *Substitution {
-	sigma := NewSubstitution()
-	if unifyInto(b, t1, t2, sigma, false) && groundVerified(b, sigma, t1, t2) {
-		return sigma
-	}
-	return nil
+	return unify(b, t1, t2, false)
 }
 
 func unifyInto(b *governor.Budget, t1, t2 Type, sigma *Substitution, checkBounds bool) bool {
