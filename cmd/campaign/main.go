@@ -41,11 +41,19 @@
 // same bytes the fuzzing server's report endpoint serves — so CI can
 // diff an in-process run against an HTTP-fetched one.
 //
+// -shards N runs the campaign figures sharded across fabric workers,
+// spawned from -worker-bin or attached with -fabric-workers; the merged
+// report is byte-identical to the single-process run.
+//
 // The coverage figures (9, 10, synth) run their own pipelines over
 // -covn programs and read only -seed, -workers, -stats, -debug-addr and,
 // for synth, -synth-corpus; the campaign figures (7a–8) read every flag
-// but -covn. A flag the chosen figure does not read is an error, not
-// silently ignored.
+// but -covn, split by -shards: without it no fabric flag is read; with
+// it -state, -resume, -snapshot-every, -heartbeat and (except under
+// -fig all, whose coverage figures read it) -stats are not; and with
+// -fabric-workers the spawn flags -worker-bin, -fabric-procs and
+// -fabric-chaos are not. A flag the chosen run does not read is an
+// error, not silently ignored.
 package main
 
 import (
@@ -81,7 +89,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -fig %q (want 7a, 7b, 7c, 8, 9, 10, synth or all)\n", *fig)
 		os.Exit(2)
 	}
-	if unread := cli.UnreadFlags(flag.CommandLine, func(name string) bool { return readsFlag(*fig, name) }); len(unread) > 0 {
+	if unread := cli.UnreadFlags(flag.CommandLine, func(name string) bool { return readsFlag(*fig, name, cfg) }); len(unread) > 0 {
 		fmt.Fprintf(os.Stderr, "campaign -fig %s does not read %s\n", *fig, strings.Join(unread, " "))
 		os.Exit(2)
 	}
@@ -138,7 +146,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("found %d distinct bugs (TEM repairs: %d)\n\n", report.TotalFound(), report.TEMRepairs)
-		printDifferential(report)
+		cli.PrintDifferential(os.Stdout, report)
 		if report.Faults.Faults() {
 			fmt.Println(report.Faults)
 		}
@@ -227,13 +235,16 @@ func main() {
 // figures lists the -fig values.
 var figures = map[string]bool{"7a": true, "7b": true, "7c": true, "8": true, "9": true, "10": true, "synth": true, "all": true}
 
-// readsFlag reports whether figure fig reads the named flag: -fig all
-// reads everything, the campaign figures everything but -covn, and the
-// coverage figures only the flags their pipelines take.
-func readsFlag(fig, name string) bool {
+// readsFlag reports whether a run of figure fig under cfg reads the
+// named flag. The coverage figures read only the flags their pipelines
+// take. The campaign figures read everything but -covn (-fig all reads
+// -covn too), split by -shards: a single-process campaign reads no
+// fabric flag; a sharded one reads none of the single-process
+// durability and progress flags (the workers journal on their own, and
+// the coordinator prints no stage table); and one attached to running
+// workers with -fabric-workers reads none of the spawn flags.
+func readsFlag(fig, name string, cfg *cli.Config) bool {
 	switch fig {
-	case "all":
-		return true
 	case "9", "10", "synth":
 		switch name {
 		case "fig", "covn", "seed", "workers", "stats", "debug-addr":
@@ -243,7 +254,21 @@ func readsFlag(fig, name string) bool {
 		}
 		return false
 	}
-	return name != "covn"
+	if name == "covn" && fig != "all" {
+		return false
+	}
+	sharded := cfg.Shards > 0
+	switch name {
+	case "worker-bin", "fabric-procs", "fabric-chaos":
+		return sharded && cfg.FabricWorkers == ""
+	case "fabric-state", "fabric-workers", "fabric-timeout":
+		return sharded
+	case "state", "resume", "snapshot-every", "heartbeat":
+		return !sharded
+	case "stats":
+		return !sharded || fig == "all"
+	}
+	return true
 }
 
 // runFabric runs the campaign sharded across fabric workers — spawned
@@ -287,7 +312,6 @@ func runFabric(ctx context.Context, cfg *cli.Config, obs *cli.Observability, rep
 				Seed:        cfg.Seed,
 				KillRate:    cfg.FabricChaos,
 				StallRate:   cfg.FabricChaos,
-				SlowRate:    cfg.FabricChaos,
 				CorruptRate: cfg.FabricChaos,
 			}
 		}
@@ -336,26 +360,11 @@ func runFabric(ctx context.Context, cfg *cli.Config, obs *cli.Observability, rep
 		os.Exit(1)
 	}
 	fmt.Printf("found %d distinct bugs (TEM repairs: %d)\n\n", report.TotalFound(), report.TEMRepairs)
-	printDifferential(report)
+	cli.PrintDifferential(os.Stdout, report)
 	if report.Faults.Faults() {
 		fmt.Println(report.Faults)
 	}
 	return report
-}
-
-// printDifferential renders the differential oracle's findings — the
-// distinct-disagreement summary and the cross-compiler conflict
-// matrix; a no-op under the ground-truth oracle. CI's differential
-// smoke greps the summary line.
-func printDifferential(report *campaign.Report) {
-	if report.Opts.Oracle != campaign.Differential {
-		return
-	}
-	fmt.Printf("differential oracle: %d distinct disagreements\n\n", len(report.Disagreements))
-	if len(report.Disagreements) > 0 {
-		fmt.Println(report.DiffSummary())
-		fmt.Println(report.DiffPairs())
-	}
 }
 
 // writeReportDoc writes the deterministic report document, encoded

@@ -25,6 +25,7 @@ func TestMain(m *testing.M) {
 func TestFiguresRejectUnreadFlags(t *testing.T) {
 	dir := t.TempDir()
 	state, reportJSON := filepath.Join(dir, "state"), filepath.Join(dir, "report.json")
+	fabricState := filepath.Join(dir, "fabric-state")
 	for _, tc := range []struct {
 		args   []string
 		unread []string // nil: the command must succeed
@@ -37,6 +38,19 @@ func TestFiguresRejectUnreadFlags(t *testing.T) {
 		{[]string{"-fig", "7c", "-covn", "5"}, []string{"-covn"}},
 		{[]string{"-fig", "8", "-n", "4", "-covn", "5"}, []string{"-covn"}},
 		{[]string{"-fig", "7", "-n", "4"}, []string{"-fig"}},
+		// Fabric flags need -shards; a sharded run reads none of the
+		// single-process durability and progress flags; attached
+		// workers (-fabric-workers) read none of the spawn flags.
+		{[]string{"-fig", "7a", "-n", "4", "-worker-bin", "/nonexistent", "-fabric-procs", "3"},
+			[]string{"-worker-bin", "-fabric-procs"}},
+		{[]string{"-fig", "all", "-n", "4", "-fabric-state", fabricState, "-fabric-timeout", "1s", "-fabric-chaos", "0.1"},
+			[]string{"-fabric-state", "-fabric-timeout", "-fabric-chaos"}},
+		{[]string{"-fig", "7c", "-n", "4", "-shards", "2", "-worker-bin", "/nonexistent",
+			"-state", state, "-resume", "-snapshot-every", "4", "-heartbeat", "1s", "-stats"},
+			[]string{"-state", "-resume", "-snapshot-every", "-heartbeat", "-stats"}},
+		{[]string{"-fig", "8", "-n", "4", "-shards", "2", "-fabric-workers", "127.0.0.1:1",
+			"-worker-bin", "/nonexistent", "-fabric-procs", "3", "-fabric-chaos", "0.1"},
+			[]string{"-worker-bin", "-fabric-procs", "-fabric-chaos"}},
 		{[]string{"-fig", "9", "-covn", "2", "-seed", "3", "-workers", "1", "-stats"}, nil},
 		{[]string{"-fig", "7c", "-n", "4", "-workers", "1"}, nil},
 	} {
@@ -63,7 +77,7 @@ func TestFiguresRejectUnreadFlags(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range []string{state, reportJSON} {
+	for _, p := range []string{state, reportJSON, fabricState} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("a rejected flag created %s", p)
 		}

@@ -230,7 +230,7 @@ func fuzz(cfg *cli.Config, opts campaign.Options) {
 		findings := report.Findings()
 		fmt.Fprintf(os.Stderr, "partial report: %d distinct bugs before the abort\n", len(findings))
 		printFindings(findings)
-		printDifferential(report)
+		cli.PrintDifferential(os.Stdout, report)
 		fmt.Println(report.Figure7c().String())
 		if report.Faults.Faults() {
 			fmt.Println(report.Faults)
@@ -249,7 +249,7 @@ func fuzz(cfg *cli.Config, opts campaign.Options) {
 		cfg.Programs, len(findings))
 	printFindings(findings)
 	fmt.Println()
-	printDifferential(report)
+	cli.PrintDifferential(os.Stdout, report)
 	fmt.Println(report.Figure7c().String())
 	if report.Faults.Faults() {
 		fmt.Println(report.Faults)
@@ -286,18 +286,4 @@ func emit(p *ir.Program, lang string) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: hephaestus <generate|mutate|translate|fuzz|reduce|typegraph> [flags]`)
-}
-
-// printDifferential renders the differential oracle's findings when
-// that mode is active: the distinct-disagreement summary and the
-// cross-compiler conflict matrix.
-func printDifferential(report *campaign.Report) {
-	if report.Opts.Oracle != campaign.Differential {
-		return
-	}
-	fmt.Printf("differential oracle: %d distinct disagreements\n\n", len(report.Disagreements))
-	if len(report.Disagreements) > 0 {
-		fmt.Println(report.DiffSummary())
-		fmt.Println(report.DiffPairs())
-	}
 }

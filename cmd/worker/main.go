@@ -4,8 +4,7 @@
 // and journal stack — shipping the shard journal back for merge.
 //
 //	worker -addr 127.0.0.1:0 [-dir DIR] [-name NAME] [-debug-addr ADDR]
-//	       [-chaos-seed N -chaos-kill R -chaos-stall R -chaos-slow R
-//	        -chaos-slow-delay DUR -chaos-corrupt R]
+//	       [-chaos-seed N -chaos-kill R -chaos-stall R -chaos-corrupt R]
 //
 // On startup it prints one announce line the spawner and CI parse:
 //
@@ -13,10 +12,9 @@
 //
 // The chaos flags extend the campaign chaos injector to process
 // granularity for soak testing: kill makes a drawn lease SIGKILL the
-// whole process mid-shard, stall hangs its heartbeats, slow delays
-// every unit admission (a straggler), and corrupt flips a byte in the
-// shipped journal. Decisions are seeded per (shard, attempt), so a
-// soak run is reproducible.
+// whole process mid-shard, stall hangs its heartbeats, and corrupt
+// flips a byte in the shipped journal. Decisions are seeded per
+// (shard, attempt), so a soak run is reproducible.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -42,8 +39,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for worker-level chaos decisions")
 	chaosKill := flag.Float64("chaos-kill", 0, "probability a lease SIGKILLs this worker mid-shard")
 	chaosStall := flag.Float64("chaos-stall", 0, "probability a lease's heartbeats stall")
-	chaosSlow := flag.Float64("chaos-slow", 0, "probability a lease runs slow (straggler)")
-	chaosSlowDelay := flag.Duration("chaos-slow-delay", 20*time.Millisecond, "per-unit delay of a slow lease")
 	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "probability a shipped journal has a byte flipped")
 	flag.Parse()
 
@@ -61,13 +56,11 @@ func main() {
 	}
 
 	var chaos *fabric.ChaosOptions
-	if *chaosKill > 0 || *chaosStall > 0 || *chaosSlow > 0 || *chaosCorrupt > 0 {
+	if *chaosKill > 0 || *chaosStall > 0 || *chaosCorrupt > 0 {
 		chaos = &fabric.ChaosOptions{
 			Seed:        *chaosSeed,
 			KillRate:    *chaosKill,
 			StallRate:   *chaosStall,
-			SlowRate:    *chaosSlow,
-			SlowDelay:   *chaosSlowDelay,
 			CorruptRate: *chaosCorrupt,
 		}
 	}

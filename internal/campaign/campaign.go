@@ -271,18 +271,6 @@ type Report struct {
 // the run was cut short.
 func (r *Report) Complete() bool { return r.Err == nil }
 
-// FoundFor returns the found-bug records for one compiler, ordered by ID.
-func (r *Report) FoundFor(compiler string) []*BugRecord {
-	var out []*BugRecord
-	for _, rec := range r.Found {
-		if rec.Bug.Compiler == compiler {
-			out = append(out, rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bug.ID < out[j].Bug.ID })
-	return out
-}
-
 // TotalFound returns the number of distinct bugs found.
 func (r *Report) TotalFound() int { return len(r.Found) }
 

@@ -14,10 +14,13 @@ import (
 // flaky verdicts (double-compile probe). The breaker stays disabled
 // here — quarantine depends on failure arrival order, and this test's
 // contract is a bit-for-bit deterministic report across worker counts.
+// The watchdog sits far above any real compile, so a starved compile on
+// a loaded machine never turns into a timeout the other run lacks;
+// injected hangs still end TimedOut, at once.
 func chaosSoakOptions(programs int) Options {
 	o := smallOptions(programs)
 	o.Harness = harness.Options{
-		Timeout:       250 * time.Millisecond,
+		Timeout:       10 * time.Second,
 		Retries:       2,
 		BackoffBase:   time.Microsecond,
 		Seed:          1,
@@ -29,7 +32,7 @@ func chaosSoakOptions(programs int) Options {
 		HangRate:      0.10,
 		TransientRate: 0.10,
 		FlakyRate:     0.10,
-		HangDuration:  30 * time.Second, // far beyond the watchdog: every hang must time out
+		HangDuration:  30 * time.Second, // beyond the watchdog: every hang must time out
 	}
 	return o
 }
@@ -105,7 +108,7 @@ func TestChaosBreakerQuarantinesAndRecordsGaps(t *testing.T) {
 		o := smallOptions(10)
 		o.Workers = 1
 		o.Harness = harness.Options{
-			Timeout:          250 * time.Millisecond,
+			Timeout:          10 * time.Second,
 			Seed:             1,
 			BreakerThreshold: 2,
 			BreakerCooldown:  3,

@@ -142,24 +142,13 @@ func TestDurableKillResumeDeterminism(t *testing.T) {
 	}
 }
 
-// durableChaosOptions widens the chaos soak's watchdog margin: the
-// kill/resume soak journals whatever outcome the watchdog saw, so a
-// real compile starved past a tight deadline on a loaded machine would
-// persist a timeout the golden run never had. Only the injected 30s
-// hangs should be able to expire a 2s watchdog.
-func durableChaosOptions(programs int) Options {
-	o := chaosSoakOptions(programs)
-	o.Harness.Timeout = 2 * time.Second
-	return o
-}
-
 func TestDurableChaosKillResumeSoak(t *testing.T) {
-	golden := Run(durableChaosOptions(12))
+	golden := Run(chaosSoakOptions(12))
 	if golden.Err != nil {
 		t.Fatal(golden.Err)
 	}
 	for _, workers := range []int{1, 8} {
-		o := durableChaosOptions(12)
+		o := chaosSoakOptions(12)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
 		o.SnapshotEvery = 3

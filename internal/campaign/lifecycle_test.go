@@ -85,12 +85,12 @@ func TestLifecyclePauseResumeDeterminism(t *testing.T) {
 }
 
 func TestLifecyclePauseResumeUnderChaos(t *testing.T) {
-	golden := Run(durableChaosOptions(12))
+	golden := Run(chaosSoakOptions(12))
 	if golden.Err != nil {
 		t.Fatal(golden.Err)
 	}
 	for _, workers := range []int{1, 8} {
-		o := durableChaosOptions(12)
+		o := chaosSoakOptions(12)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
 		o.SnapshotEvery = 3

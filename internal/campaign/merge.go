@@ -6,9 +6,9 @@
 // remapping shard-local Seq by the shard's offset. Because the fold is
 // commutative and the Merger dedups per global seq, shards can arrive
 // in any order, a reassigned shard can replay records its dead
-// predecessor already shipped, and a speculative re-execution can race
-// the straggler it hedges — the first fold of each unit wins and every
-// later copy is a no-op. The merged report is therefore byte-identical
+// predecessor already shipped, and a re-run after an incomplete
+// shipment can re-ship the units the salvaged part already folded — the
+// first fold of each unit wins and every later copy is a no-op. The merged report is therefore byte-identical
 // to an uninterrupted single-process run of the global options.
 
 package campaign
@@ -47,7 +47,7 @@ func NewMerger(opts Options) *Merger {
 // FoldRecord folds one shipped journal record whose shard-local Seq is
 // offset by seqOffset (the shard's global lower bound). Returns false
 // with a nil error for a duplicate — a unit already folded from an
-// earlier attempt, a reassignment, or a speculative twin — which is the
+// earlier attempt of the same shard — which is the
 // dedup that makes re-execution idempotent. A record that decodes but
 // describes a unit outside the campaign, or whose seed disagrees with
 // its remapped seq, is corrupt-by-content: the frame checksum passed

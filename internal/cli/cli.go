@@ -133,8 +133,12 @@ type Config struct {
 	WorkerBin     string        `json:"-"`
 	FabricProcs   int           `json:"-"`
 	FabricWorkers string        `json:"-"`
-	FabricChaos   float64       `json:"-"`
 	FabricTimeout time.Duration `json:"-"`
+	// FabricChaos is the worker-level fault rate of spawned workers:
+	// each lease draws kill, stall and corrupt-shipment faults at this
+	// rate, keyed by (shard, attempt). Scheduling-only: the merged
+	// report does not move.
+	FabricChaos float64 `json:"-"`
 }
 
 // NewConfig returns the defaults both CLIs and the server share:
@@ -195,7 +199,7 @@ func (c *Config) RegisterFabricFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.WorkerBin, "worker-bin", c.WorkerBin, "cmd/worker binary to spawn local workers from")
 	fs.IntVar(&c.FabricProcs, "fabric-procs", c.FabricProcs, "worker processes to spawn (0 = one per shard, capped at 8)")
 	fs.StringVar(&c.FabricWorkers, "fabric-workers", c.FabricWorkers, "attach these running workers (comma-separated http addresses) instead of spawning")
-	fs.Float64Var(&c.FabricChaos, "fabric-chaos", c.FabricChaos, "worker-level fault rate for spawned workers: kill, stall, slow, corrupt shipment (0 disables)")
+	fs.Float64Var(&c.FabricChaos, "fabric-chaos", c.FabricChaos, "worker-level fault rate for spawned workers: kill, stall, corrupt shipment (0 disables)")
 	fs.DurationVar(&c.FabricTimeout, "fabric-timeout", c.FabricTimeout, "per-call coordinator→worker budget (0 = 3s)")
 }
 
@@ -382,6 +386,21 @@ func (c *Config) StartObservability(w io.Writer) (*Observability, error) {
 		fmt.Fprintf(w, "debug server listening on http://%s\n", srv.Addr())
 	}
 	return obs, nil
+}
+
+// PrintDifferential renders the differential oracle's findings on w —
+// the distinct-disagreement summary and the cross-compiler conflict
+// matrix; a no-op under the ground-truth oracle. CI's differential
+// smoke greps the summary line.
+func PrintDifferential(w io.Writer, report *campaign.Report) {
+	if report.Opts.Oracle != campaign.Differential {
+		return
+	}
+	fmt.Fprintf(w, "differential oracle: %d distinct disagreements\n\n", len(report.Disagreements))
+	if len(report.Disagreements) > 0 {
+		fmt.Fprintln(w, report.DiffSummary())
+		fmt.Fprintln(w, report.DiffPairs())
+	}
 }
 
 // Close shuts down the debug server, if one is running.

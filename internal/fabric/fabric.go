@@ -8,22 +8,19 @@
 // pipeline+harness+journal stack, ships the shard journals back, and
 // folds every record through campaign.Merger, which dedups per global
 // seq. Re-executing a shard (because its worker died, stalled, or
-// straggled) can therefore never double-count and never diverge: the
-// first fold of each unit wins, and every copy of a unit's record is
-// bit-for-bit the same bytes.
+// shipped an incomplete journal) can therefore never double-count and
+// never diverge: the first fold of each unit wins, and every copy of a
+// unit's record is bit-for-bit the same bytes.
 //
 // The robustness layer:
 //
-//   - leases with heartbeats: every shard attempt is polled on a fixed
-//     cadence; HeartbeatMisses consecutive failed polls declare the
-//     worker dead and the shard is reassigned;
+//   - one lease per shard: a shard has at most one attempt running at
+//     a time, polled on a fixed cadence; HeartbeatMisses consecutive
+//     failed polls declare the worker dead and the shard is reassigned;
 //   - bounded retries with backoff: each shard gets MaxAttempts lease
 //     attempts, exponentially backed off, and each worker sits behind a
 //     harness.Breaker at worker granularity — a worker that keeps
 //     failing leases is quarantined exactly like a crashing compiler;
-//   - straggler speculation: an attempt running past a multiple of the
-//     median completed-attempt latency gets a duplicate attempt on an
-//     idle worker; first result wins, the loser is cancelled;
 //   - graceful degradation: a shard that exhausts its attempts is
 //     abandoned — the run ends with a partial report (Complete() ==
 //     false), a fault ledger naming the abandoned shards, and never a
@@ -34,7 +31,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,22 +58,15 @@ type Options struct {
 	HeartbeatMisses int
 	// CallTimeout bounds each coordinator→worker HTTP call; 0 means 3s.
 	CallTimeout time.Duration
-	// MaxAttempts bounds granted lease attempts per shard (first run,
-	// reassignments, and speculative twins all count). Refusals — a
-	// lease the worker never accepted, so no work was lost — draw from
-	// a separate budget of MaxAttempts × len(Workers), so one dead idle
-	// worker cannot absorb a shard's whole retry budget. 0 means 5.
+	// MaxAttempts bounds granted lease attempts per shard (the first
+	// run and every reassignment count). Refusals — a lease the worker
+	// never accepted, so no work was lost — draw from a separate budget
+	// of MaxAttempts × len(Workers), so one dead idle worker cannot
+	// absorb a shard's whole retry budget. 0 means 5.
 	MaxAttempts int
 	// RetryBackoff is the base delay before a shard's next attempt
 	// after a failure, doubling per attempt, capped at 2s; 0 means 50ms.
 	RetryBackoff time.Duration
-	// SpeculateAfter is the straggler threshold: an attempt running
-	// longer than SpeculateAfter × the median completed-attempt
-	// duration gets a speculative twin. 0 means 3.
-	SpeculateAfter float64
-	// SpeculateMin floors the straggler threshold, so short campaigns
-	// do not speculate on noise; 0 means 2s.
-	SpeculateMin time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// worker's breaker (quarantining it for 2× the threshold in skipped
 	// dispatch considerations, harness semantics); 0 means 3.
@@ -95,7 +84,7 @@ type Options struct {
 // Result is a sharded campaign's outcome: the merged report plus the
 // fabric's own fault ledger. Report.Faults stays the harness ledger —
 // deterministic, byte-comparable — while Result.Faults audits the
-// distribution layer (deaths, reassignments, speculation), which by
+// distribution layer (deaths, refusals, reassignments), which by
 // construction never leaks into the report.
 type Result struct {
 	Report *campaign.Report
@@ -105,14 +94,12 @@ type Result struct {
 // shard is one contiguous partition of the global unit space.
 type shard struct {
 	index, lo, hi int
-	attempts      int // lease attempts granted (refusals roll back)
-	refused       int // lease grants that never happened (worker unreachable/busy)
-	running       int // attempts currently active
+	attempts      int  // lease attempts granted (refusals roll back)
+	refused       int  // lease grants that never happened (worker unreachable/busy)
+	running       bool // its one lease attempt is active
 	done          bool
 	failed        bool
-	notBefore     time.Time         // retry backoff gate
-	startedAt     time.Time         // earliest active attempt's start (speculation clock)
-	cancels       map[string]func() // leaseID → best-effort worker-side cancel
+	notBefore     time.Time // retry backoff gate
 }
 
 // workerRef is one worker plus its scheduling state.
@@ -134,9 +121,6 @@ type coordinator struct {
 	shards  []*shard
 	workers []*workerRef
 	wake    chan struct{}
-	// durations holds completed-attempt latencies — the speculation
-	// baseline. Guarded by mu.
-	durations []time.Duration
 
 	corruptObs func(journal.Corruption)
 
@@ -147,8 +131,6 @@ type coordinator struct {
 	cDeaths     *metrics.Counter
 	cRefusals   *metrics.Counter
 	cReassign   *metrics.Counter
-	cSpeculate  *metrics.Counter
-	cSpecWins   *metrics.Counter
 	cCorrupt    *metrics.Counter
 }
 
@@ -194,12 +176,6 @@ func newCoordinator(opts Options) (*coordinator, error) {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 50 * time.Millisecond
 	}
-	if opts.SpeculateAfter <= 0 {
-		opts.SpeculateAfter = 3
-	}
-	if opts.SpeculateMin <= 0 {
-		opts.SpeculateMin = 2 * time.Second
-	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 3
 	}
@@ -228,8 +204,6 @@ func newCoordinator(opts Options) (*coordinator, error) {
 		cDeaths:     opts.Metrics.Counter("fabric.worker_deaths"),
 		cRefusals:   opts.Metrics.Counter("fabric.lease_refusals"),
 		cReassign:   opts.Metrics.Counter("fabric.reassignments"),
-		cSpeculate:  opts.Metrics.Counter("fabric.speculative_launches"),
-		cSpecWins:   opts.Metrics.Counter("fabric.speculative_wins"),
 		cCorrupt:    opts.Metrics.Counter("fabric.corrupt_shipped_records"),
 	}
 	opts.Metrics.Gauge("fabric.shards").Set(int64(opts.Shards))
@@ -244,7 +218,7 @@ func newCoordinator(opts Options) (*coordinator, error) {
 		if i < rem {
 			n++
 		}
-		c.shards = append(c.shards, &shard{index: i, lo: lo, hi: lo + n, cancels: map[string]func(){}})
+		c.shards = append(c.shards, &shard{index: i, lo: lo, hi: lo + n})
 		lo += n
 	}
 	for _, w := range opts.Workers {
@@ -297,7 +271,7 @@ func (c *coordinator) settled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, sh := range c.shards {
-		if sh.running > 0 || (!sh.done && !sh.failed) {
+		if sh.running || (!sh.done && !sh.failed) {
 			return false
 		}
 	}
@@ -313,8 +287,9 @@ func (c *coordinator) abort() {
 		c.mu.Lock()
 		active := 0
 		for _, sh := range c.shards {
-			active += sh.running
-			if !sh.done && sh.running == 0 && !sh.failed {
+			if sh.running {
+				active++
+			} else if !sh.done && !sh.failed {
 				sh.failed = true
 			}
 		}
@@ -329,8 +304,10 @@ func (c *coordinator) abort() {
 	}
 }
 
-// dispatch matches runnable shards (fresh, retries past their backoff,
-// and stragglers worth hedging) with available workers.
+// dispatch matches runnable shards — fresh ones, and retries past their
+// backoff — with available workers. A shard whose lease is still
+// running is never leased again: a slow attempt is waited out, and a
+// dead one is detected by its missed heartbeats.
 func (c *coordinator) dispatch(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
@@ -342,7 +319,7 @@ func (c *coordinator) dispatch(ctx context.Context) {
 	// Degradation first: a shard with no budget left and nothing in
 	// flight is abandoned.
 	for _, sh := range c.shards {
-		if !sh.done && !sh.failed && sh.running == 0 && c.exhaustedLocked(sh) {
+		if !sh.done && !sh.failed && !sh.running && c.exhaustedLocked(sh) {
 			sh.failed = true
 			c.ledger.Degraded(sh.index)
 			c.mShardsLost.Add(1)
@@ -350,32 +327,15 @@ func (c *coordinator) dispatch(ctx context.Context) {
 		}
 	}
 
-	// Primary assignments: shards with nothing running.
 	for _, sh := range c.shards {
-		if sh.done || sh.failed || sh.running > 0 || c.exhaustedLocked(sh) || now.Before(sh.notBefore) {
+		if sh.done || sh.failed || sh.running || c.exhaustedLocked(sh) || now.Before(sh.notBefore) {
 			continue
 		}
 		w := c.takeWorkerLocked()
 		if w == nil {
 			return // no capacity; later wake/tick retries
 		}
-		c.launchLocked(ctx, w, sh, false)
-	}
-
-	// Speculation: hedge stragglers onto leftover idle workers.
-	threshold := c.speculateThresholdLocked()
-	for _, sh := range c.shards {
-		if sh.done || sh.failed || sh.running != 1 || c.exhaustedLocked(sh) {
-			continue
-		}
-		if now.Sub(sh.startedAt) < threshold {
-			continue
-		}
-		w := c.takeWorkerLocked()
-		if w == nil {
-			return
-		}
-		c.launchLocked(ctx, w, sh, true)
+		c.launchLocked(ctx, w, sh)
 	}
 }
 
@@ -408,45 +368,18 @@ func (c *coordinator) takeWorkerLocked() *workerRef {
 	return nil
 }
 
-// speculateThresholdLocked is the straggler bar: SpeculateAfter × the
-// median completed-attempt duration, floored at SpeculateMin.
-func (c *coordinator) speculateThresholdLocked() time.Duration {
-	if len(c.durations) == 0 {
-		return maxDuration(c.opts.SpeculateMin, 365*24*time.Hour) // no baseline yet: never
-	}
-	ds := append([]time.Duration(nil), c.durations...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	med := ds[len(ds)/2]
-	t := time.Duration(float64(med) * c.opts.SpeculateAfter)
-	return maxDuration(t, c.opts.SpeculateMin)
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // launchLocked starts one lease attempt; c.mu held.
-func (c *coordinator) launchLocked(ctx context.Context, w *workerRef, sh *shard, speculative bool) {
+func (c *coordinator) launchLocked(ctx context.Context, w *workerRef, sh *shard) {
 	attempt := sh.attempts
 	sh.attempts++
-	sh.running++
-	if sh.running == 1 {
-		sh.startedAt = time.Now()
-	}
+	sh.running = true
 	c.mActive.Add(1)
-	reassigned := attempt > 0 && !speculative
-	c.ledger.Leased(w.client.Name(), reassigned, speculative)
+	reassigned := attempt > 0
+	c.ledger.Leased(w.client.Name(), reassigned)
 	if reassigned {
 		c.cReassign.Inc()
 	}
-	if speculative {
-		c.cSpeculate.Inc()
-		c.trace("speculating shard %d attempt %d on %s", sh.index, attempt, w.client.Name())
-	}
-	go c.runAttempt(ctx, w, sh, attempt, speculative)
+	go c.runAttempt(ctx, w, sh, attempt)
 }
 
 // attemptOutcome classifies one lease attempt.
@@ -457,15 +390,13 @@ const (
 	outcomeRefused                          // lease grant failed
 	outcomeDied                             // missed heartbeats or failed shipment
 	outcomeIncomplete                       // shipped, but units missing after merge
-	outcomeSuperseded                       // another attempt covered the shard first
 	outcomeAborted                          // coordinator context died
 )
 
 // runAttempt drives one lease end to end: grant, heartbeat, ship,
 // merge, and bookkeeping.
-func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, attempt int, speculative bool) {
+func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, attempt int) {
 	defer c.wakeup()
-	start := time.Now()
 	leaseID := fmt.Sprintf("s%03d-a%d", sh.index, attempt)
 	outcome := c.driveLease(ctx, w, sh, Lease{
 		ID: leaseID, Shard: sh.index, Lo: sh.lo, Hi: sh.hi, Attempt: attempt,
@@ -474,34 +405,20 @@ func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, a
 
 	c.mu.Lock()
 	w.busy = false
-	sh.running--
-	delete(sh.cancels, leaseID)
+	sh.running = false
 	c.mActive.Add(-1)
 	name := w.client.Name()
-	var cancelLosers []func()
 	switch outcome {
 	case outcomeCovered:
-		won := !sh.done
 		sh.done = true
 		w.breaker.Record(true)
-		c.durations = append(c.durations, time.Since(start))
-		for _, fn := range sh.cancels {
-			cancelLosers = append(cancelLosers, fn)
-		}
-		sh.cancels = map[string]func(){}
 		c.mu.Unlock()
-		c.ledger.Completed(name, won && speculative)
-		if won && speculative {
-			c.cSpecWins.Inc()
-		}
+		c.ledger.Completed(name)
 		c.mShardsDone.Add(1)
 		c.mergeMu.Lock()
 		c.mMerged.Set(int64(c.merger.Units()))
 		c.mergeMu.Unlock()
 		c.trace("shard %d merged (attempt %d on %s)", sh.index, attempt, name)
-	case outcomeSuperseded:
-		w.breaker.Record(true) // the worker did nothing wrong
-		c.mu.Unlock()
 	case outcomeRefused:
 		// The grant never happened, so the attempt number is handed
 		// back: the next granted lease reuses it, keeping executed
@@ -531,10 +448,6 @@ func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, a
 	default: // outcomeAborted
 		c.mu.Unlock()
 	}
-	// Cancel losing twins outside every lock; best-effort.
-	for _, fn := range cancelLosers {
-		go fn()
-	}
 }
 
 // backoffLocked computes the shard's next-attempt delay: base ×
@@ -561,7 +474,7 @@ func minInt(a, b int) int {
 
 // driveLease grants one lease and follows it to an outcome. Every
 // network call is bounded by CallTimeout; the poll loop is bounded by
-// heartbeat misses, shard completion, or a terminal lease state.
+// heartbeat misses or a terminal lease state.
 func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, lease Lease) attemptOutcome {
 	call := func(fn func(context.Context) error) error {
 		cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
@@ -591,28 +504,12 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 		return outcomeRefused
 	}
 
-	// Register the best-effort worker-side cancel for losing twins.
-	c.mu.Lock()
-	sh.cancels[lease.ID] = func() {
-		cctx, cancel := context.WithTimeout(context.Background(), c.opts.CallTimeout)
-		defer cancel()
-		w.client.Cancel(cctx, lease.ID) //nolint:errcheck // best-effort
-	}
-	c.mu.Unlock()
-
 	misses := 0
 	for {
 		select {
 		case <-ctx.Done():
 			return outcomeAborted
 		case <-time.After(c.opts.HeartbeatEvery):
-		}
-		c.mu.Lock()
-		superseded := sh.done
-		c.mu.Unlock()
-		if superseded {
-			call(func(cctx context.Context) error { return w.client.Cancel(cctx, lease.ID) }) //nolint:errcheck
-			return outcomeSuperseded
 		}
 		var st LeaseStatus
 		err := call(func(cctx context.Context) error {
@@ -655,12 +552,6 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 	}
 	c.mergeShard(sh, image)
 
-	c.mu.Lock()
-	superseded := sh.done
-	c.mu.Unlock()
-	if superseded {
-		return outcomeSuperseded
-	}
 	c.mergeMu.Lock()
 	missing := c.merger.Missing(sh.lo, sh.hi)
 	c.mergeMu.Unlock()

@@ -38,7 +38,6 @@ func TestFabricShardedFuelExhaustionMatchesSingleProcess(t *testing.T) {
 		HeartbeatEvery: 25 * time.Millisecond,
 		CallTimeout:    10 * time.Second,
 		RetryBackoff:   5 * time.Millisecond,
-		SpeculateMin:   time.Minute,
 	})
 	if err != nil {
 		t.Fatalf("fabric run: %v", err)

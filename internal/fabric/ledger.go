@@ -3,7 +3,7 @@
 // harness.Ledger — harness faults (crashes, timeouts, retries) are part
 // of the deterministic report and must byte-compare against a
 // single-process run, while fabric faults (worker deaths, stalls,
-// reassignments, speculation) exist only because the campaign was
+// refusals, reassignments) exist only because the campaign was
 // sharded and would break byte-equality if they leaked into the report.
 
 package fabric
@@ -53,11 +53,6 @@ type Ledger struct {
 	// Reassignments counts shard attempts launched beyond each shard's
 	// first — the re-execution traffic dead and stalled workers caused.
 	Reassignments int `json:"reassignments,omitempty"`
-	// SpeculativeLaunches counts straggler hedges: duplicate attempts
-	// launched while the original was still running. SpeculativeWins
-	// counts the hedges that finished first.
-	SpeculativeLaunches int `json:"speculative_launches,omitempty"`
-	SpeculativeWins     int `json:"speculative_wins,omitempty"`
 	// CorruptShippedRecords counts journal records quarantined while
 	// merging shipped shard journals (the units simply re-ran).
 	CorruptShippedRecords int `json:"corrupt_shipped_records,omitempty"`
@@ -80,17 +75,13 @@ func (l *Ledger) worker(name string) *WorkerRecord {
 }
 
 // Leased records a lease attempt assigned to worker name; reassigned
-// marks attempts beyond the shard's first, speculative marks straggler
-// hedges.
-func (l *Ledger) Leased(name string, reassigned, speculative bool) {
+// marks attempts beyond the shard's first.
+func (l *Ledger) Leased(name string, reassigned bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.worker(name).Leases++
 	if reassigned {
 		l.Reassignments++
-	}
-	if speculative {
-		l.SpeculativeLaunches++
 	}
 }
 
@@ -118,16 +109,12 @@ func (l *Ledger) Failed(name string) {
 	l.worker(name).Failures++
 }
 
-// Completed records a lease that ran to a fully merged shard;
-// speculativeWin marks a hedge that beat the original attempt.
-func (l *Ledger) Completed(name string, speculativeWin bool) {
+// Completed records a lease that ran to a fully merged shard.
+func (l *Ledger) Completed(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ShardsDone++
 	l.worker(name).Completed++
-	if speculativeWin {
-		l.SpeculativeWins++
-	}
 }
 
 // Corrupt records n quarantined records from one shipped journal.
@@ -160,8 +147,7 @@ func (l *Ledger) Clone() *Ledger {
 		Shards: l.Shards, ShardsDone: l.ShardsDone,
 		DegradedShards: append([]int(nil), l.DegradedShards...),
 		WorkerDeaths:   l.WorkerDeaths, LeaseRefusals: l.LeaseRefusals,
-		Reassignments:       l.Reassignments,
-		SpeculativeLaunches: l.SpeculativeLaunches, SpeculativeWins: l.SpeculativeWins,
+		Reassignments:         l.Reassignments,
 		CorruptShippedRecords: l.CorruptShippedRecords,
 		PerWorker:             map[string]*WorkerRecord{},
 	}
@@ -177,7 +163,7 @@ func (l *Ledger) Faults() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.WorkerDeaths > 0 || l.LeaseRefusals > 0 || l.Reassignments > 0 ||
-		l.SpeculativeLaunches > 0 || l.CorruptShippedRecords > 0 || len(l.DegradedShards) > 0
+		l.CorruptShippedRecords > 0 || len(l.DegradedShards) > 0
 }
 
 // String renders the ledger for CLI output.
@@ -189,9 +175,8 @@ func (l *Ledger) String() string {
 	if len(l.DegradedShards) > 0 {
 		fmt.Fprintf(&b, " (degraded: shards %v abandoned)", l.DegradedShards)
 	}
-	fmt.Fprintf(&b, "\n  worker deaths %d, lease refusals %d, reassignments %d, speculative %d (won %d), corrupt shipped records %d",
-		l.WorkerDeaths, l.LeaseRefusals, l.Reassignments,
-		l.SpeculativeLaunches, l.SpeculativeWins, l.CorruptShippedRecords)
+	fmt.Fprintf(&b, "\n  worker deaths %d, lease refusals %d, reassignments %d, corrupt shipped records %d",
+		l.WorkerDeaths, l.LeaseRefusals, l.Reassignments, l.CorruptShippedRecords)
 	names := make([]string, 0, len(l.PerWorker))
 	for name := range l.PerWorker {
 		names = append(names, name)

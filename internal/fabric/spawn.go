@@ -80,8 +80,6 @@ func SpawnWorkers(opts SpawnOptions) ([]*SpawnedWorker, func(), error) {
 				"-chaos-seed", strconv.FormatInt(opts.Chaos.Seed, 10),
 				"-chaos-kill", fmt.Sprintf("%g", opts.Chaos.KillRate),
 				"-chaos-stall", fmt.Sprintf("%g", opts.Chaos.StallRate),
-				"-chaos-slow", fmt.Sprintf("%g", opts.Chaos.SlowRate),
-				"-chaos-slow-delay", opts.Chaos.SlowDelay.String(),
 				"-chaos-corrupt", fmt.Sprintf("%g", opts.Chaos.CorruptRate),
 			)
 		}

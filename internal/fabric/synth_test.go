@@ -36,7 +36,6 @@ func TestFabricShardedSynthesisMatchesSingleProcess(t *testing.T) {
 		HeartbeatEvery: 25 * time.Millisecond,
 		CallTimeout:    10 * time.Second,
 		RetryBackoff:   5 * time.Millisecond,
-		SpeculateMin:   time.Minute,
 	})
 	if err != nil {
 		t.Fatalf("fabric run: %v", err)

@@ -16,8 +16,6 @@
 //     indistinguishable over HTTP);
 //   - stall: the lease-status endpoint hangs — heartbeats stop while
 //     the shard keeps running;
-//   - slow: every unit admission sleeps, turning the shard into a
-//     straggler for the coordinator's speculation policy;
 //   - corrupt: the shipped journal has one byte flipped, exercising
 //     the coordinator's quarantine + re-run path.
 
@@ -34,7 +32,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
@@ -86,11 +83,6 @@ type ChaosOptions struct {
 	// StallRate is the probability a lease's heartbeats stall while the
 	// shard keeps running.
 	StallRate float64 `json:"stall_rate"`
-	// SlowRate is the probability a lease runs slow (SlowDelay per
-	// unit), exercising straggler speculation.
-	SlowRate float64 `json:"slow_rate"`
-	// SlowDelay is the per-unit delay of a slow lease; 0 means 20ms.
-	SlowDelay time.Duration `json:"slow_delay"`
 	// CorruptRate is the probability a shipped journal has a byte
 	// flipped.
 	CorruptRate float64 `json:"corrupt_rate"`
@@ -98,7 +90,7 @@ type ChaosOptions struct {
 
 // Enabled reports whether any fault class can fire.
 func (o *ChaosOptions) Enabled() bool {
-	return o != nil && (o.KillRate > 0 || o.StallRate > 0 || o.SlowRate > 0 || o.CorruptRate > 0)
+	return o != nil && (o.KillRate > 0 || o.StallRate > 0 || o.CorruptRate > 0)
 }
 
 // faults is one lease's drawn fault set.
@@ -106,7 +98,6 @@ type faults struct {
 	kill      bool
 	killAfter int // units admitted before the kill fires
 	stall     bool
-	slow      time.Duration
 	corrupt   bool
 }
 
@@ -126,12 +117,6 @@ func (o *ChaosOptions) decide(shard, attempt, units int) faults {
 	}
 	if rng.Float64() < o.StallRate {
 		f.stall = true
-	}
-	if rng.Float64() < o.SlowRate {
-		f.slow = o.SlowDelay
-		if f.slow <= 0 {
-			f.slow = 20 * time.Millisecond
-		}
 	}
 	if rng.Float64() < o.CorruptRate {
 		f.corrupt = true
@@ -305,22 +290,13 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 		lr.f = w.opts.Chaos.decide(lease.Shard, lease.Attempt, opts.Programs)
 	}
 
-	// The admission gate carries the kill and slow fault classes:
-	// scheduling-only by construction, so the shard's folded records
-	// are untouched — a killed or slow lease's completed units are
-	// byte-identical to anyone else's.
+	// The admission gate carries the kill fault: scheduling-only by
+	// construction, so the shard's folded records are untouched — a
+	// killed lease's completed units are byte-identical to anyone
+	// else's.
 	admitted := 0
-	opts.Gate = func(ctx context.Context) error {
+	opts.Gate = func(context.Context) error {
 		admitted++
-		if lr.f.slow > 0 {
-			t := time.NewTimer(lr.f.slow)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-t.C:
-			}
-		}
 		if lr.f.kill && admitted > lr.f.killAfter {
 			w.die(lr)
 			return context.Canceled
@@ -447,7 +423,8 @@ func (w *Worker) handleJournal(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel stops the lease's campaign; the coordinator calls it on
-// attempts whose shard another attempt already covered.
+// leases it has given up on (a grant whose reply never arrived, a
+// worker presumed dead), so a live worker is not left running them.
 func (w *Worker) handleCancel(rw http.ResponseWriter, r *http.Request) {
 	lr := w.lookup(r.PathValue("id"))
 	if lr == nil {

@@ -153,7 +153,7 @@ func (b *Breaker) Record(ok bool) {
 			b.skipped = 0
 		}
 	default:
-		// A straggler finishing after the breaker opened; consecutive
+		// A late call finishing after the breaker opened; consecutive
 		// accounting restarts at the next probe.
 	}
 }

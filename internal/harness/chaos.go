@@ -38,8 +38,8 @@ type ChaosOptions struct {
 	// probe replica is flipped; the recorded result is untouched.
 	FlakyRate float64
 	// HangDuration bounds an injected hang for harnesses without a
-	// watchdog; 0 means 30s. Hangs are context-aware and unblock the
-	// moment the watchdog fires.
+	// watchdog; 0 means 30s. Hangs are context-aware. Under the harness
+	// watchdog an injected hang ends at once in the watchdog's verdict.
 	HangDuration time.Duration
 }
 
@@ -149,6 +149,13 @@ func (c *Chaos) Compile(ctx context.Context, p *ir.Program, cov coverage.Recorde
 		}
 		if rng.Float64() < c.opts.HangRate {
 			c.note(key.Unit, "hang", &c.hangs, func(u *InjectionCounts) { u.Hangs++ })
+			if key.watchdog {
+				// The watchdog ends every hang as TimedOut; ending it now
+				// rather than at the deadline keeps chaos verdicts off the
+				// wall clock, so a watchdog can sit far above any real
+				// compile without each injected hang costing that long.
+				return nil, context.DeadlineExceeded
+			}
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()

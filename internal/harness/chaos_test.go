@@ -233,3 +233,22 @@ func TestLedgerAddInjectedAccumulates(t *testing.T) {
 		t.Fatal("zero-count AddInjected created a ledger entry")
 	}
 }
+
+// TestChaosHangEndsAtOnceUnderWatchdog: under the harness watchdog an
+// injected hang is a TimedOut verdict without waiting the deadline out,
+// so a watchdog far above any real compile costs chaos runs nothing.
+func TestChaosHangEndsAtOnceUnderWatchdog(t *testing.T) {
+	c := NewChaos(ChaosOptions{Seed: 11, HangRate: 1, HangDuration: time.Hour}, quietTarget{})
+	h := New(Options{Timeout: time.Hour})
+	start := time.Now()
+	inv := h.Compile(context.Background(), c, nil, nil, Key{Unit: 6})
+	if inv.Outcome != TimedOut || inv.Result == nil || inv.Result.Status != compilers.TimedOut {
+		t.Fatalf("injected hang under the watchdog = %+v, want a TimedOut result", inv)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("injected hang waited %v for an hour-long watchdog", elapsed)
+	}
+	if got := c.Injected().Hangs; got != 1 {
+		t.Errorf("injected hangs = %d, want 1", got)
+	}
+}

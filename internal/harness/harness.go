@@ -96,6 +96,9 @@ type Key struct {
 	// Replica is 0 for the primary compile and 1 for the double-compile
 	// nondeterminism probe.
 	Replica int
+	// watchdog marks an invocation run under the harness watchdog. It
+	// is not part of the invocation's identity: hash ignores it.
+	watchdog bool
 }
 
 func (k Key) hash() int64 {
@@ -458,6 +461,7 @@ type oneResult struct {
 // invokeOnce performs a single sandboxed compile under the watchdog and
 // the resource governor.
 func (h *Harness) invokeOnce(ctx context.Context, t Target, p *ir.Program, cov coverage.Recorder, key Key) Invocation {
+	key.watchdog = h.opts.Timeout > 0
 	cctx := WithKey(ctx, key)
 	var cancel context.CancelFunc
 	if h.opts.Timeout > 0 {

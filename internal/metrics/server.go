@@ -21,7 +21,6 @@ import (
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
-	mux *http.ServeMux
 }
 
 // Handler returns the debug endpoints (/metrics, /events, /healthz)
@@ -64,17 +63,13 @@ func Serve(addr string, reg *Registry, trace *Trace) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	s := &Server{ln: ln, mux: mux, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return s, nil
 }
 
 // Addr returns the server's bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Mux exposes the underlying mux so callers can add endpoints (e.g. a
-// campaign-specific series view).
-func (s *Server) Mux() *http.ServeMux { return s.mux }
 
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }

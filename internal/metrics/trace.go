@@ -19,7 +19,7 @@ type Event struct {
 	Unit int64 `json:"unit,omitempty"`
 	// Kind classifies the event: "verdict", "retry", "fault", "flaky",
 	// "breaker", "chaos", "journal" (corrupt-record quarantine), or
-	// "fabric" (shard lease/reassignment/speculation activity).
+	// "fabric" (shard lease, reassignment and merge activity).
 	Kind string `json:"kind"`
 	// Stage is the pipeline stage or input kind involved, if any.
 	Stage string `json:"stage,omitempty"`

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/ir"
-	"repro/internal/types"
 )
 
 // Interesting reports whether a candidate still exhibits the behaviour
@@ -327,6 +326,3 @@ func walkShrinks(p *ir.Program, v *shrinkVisitor) {
 
 // Size is the reduction metric: total AST nodes.
 func Size(p *ir.Program) int { return ir.CountNodes(p) }
-
-// ConstOf builds the replacement constant used by body simplification.
-func ConstOf(t types.Type) ir.Expr { return &ir.Const{Type: t} }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 )
 
@@ -31,11 +32,17 @@ type manifestEntry struct {
 	State   string     `json:"state"`
 }
 
-func (s *Server) manifestPath() string { return filepath.Join(s.opts.DataDir, "manifest.json") }
-func (s *Server) corpusPath() string   { return filepath.Join(s.opts.DataDir, "corpus.json") }
+// The server's documents in DataDir.
+const (
+	manifestDoc = "manifest.json"
+	corpusDoc   = "corpus.json"
+)
 
-// saveManifestLocked writes the manifest atomically (tmp + rename).
-// Caller holds s.mu. A DataDir-less server skips persistence.
+func (s *Server) manifestPath() string { return filepath.Join(s.opts.DataDir, manifestDoc) }
+func (s *Server) corpusPath() string   { return filepath.Join(s.opts.DataDir, corpusDoc) }
+
+// saveManifestLocked writes the manifest atomically. Caller holds
+// s.mu. A DataDir-less server skips persistence.
 func (s *Server) saveManifestLocked() {
 	if s.opts.DataDir == "" {
 		return
@@ -51,7 +58,7 @@ func (s *Server) saveManifestLocked() {
 			State:   h.camp.State().String(),
 		})
 	}
-	writeFileAtomic(s.manifestPath(), m) //nolint:errcheck // best-effort; next transition rewrites
+	s.writeDoc(manifestDoc, m) //nolint:errcheck // best-effort; next transition rewrites
 }
 
 // loadManifest reads the manifest and, when resume is set, re-hosts
@@ -138,19 +145,20 @@ func (s *Server) saveCorpusLocked() {
 	if s.opts.DataDir == "" {
 		return
 	}
-	writeFileAtomic(s.corpusPath(), s.corpus) //nolint:errcheck // re-merged on next completion
+	s.writeDoc(corpusDoc, s.corpus) //nolint:errcheck // re-merged on next completion
 }
 
-// writeFileAtomic writes v as indented JSON via tmp + rename, so a
-// crash mid-write never leaves a torn document.
-func writeFileAtomic(path string, v any) error {
+// writeDoc writes v as indented JSON with a trailing newline to the
+// named document in DataDir through journal.Store.WriteDoc, so a crash
+// mid-write never leaves a torn or unsynced document.
+func (s *Server) writeDoc(name string, v any) error {
 	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
+	store, err := journal.Open(s.opts.DataDir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return store.WriteDoc(name, append(raw, '\n'))
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -731,4 +733,34 @@ func TestServerSSEClientDisconnect(t *testing.T) {
 		t.Fatalf("campaign state %q after SSE disconnect, want running or done", got)
 	}
 	waitState(t, ts, "", id, "done")
+}
+
+// TestServerDocsWriteIndentedJSON pins the bytes of the server's two
+// documents — indented JSON with a trailing newline — and that the
+// atomic write leaves no temporary file behind.
+func TestServerDocsWriteIndentedJSON(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newTestServer(t, Options{DataDir: dir})
+	s.mu.Lock()
+	s.nextID = 7
+	s.saveManifestLocked()
+	s.saveCorpusLocked()
+	s.mu.Unlock()
+
+	for name, v := range map[string]any{manifestDoc: manifest{NextID: 7}, corpusDoc: campaign.NewCorpus()} {
+		want, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Errorf("%s = %q, want %q", name, got, append(want, '\n'))
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
+	}
 }

@@ -347,15 +347,6 @@ func (x *Intersection) Equal(o Type) bool {
 
 func (*Intersection) sealed() {}
 
-// IsParameterized reports whether t is a type application or a constructor.
-func IsParameterized(t Type) bool {
-	switch t.(type) {
-	case *App, *Constructor:
-		return true
-	}
-	return false
-}
-
 // ContainsParameter reports whether the given type parameter occurs
 // anywhere inside t.
 func ContainsParameter(t Type, p *Parameter) bool {
