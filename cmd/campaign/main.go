@@ -26,16 +26,16 @@
 // counts, latency histograms, breaker states), /events (recent
 // structured events), and the standard /debug/pprof profiling handlers.
 // -heartbeat DUR prints a one-line progress summary (units/s, bugs
-// found, breaker states, journal lag) to stderr at that interval. Both
-// are observation-only: reports are bit-for-bit identical with or
-// without them.
+// found, breaker states) to stderr at that interval. Both are
+// observation-only: reports are bit-for-bit identical with or without
+// them.
 //
 // With -state DIR the campaign is durable: every aggregated unit is
-// journaled and the folded report snapshotted in DIR, so a killed run
-// resumes with -resume to exactly the report of an uninterrupted run.
-// SIGINT/SIGTERM take a final snapshot and flush the partial figures
-// before the nonzero exit. The state dir also accumulates a persistent
-// bug corpus across campaigns.
+// journaled in DIR, so a killed run resumes with -resume (journal
+// replay) to exactly the report of an uninterrupted run. SIGINT/SIGTERM
+// sync the journal and flush the partial figures before the nonzero
+// exit. The state dir also accumulates a persistent bug corpus across
+// campaigns.
 //
 // -report-json FILE writes the deterministic report document — the
 // same bytes the fuzzing server's report endpoint serves — so CI can
@@ -49,10 +49,10 @@
 // -covn programs and read only -seed, -workers, -stats, -debug-addr and,
 // for synth, -synth-corpus; the campaign figures (7a–8) read every flag
 // but -covn, split by -shards: without it no fabric flag is read; with
-// it -state, -resume, -snapshot-every, -heartbeat and (except under
-// -fig all, whose coverage figures read it) -stats are not; and with
-// -fabric-workers the spawn flags -worker-bin, -fabric-procs and
-// -fabric-chaos are not. A flag the chosen run does not read is an
+// it -state, -resume, -heartbeat and (except under -fig all, whose
+// coverage figures read it) -stats are not; and with -fabric-workers
+// the spawn flags -worker-bin, -fabric-procs and -fabric-chaos are
+// not. A flag the chosen run does not read is an
 // error, not silently ignored.
 package main
 
@@ -131,8 +131,8 @@ func main() {
 		if err != nil {
 			// The partial report is still a valid (if truncated) fold:
 			// flush the figures and stats it supports — a durable run
-			// has also just snapshotted this exact state for -resume —
-			// before signalling the incomplete run.
+			// has also just synced its journal for -resume — before
+			// signalling the incomplete run.
 			fmt.Fprintf(os.Stderr, "campaign aborted: %v\n", err)
 			if report == nil {
 				os.Exit(1)
@@ -263,7 +263,7 @@ func readsFlag(fig, name string, cfg *cli.Config) bool {
 		return sharded && cfg.FabricWorkers == ""
 	case "fabric-state", "fabric-workers", "fabric-timeout":
 		return sharded
-	case "state", "resume", "snapshot-every", "heartbeat":
+	case "state", "resume", "heartbeat":
 		return !sharded
 	case "stats":
 		return !sharded || fig == "all"
@@ -395,8 +395,7 @@ func printRecovery(r *campaign.Report) {
 	if r == nil || !r.Recovery.Resumed {
 		return
 	}
-	fmt.Printf("resumed: %d units restored (%d from snapshot prefix, %d journal records replayed)\n",
-		r.Recovery.Recovered, r.Recovery.SnapshotSeq, r.Recovery.Replayed)
+	fmt.Printf("resumed: %d units restored by journal replay\n", r.Recovery.Recovered)
 	for _, c := range r.Recovery.Quarantined {
 		fmt.Printf("  quarantined %s\n", c)
 	}

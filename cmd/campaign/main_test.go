@@ -46,8 +46,8 @@ func TestFiguresRejectUnreadFlags(t *testing.T) {
 		{[]string{"-fig", "all", "-n", "4", "-fabric-state", fabricState, "-fabric-timeout", "1s", "-fabric-chaos", "0.1"},
 			[]string{"-fabric-state", "-fabric-timeout", "-fabric-chaos"}},
 		{[]string{"-fig", "7c", "-n", "4", "-shards", "2", "-worker-bin", "/nonexistent",
-			"-state", state, "-resume", "-snapshot-every", "4", "-heartbeat", "1s", "-stats"},
-			[]string{"-state", "-resume", "-snapshot-every", "-heartbeat", "-stats"}},
+			"-state", state, "-resume", "-heartbeat", "1s", "-stats"},
+			[]string{"-state", "-resume", "-heartbeat", "-stats"}},
 		{[]string{"-fig", "8", "-n", "4", "-shards", "2", "-fabric-workers", "127.0.0.1:1",
 			"-worker-bin", "/nonexistent", "-fabric-procs", "3", "-fabric-chaos", "0.1"},
 			[]string{"-worker-bin", "-fabric-procs", "-fabric-chaos"}},

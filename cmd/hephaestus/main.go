@@ -10,7 +10,7 @@
 //	hephaestus translate [-seed N] -lang kotlin    translate to a language
 //	hephaestus fuzz      [-seed N] [-n programs] [-workers W] [-stats]
 //	                     [-compile-timeout D] [-retries R] [-chaos RATE]
-//	                     [-state DIR] [-resume] [-snapshot-every K]
+//	                     [-state DIR] [-resume]
 //	                     [-debug-addr ADDR] [-heartbeat DUR]
 //	                                               run a campaign
 //	hephaestus reduce    [-seed N]                 reduce a bug trigger
@@ -215,14 +215,13 @@ func fuzz(cfg *cli.Config, opts campaign.Options) {
 	report, err := c.Wait()
 	stopBeat()
 	if report != nil && report.Recovery.Resumed {
-		fmt.Printf("resumed: %d units restored (%d from snapshot prefix, %d journal records replayed)\n\n",
-			report.Recovery.Recovered, report.Recovery.SnapshotSeq, report.Recovery.Replayed)
+		fmt.Printf("resumed: %d units restored by journal replay\n\n", report.Recovery.Recovered)
 	}
 	if err != nil {
 		// Flush what the truncated run still found — findings, the
 		// partial figure, the fault ledger, the stage stats — then
 		// signal the incomplete campaign through the exit code. A
-		// durable run has also just snapshotted this state.
+		// durable run has also just synced its journal.
 		fmt.Fprintf(os.Stderr, "campaign aborted: %v\n", err)
 		if report == nil {
 			os.Exit(1)

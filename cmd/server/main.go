@@ -25,10 +25,10 @@
 //	GET  /healthz                       liveness
 //
 // On SIGINT/SIGTERM the server drains: it stops admitting work, pauses
-// every running campaign (each takes its final durable snapshot), and
-// writes the manifest. Restarting with -resume re-hosts the suspended
-// campaigns; POST .../resume continues each exactly where it stopped —
-// reports are bit-for-bit identical to an uninterrupted run.
+// every running campaign (each syncs its journal), and writes the
+// manifest. Restarting with -resume re-hosts the suspended campaigns;
+// POST .../resume continues each exactly where it stopped — reports are
+// bit-for-bit identical to an uninterrupted run.
 package main
 
 import (

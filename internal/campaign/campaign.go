@@ -103,27 +103,17 @@ type Options struct {
 	// the report's fault ledger.
 	Chaos *harness.ChaosOptions
 	// StateDir, when non-empty, makes the campaign durable: every
-	// aggregated unit is journaled there and the folded report is
-	// snapshotted periodically, so a killed run can resume to exactly
-	// the report an uninterrupted run would produce. The directory also
-	// holds the persistent bug corpus, which accumulates across
-	// campaigns.
+	// aggregated unit is journaled there (fsynced per record), so a
+	// killed run can resume to exactly the report an uninterrupted run
+	// would produce. The directory also holds the persistent bug corpus,
+	// which accumulates across campaigns.
 	StateDir string
-	// Resume restores the snapshot and journal found in StateDir before
-	// running; units whose results were restored are skipped. Resuming a
-	// directory whose recorded campaign fingerprint differs from these
-	// options is an error. Without Resume, StateDir is reset (the corpus
-	// survives) and the campaign starts fresh.
+	// Resume replays the journal found in StateDir before running; units
+	// whose results were restored are skipped. Resuming a directory
+	// whose recorded campaign fingerprint differs from these options is
+	// an error. Without Resume, StateDir is reset (the corpus survives)
+	// and the campaign starts fresh.
 	Resume bool
-	// SnapshotEvery is the number of aggregated units between report
-	// snapshots: 0 means the default cadence (64), a negative value
-	// disables snapshots entirely (resume then replays the journal from
-	// the top — slower to restore, but no checkpoint I/O during the
-	// run).
-	SnapshotEvery int
-	// SyncEvery is the number of journal records between fsyncs; 0 means
-	// every record (maximum durability, slowest).
-	SyncEvery int
 	// Metrics, when set, exports live campaign instruments (unit/exec
 	// throughput, per-compiler verdict counts, compile wall-time and
 	// journal latency histograms, breaker states) through the registry.
@@ -363,8 +353,8 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 
 // fuzzPlan is the standard fuzzing campaign behind the lifecycle: the
 // body RunContext used to be, run once per segment. A resume segment
-// (after Pause, or Options.Resume) restores the snapshot+journal first
-// and skips restored units, so every segment folds exactly the units
+// (after Pause, or Options.Resume) replays the journal first and skips
+// restored units, so every segment folds exactly the units
 // no earlier segment did.
 type fuzzPlan struct{}
 
@@ -391,7 +381,7 @@ func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
 	derive, err := NewDerivation(opts)
 	if err != nil {
 		report.Err = err
-		c.publish(report, nil, nil)
+		c.publish(report, nil)
 		return err
 	}
 	stages := derive.Stages()
@@ -414,18 +404,18 @@ func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
 		&pipeline.Execute{Compilers: opts.Compilers, Harness: h, Targets: targets},
 		pipeline.Judge{Differential: opts.Oracle == Differential})
 
-	// Durable state: restore snapshot + journal before the pipeline
-	// starts, skip restored units, journal and checkpoint the rest.
+	// Durable state: replay the journal before the pipeline starts, skip
+	// restored units, journal the rest.
 	state, err := openState(opts, report, agg, h)
 	if err != nil {
 		report.Err = err
-		c.publish(report, nil, nil)
+		c.publish(report, nil)
 		return err
 	}
 	// Fold restored state into the live instruments so a resumed run's
 	// metrics continue from where the killed run's left off.
 	agg.obs.prime(report)
-	c.publish(report, h, state)
+	c.publish(report, h)
 
 	p := &pipeline.Pipeline{
 		Source:     pipeline.NewGeneratorSource(opts.Seed, opts.Programs),
@@ -440,7 +430,7 @@ func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
 		p.AfterAggregate = func(u *pipeline.Unit) error {
 			c.fold.Lock()
 			defer c.fold.Unlock()
-			return state.afterUnit(report, agg, u, h)
+			return state.afterUnit(agg, u)
 		}
 	}
 	if opts.Gate != nil {
@@ -452,7 +442,7 @@ func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
 	defer c.fold.Unlock()
 	report.Stats = stats
 	if state != nil {
-		if ferr := state.finish(report, h, err == nil); ferr != nil && err == nil {
+		if ferr := state.finish(report, err == nil); ferr != nil && err == nil {
 			err = ferr
 		}
 	}
@@ -588,35 +578,5 @@ func (a *reportAggregator) fold(rec *unitRecord) {
 		}
 		drec.FoundBy.Add(d.Kind)
 		drec.Hits++
-	}
-}
-
-// restoreFound rebuilds the Found map from snapshot state, resolving
-// bug IDs against the compiler catalogs.
-func (a *reportAggregator) restoreFound(found []foundState) {
-	for _, f := range found {
-		bug := a.bugIndex[f.ID]
-		if bug == nil {
-			continue
-		}
-		rec := &BugRecord{Bug: bug, FirstSeed: f.FirstSeed, Hits: f.Hits}
-		for _, k := range f.FoundBy {
-			rec.FoundBy.Add(k)
-		}
-		a.report.Found[f.ID] = rec
-	}
-}
-
-// restoreDiffs rebuilds the Disagreements map from snapshot state.
-func (a *reportAggregator) restoreDiffs(diffs []diffState) {
-	for _, d := range diffs {
-		rec := &DisagreementRecord{
-			ID: d.ID, Translators: d.Translators, Vector: d.Vector,
-			Suspects: d.Suspects, FirstSeed: d.FirstSeed, Hits: d.Hits,
-		}
-		for _, k := range d.FoundBy {
-			rec.FoundBy.Add(k)
-		}
-		a.report.Disagreements[d.ID] = rec
 	}
 }

@@ -99,24 +99,28 @@ func TestChaosSoakCompletesAndIsDeterministic(t *testing.T) {
 	}
 }
 
+// breakerChaosOptions is a campaign whose only compiler panics on 90%
+// of compiles behind a breaker with threshold 2 and cooldown 3.
+// Workers=1 keeps breaker decisions (which depend on failure arrival
+// order) reproducible run-to-run.
+func breakerChaosOptions() Options {
+	o := smallOptions(10)
+	o.Workers = 1
+	o.Harness = harness.Options{
+		Timeout:          10 * time.Second,
+		Seed:             1,
+		BreakerThreshold: 2,
+		BreakerCooldown:  3,
+	}
+	o.Chaos = &harness.ChaosOptions{Seed: 1, PanicRate: 0.9}
+	return o
+}
+
 func TestChaosBreakerQuarantinesAndRecordsGaps(t *testing.T) {
 	// A compiler that panics on 90% of compiles trips its breaker; the
 	// campaign must complete anyway, recording quarantined compiles as
-	// gaps. Workers=1 keeps breaker decisions (which depend on failure
-	// arrival order) reproducible run-to-run.
-	opts := func() Options {
-		o := smallOptions(10)
-		o.Workers = 1
-		o.Harness = harness.Options{
-			Timeout:          10 * time.Second,
-			Seed:             1,
-			BreakerThreshold: 2,
-			BreakerCooldown:  3,
-		}
-		o.Chaos = &harness.ChaosOptions{Seed: 1, PanicRate: 0.9}
-		return o
-	}
-	r1 := Run(opts())
+	// gaps.
+	r1 := Run(breakerChaosOptions())
 	if r1.Err != nil {
 		t.Fatalf("campaign with a 90%%-down compiler did not complete: %v", r1.Err)
 	}
@@ -131,7 +135,7 @@ func TestChaosBreakerQuarantinesAndRecordsGaps(t *testing.T) {
 		t.Errorf("gap accounting inconsistent: %+v", rec)
 	}
 	// Degradation is graceful and reproducible at a fixed worker count.
-	r2 := Run(opts())
+	r2 := Run(breakerChaosOptions())
 	if !reflect.DeepEqual(r1.Faults, r2.Faults) {
 		t.Errorf("single-worker chaos runs disagree:\n%v\nvs\n%v", r1.Faults, r2.Faults)
 	}

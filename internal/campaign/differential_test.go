@@ -209,9 +209,9 @@ func TestDifferentialCampaignDeterministic(t *testing.T) {
 }
 
 // TestDifferentialKillResumeDeterminism: disagreements survive the
-// durability layer — journaled per-unit diff records replay and
-// snapshot diff states restore into the same fold an uninterrupted run
-// produces, through repeated kills, torn journals, and lost snapshots.
+// durability layer — journaled per-unit diff records replay into the
+// same fold an uninterrupted run produces, through repeated kills and
+// torn or bit-flipped journals.
 func TestDifferentialKillResumeDeterminism(t *testing.T) {
 	golden := Run(diffOptions(30))
 	if golden.Err != nil {
@@ -228,8 +228,7 @@ func TestDifferentialKillResumeDeterminism(t *testing.T) {
 		o := diffOptions(30)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 4
-		r := runWithKills(t, o, int64(2000+workers), 6, 120)
+		r := runWithKills(t, o, int64(2000+workers), 6, 120, true)
 		got, err := json.Marshal(r.Doc())
 		if err != nil {
 			t.Fatal(err)

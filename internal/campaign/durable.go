@@ -1,12 +1,13 @@
 // Durable campaigns: the adapter between the campaign's fold and the
 // journal package's crash-safe storage. A durable run journals one
 // record per aggregated unit (written on the aggregator goroutine, in
-// Seq order) and periodically snapshots the folded report, so a run
-// killed at any instant resumes to exactly the report an uninterrupted
-// run would have produced. The fold itself is commutative — FirstSeed
-// is a min-update, every other field a sum or set union — so journal
-// records can replay in any order, which is what lets a corrupt record
-// be quarantined mid-stream and its unit re-run at the end.
+// Seq order, fsynced per record), and resuming replays every record
+// through the live fold, so a run killed at any instant resumes to
+// exactly the report an uninterrupted run would have produced. The
+// fold itself is commutative — FirstSeed is a min-update, every other
+// field a sum or set union — so journal records can replay in any
+// order, which is what lets a corrupt record be quarantined mid-stream
+// and its unit re-run.
 
 package campaign
 
@@ -14,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"time"
 
@@ -31,10 +31,6 @@ import (
 const (
 	metaDoc   = "meta.json"
 	corpusDoc = "corpus.json"
-
-	// defaultSnapshotEvery is the checkpoint cadence when Options leaves
-	// SnapshotEvery zero: snapshot the folded report every 64 units.
-	defaultSnapshotEvery = 64
 )
 
 // execRecord is one (input, compiler) outcome in a journaled unit:
@@ -147,47 +143,6 @@ func recordOf(u *pipeline.Unit) *unitRecord {
 	return rec
 }
 
-// foundState is one BugRecord in a snapshot, with the bug flattened to
-// its ID; restore resolves it against the compiler catalogs.
-type foundState struct {
-	ID        string             `json:"id"`
-	FoundBy   []oracle.InputKind `json:"found_by"`
-	FirstSeed int64              `json:"first_seed"`
-	Hits      int                `json:"hits"`
-}
-
-// diffState is one DisagreementRecord in a snapshot.
-type diffState struct {
-	ID          string             `json:"id"`
-	Translators bool               `json:"translators,omitempty"`
-	Vector      string             `json:"vector"`
-	Suspects    []string           `json:"suspects,omitempty"`
-	FoundBy     []oracle.InputKind `json:"found_by"`
-	FirstSeed   int64              `json:"first_seed"`
-	Hits        int                `json:"hits"`
-}
-
-// snapshotState is the snapshot schema: the folded report for the
-// contiguous unit prefix [0, NextSeq), plus the harness state (breaker
-// positions) a resumed run must re-adopt.
-type snapshotState struct {
-	Fingerprint string                                                 `json:"fingerprint"`
-	NextSeq     int                                                    `json:"next_seq"`
-	TEMRepairs  int                                                    `json:"tem_repairs"`
-	ProgramsRun map[oracle.InputKind]int                               `json:"programs_run"`
-	Verdicts    map[string]map[oracle.InputKind]map[oracle.Verdict]int `json:"verdicts"`
-	Found       []foundState                                           `json:"found"`
-	Faults      *harness.Ledger                                        `json:"faults"`
-	Breakers    map[string]harness.BreakerSnapshot                     `json:"breakers,omitempty"`
-	// BugRate carries the bug-rate series, so a resumed campaign's
-	// series continues instead of restarting at the resume point.
-	BugRate map[int]*RateBucket `json:"rate,omitempty"`
-	// Diffs and DiffMatrix carry the differential oracle's findings;
-	// absent under the ground-truth oracle.
-	Diffs      []diffState    `json:"diffs,omitempty"`
-	DiffMatrix map[string]int `json:"diff_matrix,omitempty"`
-}
-
 // metaState is the meta.json side document: which campaign owns the
 // state directory's journal, and whether its bugs merged into the
 // corpus already (so resuming a finished campaign is idempotent).
@@ -272,13 +227,8 @@ func suspectLabel(suspects []string) string {
 type RecoveryInfo struct {
 	// Resumed is true when the run restored prior state.
 	Resumed bool
-	// SnapshotSeq is the restored snapshot's fold prefix (units
-	// [0, SnapshotSeq) came from the snapshot); 0 if none was found.
-	SnapshotSeq int
-	// Replayed counts journal records folded on top of the snapshot.
-	Replayed int
-	// Recovered counts units the pipeline skipped because their results
-	// were restored (SnapshotSeq's prefix plus Replayed, deduplicated).
+	// Recovered counts units the pipeline skipped because their journal
+	// records were replayed (duplicates counted once).
 	Recovered int
 	// Quarantined lists corrupt journal stretches that were skipped;
 	// their units simply re-ran.
@@ -287,7 +237,7 @@ type RecoveryInfo struct {
 
 // fingerprint hashes the campaign-defining options: everything that
 // changes what the deterministic run computes, and nothing that only
-// changes how it is scheduled (worker count, sync cadence). Resuming
+// changes how it is scheduled (worker count). Resuming
 // with a different fingerprint is refused — the journal would describe
 // a different campaign.
 func fingerprint(opts Options) string {
@@ -328,35 +278,19 @@ type durableState struct {
 	w     *journal.Writer
 	fp    string
 
-	// snapshotEvery is the checkpoint cadence in units; negative means
-	// snapshots are disabled and resume relies on journal replay alone.
-	snapshotEvery int
-
-	// appendNs and syncNs time journal writes; lag tracks units folded
-	// since the last checkpoint. Unregistered no-ops when the campaign
-	// is unobserved.
+	// appendNs and syncNs time journal writes. Unregistered no-ops when
+	// the campaign is unobserved.
 	appendNs *metrics.Histogram
 	syncNs   *metrics.Histogram
-	lag      *metrics.Gauge
 	// done marks seqs whose folds were restored; read-only once the
 	// pipeline starts (the SkipSource reads it from the source
 	// goroutine).
 	done map[int]bool
-	// maxRestored is the highest restored seq (-1 if none): until the
-	// live run folds past it, the report holds folds beyond any
-	// contiguous prefix and snapshotting would double-count on the next
-	// resume, so checkpoints wait.
-	maxRestored int
-	// lastSeq is the last seq the aggregator folded this run (-1 before
-	// the first).
-	lastSeq   int
-	sinceSnap int
 }
 
 // openState opens (or creates) the campaign's durable state and, when
-// resuming, restores the snapshot and replays the journal into the
-// report before the pipeline starts. Returns nil when the campaign is
-// not durable (no StateDir).
+// resuming, replays the journal into the report before the pipeline
+// starts. Returns nil when the campaign is not durable (no StateDir).
 func openState(opts Options, report *Report, agg *reportAggregator, h *harness.Harness) (*durableState, error) {
 	if opts.StateDir == "" {
 		return nil, nil
@@ -367,18 +301,11 @@ func openState(opts Options, report *Report, agg *reportAggregator, h *harness.H
 	}
 	store.SetObserver(CorruptionObserver(opts.Metrics, opts.Trace))
 	st := &durableState{
-		store:         store,
-		fp:            fingerprint(opts),
-		snapshotEvery: opts.SnapshotEvery,
-		done:          map[int]bool{},
-		maxRestored:   -1,
-		lastSeq:       -1,
-		appendNs:      opts.Metrics.Histogram("campaign.journal.append_ns"),
-		syncNs:        opts.Metrics.Histogram("campaign.journal.sync_ns"),
-		lag:           opts.Metrics.Gauge("campaign.journal.lag"),
-	}
-	if st.snapshotEvery == 0 {
-		st.snapshotEvery = defaultSnapshotEvery
+		store:    store,
+		fp:       fingerprint(opts),
+		done:     map[int]bool{},
+		appendNs: opts.Metrics.Histogram("campaign.journal.append_ns"),
+		syncNs:   opts.Metrics.Histogram("campaign.journal.sync_ns"),
 	}
 
 	var meta metaState
@@ -395,8 +322,8 @@ func openState(opts Options, report *Report, agg *reportAggregator, h *harness.H
 
 	switch {
 	case !opts.Resume:
-		// Fresh campaign: drop any previous journal and snapshots (the
-		// corpus document deliberately survives) and claim the directory.
+		// Fresh campaign: drop any previous journal (the corpus document
+		// deliberately survives) and claim the directory.
 		if err := store.Reset(); err != nil {
 			return nil, err
 		}
@@ -418,7 +345,7 @@ func openState(opts Options, report *Report, agg *reportAggregator, h *harness.H
 		}
 	}
 
-	w, err := store.Append(opts.SyncEvery)
+	w, err := store.Append(0)
 	if err != nil {
 		return nil, err
 	}
@@ -426,59 +353,17 @@ func openState(opts Options, report *Report, agg *reportAggregator, h *harness.H
 	return st, nil
 }
 
-// restore loads the newest valid snapshot and replays the journal tail
-// into the report. Corrupt journal records are quarantined (their units
-// re-run); a torn final record is expected after a kill and truncates
-// replay cleanly.
+// restore replays the journal into the report through the live fold.
+// Corrupt journal records are quarantined (their units re-run); a torn
+// final record is expected after a kill and truncates replay cleanly.
+//
+// Replay also re-derives the circuit breakers' positions: each record's
+// compiles are fed back to h's breakers as the Allow/Record calls the
+// live run made. At Workers=1 this is the exact live call sequence up
+// to the last journaled unit, so a breaker resumes where an
+// uninterrupted run would have it even after a kill mid-unit.
 func (st *durableState) restore(report *Report, agg *reportAggregator, h *harness.Harness) error {
 	report.Recovery.Resumed = true
-
-	_, payload, ok, err := st.store.LatestSnapshot()
-	if err != nil {
-		return err
-	}
-	snapNext := 0
-	if ok {
-		var snap snapshotState
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return fmt.Errorf("campaign: corrupt snapshot payload: %w", err)
-		}
-		if snap.Fingerprint != st.fp {
-			return fmt.Errorf("campaign: snapshot fingerprint %s does not match campaign %s", snap.Fingerprint, st.fp)
-		}
-		report.TEMRepairs = snap.TEMRepairs
-		for k, n := range snap.ProgramsRun {
-			report.ProgramsRun[k] = n
-		}
-		for comp, perKind := range snap.Verdicts {
-			report.Verdicts[comp] = perKind
-		}
-		if snap.Faults != nil {
-			report.Faults = snap.Faults
-			if report.Faults.PerCompiler == nil {
-				report.Faults.PerCompiler = map[string]*harness.FaultRecord{}
-			}
-			if report.Faults.Injected == nil {
-				report.Faults.Injected = map[string]harness.InjectionCounts{}
-			}
-		}
-		for i, b := range snap.BugRate {
-			report.BugRate[i] = b
-		}
-		for pair, n := range snap.DiffMatrix {
-			report.DiffMatrix[pair] = n
-		}
-		agg.restoreFound(snap.Found)
-		agg.restoreDiffs(snap.Diffs)
-		h.ImportBreakers(snap.Breakers)
-		snapNext = snap.NextSeq
-		for seq := 0; seq < snapNext; seq++ {
-			st.done[seq] = true
-		}
-		st.maxRestored = snapNext - 1
-		report.Recovery.SnapshotSeq = snapNext
-	}
-
 	quarantined, err := st.store.Replay(func(off int64, payload []byte) error {
 		var rec unitRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
@@ -488,15 +373,12 @@ func (st *durableState) restore(report *Report, agg *reportAggregator, h *harnes
 			report.Recovery.Quarantined = append(report.Recovery.Quarantined, quarantined)
 			return nil
 		}
-		if rec.Seq < snapNext || st.done[rec.Seq] {
-			return nil // already covered by the snapshot or a duplicate
+		if st.done[rec.Seq] {
+			return nil // a duplicate
 		}
 		agg.fold(&rec)
+		replayBreakers(h, &rec)
 		st.done[rec.Seq] = true
-		if rec.Seq > st.maxRestored {
-			st.maxRestored = rec.Seq
-		}
-		report.Recovery.Replayed++
 		return nil
 	})
 	if err != nil {
@@ -507,93 +389,68 @@ func (st *durableState) restore(report *Report, agg *reportAggregator, h *harnes
 	return nil
 }
 
+// replayBreakers feeds one journaled unit's compiles to h's breakers in
+// the order the Execute stage made them: input by input (kinds are
+// unique within a unit), each admitted compile recording whether it
+// completed. Breakers are per compiler, so the order among compilers of
+// one input does not matter.
+func replayBreakers(h *harness.Harness, rec *unitRecord) {
+	call := func(compiler string, outcome harness.Outcome) {
+		br := h.Breaker(compiler)
+		br.Allow()
+		if outcome != harness.Quarantined {
+			br.Record(outcome == harness.Completed)
+		}
+	}
+	for _, kind := range rec.Inputs {
+		for _, e := range rec.Execs {
+			if e.Kind == kind {
+				call(e.Compiler, e.Outcome)
+			}
+		}
+		for _, g := range rec.Gaps {
+			if g.Kind == kind {
+				call(g.Compiler, g.Outcome)
+			}
+		}
+	}
+}
+
 // isDone is the SkipSource predicate: true for units whose fold was
 // restored, which then flow through the pipeline as Recovered.
 func (st *durableState) isDone(seq int) bool { return st.done[seq] }
 
 // afterUnit is the pipeline's AfterAggregate hook: journal the unit the
-// aggregator just folded, then checkpoint if the cadence says so. Runs
-// on the aggregator goroutine, in Seq order — the journal can never get
-// ahead of or behind the fold.
-func (st *durableState) afterUnit(report *Report, agg *reportAggregator, u *pipeline.Unit, h *harness.Harness) error {
-	st.lastSeq = u.Seq
-	if !u.Recovered {
-		rec := agg.last
-		if rec == nil || rec.Seq != u.Seq {
-			return fmt.Errorf("campaign: journal out of step with fold at seq %d", u.Seq)
-		}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		if err := st.w.Append(payload); err != nil {
-			return err
-		}
-		st.appendNs.ObserveDuration(time.Since(t0))
+// aggregator just folded. Runs on the aggregator goroutine, in Seq
+// order — the journal can never get ahead of or behind the fold.
+func (st *durableState) afterUnit(agg *reportAggregator, u *pipeline.Unit) error {
+	if u.Recovered {
+		return nil
 	}
-	st.sinceSnap++
-	st.lag.Set(int64(st.sinceSnap))
-	// Checkpoints wait until the fold passes every restored seq: before
-	// that the report contains folds beyond any contiguous prefix and a
-	// snapshot would double-count them on the next resume. A negative
-	// cadence disables snapshots outright; resume then replays the
-	// journal from the top.
-	if st.snapshotEvery > 0 && st.sinceSnap >= st.snapshotEvery && u.Seq >= st.maxRestored {
-		if err := st.checkpoint(report, h, u.Seq+1); err != nil {
-			return err
-		}
-		st.sinceSnap = 0
-		st.lag.Set(0)
+	rec := agg.last
+	if rec == nil || rec.Seq != u.Seq {
+		return fmt.Errorf("campaign: journal out of step with fold at seq %d", u.Seq)
 	}
-	return nil
-}
-
-// checkpoint atomically snapshots the folded report claiming the unit
-// prefix [0, nextSeq).
-func (st *durableState) checkpoint(report *Report, h *harness.Harness, nextSeq int) error {
-	snap := snapshotState{
-		Fingerprint: st.fp,
-		NextSeq:     nextSeq,
-		TEMRepairs:  report.TEMRepairs,
-		ProgramsRun: report.ProgramsRun,
-		Verdicts:    report.Verdicts,
-		Found:       foundStates(report.Found),
-		Faults:      report.Faults,
-		Breakers:    h.ExportBreakers(),
-		BugRate:     report.BugRate,
-	}
-	if len(report.Disagreements) > 0 {
-		snap.Diffs = diffStates(report.Disagreements)
-	}
-	if len(report.DiffMatrix) > 0 {
-		snap.DiffMatrix = report.DiffMatrix
-	}
-	payload, err := json.Marshal(&snap)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	return st.store.WriteSnapshot(int64(nextSeq), payload)
+	t0 := time.Now()
+	if err := st.w.Append(payload); err != nil {
+		return err
+	}
+	st.appendNs.ObserveDuration(time.Since(t0))
+	return nil
 }
 
-// finish closes out a durable run: sync the journal, take the final
-// snapshot (on SIGTERM/SIGINT-style aborts too, so the partial report
-// is durable), and on a complete run merge the found bugs into the
-// persistent corpus — once, however many times the campaign is resumed
-// after finishing.
-func (st *durableState) finish(report *Report, h *harness.Harness, complete bool) error {
+// finish closes out a durable run: sync and close the journal (on
+// SIGTERM/SIGINT-style aborts too, so the partial run is durable), and
+// on a complete run merge the found bugs into the persistent corpus —
+// once, however many times the campaign is resumed after finishing.
+func (st *durableState) finish(report *Report, complete bool) error {
 	t0 := time.Now()
 	syncErr := st.w.Sync()
 	st.syncNs.ObserveDuration(time.Since(t0))
-	var snapErr error
-	// The final snapshot is safe only once the fold covers a contiguous
-	// prefix; an abort before passing the restored tail leaves the
-	// on-disk snapshot+journal pair authoritative (the journal already
-	// has this run's records). Disabled snapshots stay disabled here
-	// too: resume is journal-replay only.
-	if syncErr == nil && st.snapshotEvery > 0 && st.lastSeq >= st.maxRestored {
-		snapErr = st.checkpoint(report, h, st.lastSeq+1)
-	}
 	closeErr := st.w.Close()
 
 	corpus, corpusErr := loadCorpus(st.store)
@@ -602,7 +459,7 @@ func (st *durableState) finish(report *Report, h *harness.Harness, complete bool
 	}
 	report.Corpus = corpus
 
-	for _, err := range []error{syncErr, snapErr, closeErr, corpusErr} {
+	for _, err := range []error{syncErr, closeErr, corpusErr} {
 		if err != nil {
 			return err
 		}
@@ -667,32 +524,6 @@ func writeMeta(store *journal.Store, meta metaState) error {
 	return store.WriteDoc(metaDoc, payload)
 }
 
-// foundStates flattens the Found map for a snapshot, sorted by ID so
-// snapshot bytes are deterministic.
-func foundStates(found map[string]*BugRecord) []foundState {
-	out := make([]foundState, 0, len(found))
-	for id, rec := range found {
-		out = append(out, foundState{ID: id, FoundBy: rec.FoundBy.Kinds(), FirstSeed: rec.FirstSeed, Hits: rec.Hits})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// diffStates flattens the Disagreements map for a snapshot, sorted by
-// ID so snapshot bytes are deterministic.
-func diffStates(diffs map[string]*DisagreementRecord) []diffState {
-	out := make([]diffState, 0, len(diffs))
-	for id, rec := range diffs {
-		out = append(out, diffState{
-			ID: id, Translators: rec.Translators, Vector: rec.Vector,
-			Suspects: rec.Suspects, FoundBy: rec.FoundBy.Kinds(),
-			FirstSeed: rec.FirstSeed, Hits: rec.Hits,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // unionKinds merges a FoundBy set into a sorted kind list.
 func unionKinds(have []oracle.InputKind, add oracle.KindSet) []oracle.InputKind {
 	for _, k := range have {
@@ -702,7 +533,7 @@ func unionKinds(have []oracle.InputKind, add oracle.KindSet) []oracle.InputKind 
 }
 
 // bugIndexFor maps bug ID to its catalog entry across the compilers
-// under test; the fold and snapshot restore resolve journaled IDs here.
+// under test; the fold resolves journaled IDs here.
 func bugIndexFor(comps []*compilers.Compiler) map[string]*bugs.Bug {
 	idx := map[string]*bugs.Bug{}
 	for _, c := range comps {

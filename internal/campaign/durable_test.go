@@ -6,11 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/compilers"
+	"repro/internal/harness"
 	"repro/internal/oracle"
 )
 
@@ -42,11 +42,11 @@ func assertSameOutcome(t *testing.T, label string, want, got *Report) {
 }
 
 // mutilateState simulates the disk damage a SIGKILL can leave behind:
-// a torn journal tail, a flipped byte mid-journal, or a lost snapshot.
+// a torn journal tail or a flipped byte mid-journal.
 func mutilateState(t *testing.T, dir string, rng *rand.Rand) {
 	t.Helper()
 	jp := filepath.Join(dir, "journal.wal")
-	switch rng.Intn(4) {
+	switch rng.Intn(3) {
 	case 0: // torn tail: truncate the journal at a random byte offset
 		if info, err := os.Stat(jp); err == nil && info.Size() > 0 {
 			if err := os.Truncate(jp, rng.Int63n(info.Size()+1)); err != nil {
@@ -60,12 +60,6 @@ func mutilateState(t *testing.T, dir string, rng *rand.Rand) {
 				t.Fatal(err)
 			}
 		}
-	case 2: // lost snapshot: drop the newest, forcing the fallback
-		snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-		if len(snaps) > 0 {
-			sort.Strings(snaps)
-			os.Remove(snaps[len(snaps)-1])
-		}
 	default:
 		// Killed between appends: state is left exactly as the dying
 		// run's last fsync had it.
@@ -73,9 +67,9 @@ func mutilateState(t *testing.T, dir string, rng *rand.Rand) {
 }
 
 // runWithKills drives a durable campaign through repeated kill/resume
-// cycles — each cycle cancelled at a random wall-clock instant and its
-// on-disk state then damaged — until it completes.
-func runWithKills(t *testing.T, opts Options, seed int64, kills int, maxKillMS int) *Report {
+// cycles — each cycle cancelled at a random wall-clock instant and,
+// with damage set, its on-disk state then damaged — until it completes.
+func runWithKills(t *testing.T, opts Options, seed int64, kills int, maxKillMS int, damage bool) *Report {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < kills; i++ {
@@ -91,7 +85,9 @@ func runWithKills(t *testing.T, opts Options, seed int64, kills int, maxKillMS i
 		if r == nil {
 			t.Fatal("cancelled run returned no partial report")
 		}
-		mutilateState(t, opts.StateDir, rng)
+		if damage {
+			mutilateState(t, opts.StateDir, rng)
+		}
 	}
 	o := opts
 	o.Resume = true
@@ -109,7 +105,6 @@ func TestDurableCompleteRunMatchesGolden(t *testing.T) {
 	}
 	o := smallOptions(25)
 	o.StateDir = t.TempDir()
-	o.SnapshotEvery = 5
 	r := Run(o)
 	if r.Err != nil {
 		t.Fatal(r.Err)
@@ -136,8 +131,7 @@ func TestDurableKillResumeDeterminism(t *testing.T) {
 		o := smallOptions(30)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 4
-		r := runWithKills(t, o, int64(1000+workers), 6, 120)
+		r := runWithKills(t, o, int64(1000+workers), 6, 120, true)
 		assertSameOutcome(t, "kill-resume", golden, r)
 	}
 }
@@ -151,11 +145,31 @@ func TestDurableChaosKillResumeSoak(t *testing.T) {
 		o := chaosSoakOptions(12)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 3
-		o.SyncEvery = 2
-		r := runWithKills(t, o, int64(2000+workers), 5, 2500)
+		r := runWithKills(t, o, int64(2000+workers), 5, 2500, true)
 		assertSameOutcome(t, "chaos kill-resume", golden, r)
 	}
+}
+
+// TestDurableBreakerResume pins that circuit-breaker positions survive
+// a resume: the resumed run re-derives them from the journal, so kill
+// and pause cycles of a breaker-tripping single-worker campaign fold to
+// the uninterrupted run's report, quarantine gaps included.
+func TestDurableBreakerResume(t *testing.T) {
+	golden := Run(breakerChaosOptions())
+	if golden.Err != nil {
+		t.Fatal(golden.Err)
+	}
+	if golden.Faults.PerCompiler["groovyc"].Quarantined == 0 {
+		t.Fatal("golden run never quarantined; the test would not exercise breakers")
+	}
+	o := breakerChaosOptions()
+	o.StateDir = t.TempDir()
+	r := runWithKills(t, o, 5000, 4, 60, false)
+	assertSameOutcome(t, "breaker kill-resume", golden, r)
+
+	o.StateDir = t.TempDir()
+	r = runWithPauses(t, o, 5001, 1, 30)
+	assertSameOutcome(t, "breaker pause-resume", golden, r)
 }
 
 func TestDurableResumeRejectsDifferentCampaign(t *testing.T) {
@@ -252,7 +266,6 @@ func TestDurablePartialReportSurvivesAbort(t *testing.T) {
 	o := smallOptions(400)
 	o.Workers = 2
 	o.StateDir = t.TempDir()
-	o.SnapshotEvery = 2
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	r, err := RunContext(ctx, o)
@@ -282,29 +295,41 @@ func TestDurablePartialReportSurvivesAbort(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsUnknownKinds: a snapshot from a newer build may carry
-// input kinds this build does not define. Kinds 7–63 round-trip through
-// restore and snapshot and print as unknown(N); kinds outside 0–63 are
-// dropped on restore, as unknown bug IDs are.
+// TestRestoreKeepsUnknownKinds: a journal from a newer build may carry
+// input kinds this build does not define. Kinds 7–63 fold into the
+// report and print as unknown(N); kinds outside 0–63 are dropped from
+// the found-by sets, as unknown bug IDs are dropped from Found.
 func TestRestoreKeepsUnknownKinds(t *testing.T) {
 	comps := compilers.All()
 	bugID := comps[0].Catalog()[0].ID
 	stored := []oracle.InputKind{oracle.TEMMutant, 9, 63, 64, -1}
 	want := []oracle.InputKind{oracle.TEMMutant, 9, 63}
 
+	rec := &unitRecord{Seq: 0, Seed: 4, Inputs: stored}
+	for _, k := range stored {
+		rec.Execs = append(rec.Execs, execRecord{
+			Compiler: comps[0].Name(), Kind: k, Outcome: harness.Completed,
+			Bugs: []string{bugID, "no-such-bug"},
+		})
+		rec.Diffs = append(rec.Diffs, diffRecord{Kind: k, Vec: []laneRecord{{Compiler: "v"}}})
+	}
 	report := newReport(Options{Compilers: comps})
 	agg := &reportAggregator{report: report, bugIndex: bugIndexFor(comps)}
-	agg.restoreFound([]foundState{{ID: bugID, FoundBy: stored, FirstSeed: 4, Hits: 2}, {ID: "no-such-bug", FoundBy: stored}})
-	agg.restoreDiffs([]diffState{{ID: "v", Vector: "v", FoundBy: stored, FirstSeed: 5, Hits: 1}})
+	agg.fold(rec)
 
 	if len(report.Found) != 1 {
-		t.Fatalf("restored %d bugs, want 1", len(report.Found))
+		t.Fatalf("folded %d bugs, want 1", len(report.Found))
 	}
-	if got := foundStates(report.Found)[0].FoundBy; !reflect.DeepEqual(got, want) {
-		t.Errorf("found_by round trip = %v, want %v", got, want)
+	if got := report.Found[bugID].FoundBy.Kinds(); !reflect.DeepEqual(got, want) {
+		t.Errorf("found_by = %v, want %v", got, want)
 	}
-	if got := diffStates(report.Disagreements)[0].FoundBy; !reflect.DeepEqual(got, want) {
-		t.Errorf("diff found_by round trip = %v, want %v", got, want)
+	if len(report.Disagreements) != 1 {
+		t.Fatalf("folded %d disagreements, want 1", len(report.Disagreements))
+	}
+	for _, d := range report.Disagreements {
+		if got := d.FoundBy.Kinds(); !reflect.DeepEqual(got, want) {
+			t.Errorf("diff found_by = %v, want %v", got, want)
+		}
 	}
 	doc := report.Doc()
 	wantDoc := []string{"TEM", "unknown(63)", "unknown(9)"}

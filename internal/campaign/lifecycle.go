@@ -1,10 +1,10 @@
 // The campaign lifecycle: a Campaign is a long-lived object with a
 // real state machine — New → Start → (Pause ⇄ Resume)* → Done — rather
 // than a run-to-completion function call. Pause and resume ride the
-// durable journal+snapshot machinery: pausing cancels the running
-// pipeline segment and lets the durable layer take its final snapshot,
-// so a paused campaign is exactly a crash-suspended one, and resuming
-// replays state through the same restore path a crash recovery uses.
+// durable journal: pausing cancels the running pipeline segment and
+// lets the durable layer sync and close the journal, so a paused
+// campaign is exactly a crash-suspended one, and resuming replays the
+// journal through the same restore path a crash recovery uses.
 // The determinism contract is therefore inherited, not re-proven: a
 // campaign paused and resumed any number of times folds to the
 // bit-for-bit report of an uninterrupted run.
@@ -37,8 +37,8 @@ const (
 	StateNew State = iota
 	// StateRunning: a pipeline segment is executing.
 	StateRunning
-	// StatePausing: Pause was requested; the segment is draining to its
-	// final snapshot.
+	// StatePausing: Pause was requested; the segment is draining and
+	// syncing its journal.
 	StatePausing
 	// StatePaused: durably suspended; Resume continues it, Cancel ends
 	// it. The state directory alone can also resume it in a new process.
@@ -125,7 +125,6 @@ type Campaign struct {
 	cancelReq bool
 	report    *Report
 	h         *harness.Harness
-	st        *durableState
 	err       error
 	done      chan struct{}
 
@@ -202,7 +201,7 @@ func (c *Campaign) settle(err error, seg chan struct{}) {
 	case cancelled && c.pauseReq && !c.cancelReq && c.baseCtx.Err() == nil:
 		// The segment drained because Pause asked it to (not because the
 		// lifecycle context died underneath it): the durable layer has
-		// taken its final snapshot, the campaign is suspended, and the
+		// synced the journal, the campaign is suspended, and the
 		// lifecycle stays open for Resume.
 		c.state = StatePaused
 	case cancelled:
@@ -218,10 +217,10 @@ func (c *Campaign) settle(err error, seg chan struct{}) {
 
 // Pause durably suspends a running campaign: the pipeline segment is
 // cancelled, in-flight units are abandoned (their results are simply
-// recomputed on resume), the journal is synced, and a final snapshot
-// is written. Pause blocks until the suspension is complete. Only
-// durable campaigns (Options.StateDir) can pause; a campaign that
-// finishes while Pause is in flight stays finished.
+// recomputed on resume), and the journal is synced and closed. Pause
+// blocks until the suspension is complete. Only durable campaigns
+// (Options.StateDir) can pause; a campaign that finishes while Pause is
+// in flight stays finished.
 func (c *Campaign) Pause() error {
 	c.mu.Lock()
 	if !c.plan.pausable(c) {
@@ -242,10 +241,9 @@ func (c *Campaign) Pause() error {
 	return nil
 }
 
-// Resume continues a paused campaign: a fresh segment restores the
-// snapshot, replays the journal tail through the same fold a live unit
-// uses, and picks up at the first unfolded unit — the crash-recovery
-// path, reused verbatim.
+// Resume continues a paused campaign: a fresh segment replays the
+// journal through the same fold a live unit uses and picks up at the
+// first unfolded unit — the crash-recovery path, reused verbatim.
 func (c *Campaign) Resume() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -258,7 +256,7 @@ func (c *Campaign) Resume() error {
 
 // Cancel ends the campaign early. The report is the partial fold of
 // whatever units finished (Complete() == false); a durable campaign
-// has also just snapshotted that state, so the directory can still be
+// has also just synced its journal, so the directory can still be
 // resumed by a future campaign with Options.Resume. Cancel blocks
 // until the run has stopped; cancelling a finished campaign is a
 // no-op.
@@ -331,16 +329,16 @@ func (c *Campaign) Report() *Report {
 // publish installs a segment's report and harness for Status readers;
 // called by plans once restore has finished and before the pipeline
 // starts folding.
-func (c *Campaign) publish(r *Report, h *harness.Harness, st *durableState) {
+func (c *Campaign) publish(r *Report, h *harness.Harness) {
 	c.mu.Lock()
-	c.report, c.h, c.st = r, h, st
+	c.report, c.h = r, h
 	c.mu.Unlock()
 }
 
 // Status is a point-in-time, race-safe view of a campaign: the
 // lifecycle state plus the deterministic progress figures (units,
 // executions, distinct bugs, the bug-rate series, the fault ledger)
-// and the operational ones (breaker positions, journal lag). Every
+// and the operational one (breaker positions). Every
 // field is a copy — callers can hold a Status forever without pinning
 // the fold.
 type Status struct {
@@ -372,9 +370,6 @@ type Status struct {
 	Faults *harness.Ledger `json:"faults,omitempty"`
 	// Breakers maps compiler name to its circuit-breaker snapshot.
 	Breakers map[string]harness.BreakerSnapshot `json:"breakers,omitempty"`
-	// JournalLag is the number of folded units not yet covered by a
-	// snapshot; 0 for non-durable campaigns.
-	JournalLag int `json:"journal_lag"`
 	// Recovery describes what the most recent segment restored.
 	Recovery RecoveryInfo `json:"recovery"`
 }
@@ -390,7 +385,7 @@ func (c *Campaign) Status() Status {
 		Durable:  c.opts.StateDir != "",
 		Programs: c.opts.Programs,
 	}
-	report, h, st := c.report, c.h, c.st
+	report, h := c.report, c.h
 	c.mu.Unlock()
 	if h != nil {
 		s.Breakers = h.ExportBreakers()
@@ -419,9 +414,6 @@ func (c *Campaign) Status() Status {
 	s.Faults = report.Faults.Clone()
 	s.Recovery = report.Recovery
 	s.Recovery.Quarantined = append([]journal.Corruption(nil), report.Recovery.Quarantined...)
-	if st != nil {
-		s.JournalLag = st.sinceSnap
-	}
 	return s
 }
 

@@ -30,6 +30,11 @@ func runWithPauses(t *testing.T, opts Options, seed int64, cycles, maxPauseMS in
 			// either way it is no longer pausable and Wait settles it.
 			break
 		}
+		if c.State() == StateDone {
+			// The segment finished while the pause was in flight; a
+			// finished campaign stays finished (see Pause).
+			break
+		}
 		if st := c.State(); st != StatePaused {
 			t.Fatalf("after Pause: state %s, want paused", st)
 		}
@@ -70,7 +75,6 @@ func TestLifecyclePauseResumeDeterminism(t *testing.T) {
 		o := smallOptions(30)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 4
 		r := runWithPauses(t, o, int64(3000+workers), 6, 120)
 		assertSameOutcome(t, "pause-resume", golden, r)
 		doc, err := json.Marshal(r.Doc())
@@ -93,8 +97,6 @@ func TestLifecyclePauseResumeUnderChaos(t *testing.T) {
 		o := chaosSoakOptions(12)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 3
-		o.SyncEvery = 2
 		r := runWithPauses(t, o, int64(4000+workers), 5, 900)
 		assertSameOutcome(t, "chaos pause-resume", golden, r)
 	}
@@ -252,7 +254,6 @@ func TestLifecyclePausedCampaignResumableByNewProcess(t *testing.T) {
 	dir := t.TempDir()
 	o := smallOptions(25)
 	o.StateDir = dir
-	o.SnapshotEvery = 4
 	c := New(o)
 	if err := c.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -393,7 +394,6 @@ func TestLifecyclePauseRacesCompletion(t *testing.T) {
 		o := smallOptions(10)
 		o.Workers = 4
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 4
 		c := New(o)
 		if err := c.Start(context.Background()); err != nil {
 			t.Fatal(err)

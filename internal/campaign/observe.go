@@ -87,7 +87,7 @@ func (o *observer) observeUnit(rec *unitRecord, foundBugs int) {
 	}
 }
 
-// prime folds state restored from a snapshot and journal replay into
+// prime folds state restored by journal replay into
 // the instruments, so a resumed campaign's live counters continue from
 // where the killed run's left off instead of restarting at zero.
 func (o *observer) prime(report *Report) {
@@ -150,10 +150,9 @@ func diffPairCounterName(a, b string) string {
 
 // HeartbeatLine renders one progress line from a pair of status
 // snapshots: units done (and units/s against the previous snapshot
-// over elapsed), executions, distinct bugs, breaker states, and — for
-// durable campaigns — journal lag. The CLI heartbeat and the server's
-// SSE heartbeat stream both render through here, so the two surfaces
-// can never drift apart.
+// over elapsed), executions, distinct bugs, and breaker states. The CLI
+// heartbeat and the server's SSE heartbeat stream both render through
+// here, so the two surfaces can never drift apart.
 func HeartbeatLine(prev, cur Status, elapsed time.Duration) string {
 	rate := 0.0
 	if elapsed > 0 {
@@ -172,9 +171,6 @@ func HeartbeatLine(prev, cur Status, elapsed time.Duration) string {
 		fmt.Fprintf(&b, " diffs %d", cur.Disagreements)
 	}
 	b.WriteString(" breakers " + breakerSummary(cur.Breakers))
-	if cur.Durable {
-		fmt.Fprintf(&b, " journal lag %d", cur.JournalLag)
-	}
 	return b.String()
 }
 

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,7 +114,6 @@ func TestDurableResumeContinuesSeries(t *testing.T) {
 	}
 	o := smallOptions(30)
 	o.StateDir = t.TempDir()
-	o.SnapshotEvery = 4
 	o.Metrics = metrics.NewRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	_, firstErr := RunContext(ctx, o)
@@ -138,33 +135,6 @@ func TestDurableResumeContinuesSeries(t *testing.T) {
 	}
 	if got := o.Metrics.Snapshot().Gauges["campaign.bugs"]; got != int64(len(r.Found)) {
 		t.Errorf("resumed registry campaign.bugs = %d, want %d", got, len(r.Found))
-	}
-}
-
-// TestSnapshotCadenceSentinel pins the -snapshot-every contract: 0 is
-// the default cadence, negative disables snapshots entirely and leaves
-// resume to journal replay.
-func TestSnapshotCadenceSentinel(t *testing.T) {
-	golden := Run(smallOptions(30))
-	if golden.Err != nil {
-		t.Fatal(golden.Err)
-	}
-	o := smallOptions(30)
-	o.StateDir = t.TempDir()
-	o.SnapshotEvery = -1
-	r := runWithKills(t, o, 31337, 6, 120)
-	assertSameOutcome(t, "snapshots disabled", golden, r)
-
-	snaps, err := filepath.Glob(filepath.Join(o.StateDir, "snapshot-*.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 0 {
-		t.Errorf("SnapshotEvery=-1 still wrote snapshots: %v", snaps)
-	}
-	// With no snapshots on disk, any resume is pure journal replay.
-	if r.Recovery.SnapshotSeq != 0 {
-		t.Errorf("journal-only resume restored a snapshot prefix of %d units", r.Recovery.SnapshotSeq)
 	}
 }
 
@@ -285,7 +255,6 @@ func TestHeartbeatPrintsProgress(t *testing.T) {
 				"groovyc": {State: harness.BreakerOpen},
 				"javac":   {State: harness.BreakerClosed},
 			},
-			JournalLag: 5,
 		}
 	}
 
@@ -301,7 +270,7 @@ func TestHeartbeatPrintsProgress(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"heartbeat:", "units 7/40", "execs 84", "bugs 3",
-		"breakers groovyc=open", "journal lag 5",
+		"breakers groovyc=open",
 	} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("heartbeat output missing %q:\n%s", want, out)
@@ -324,9 +293,8 @@ func TestHeartbeatLine(t *testing.T) {
 		t.Errorf("HeartbeatLine = %q, want %q", line, want)
 	}
 	cur.Durable = true
-	cur.JournalLag = 9
-	if line := HeartbeatLine(prev, cur, 2*time.Second); !strings.HasSuffix(line, "journal lag 9") {
-		t.Errorf("durable HeartbeatLine missing journal lag: %q", line)
+	if durable := HeartbeatLine(prev, cur, 2*time.Second); durable != want {
+		t.Errorf("durable HeartbeatLine = %q, want %q", durable, want)
 	}
 }
 
@@ -350,7 +318,7 @@ func TestFingerprintIgnoresObservability(t *testing.T) {
 }
 
 // TestRateBucketSnapshotRoundTrip pins the JSON encoding of the
-// int-keyed series map used inside snapshots.
+// int-keyed bug-rate series map.
 func TestRateBucketSnapshotRoundTrip(t *testing.T) {
 	in := map[int]*RateBucket{0: {Units: 32, Execs: 384, BugHits: 7}, 3: {Units: 4, Execs: 48}}
 	raw, err := json.Marshal(in)

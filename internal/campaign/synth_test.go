@@ -113,8 +113,7 @@ func TestSynthKillResumeDeterminism(t *testing.T) {
 		o := synthOptions(30)
 		o.Workers = workers
 		o.StateDir = t.TempDir()
-		o.SnapshotEvery = 4
-		r := runWithKills(t, o, int64(7000+workers), 6, 150)
+		r := runWithKills(t, o, int64(7000+workers), 6, 150, true)
 		assertSameOutcome(t, "synth kill-resume", golden, r)
 	}
 }

@@ -111,12 +111,6 @@ type Config struct {
 	Retries int `json:"retries,omitempty"`
 	// Chaos injects seeded faults at this rate (0 disables).
 	Chaos float64 `json:"chaos,omitempty"`
-	// SnapshotEvery is the unit count between report snapshots (0 =
-	// campaign default; negative disables snapshots).
-	SnapshotEvery int `json:"snapshot_every,omitempty"`
-	// SyncEvery is the journal record count between fsyncs (0 = every
-	// record).
-	SyncEvery int `json:"sync_every,omitempty"`
 
 	// Process-local settings, not part of the submission surface.
 	StateDir  string        `json:"-"`
@@ -170,9 +164,8 @@ func (c *Config) RegisterCampaignFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.SynthCorpus, "synth-corpus", c.SynthCorpus, "JSON API-corpus document for -synth (empty = built-in corpus)")
 	fs.IntVar(&c.Retries, "retries", c.Retries, "max retries for transient compile faults")
 	fs.Float64Var(&c.Chaos, "chaos", c.Chaos, "inject seeded faults at this rate (0 disables; exercises the harness)")
-	fs.StringVar(&c.StateDir, "state", c.StateDir, "state directory for durable campaigns (journal, snapshots, bug corpus)")
+	fs.StringVar(&c.StateDir, "state", c.StateDir, "state directory for durable campaigns (journal, bug corpus)")
 	fs.BoolVar(&c.Resume, "resume", c.Resume, "resume the campaign recorded in -state instead of starting fresh")
-	fs.IntVar(&c.SnapshotEvery, "snapshot-every", c.SnapshotEvery, "units between report snapshots (0 = default cadence of 64; -1 disables snapshots)")
 	fs.StringVar(&c.DebugAddr, "debug-addr", c.DebugAddr, "serve /metrics, /events, and /debug/pprof on this address (e.g. 127.0.0.1:6060; :0 picks a free port)")
 	fs.DurationVar(&c.Heartbeat, "heartbeat", c.Heartbeat, "print a one-line progress summary at this interval (0 disables)")
 }
@@ -269,20 +262,18 @@ func (c *Config) CampaignOptions() (campaign.Options, error) {
 	gen := generator.DefaultConfig()
 	gen.Stress.Every = c.StressEvery
 	return campaign.Options{
-		Seed:          c.Seed,
-		Programs:      c.Programs,
-		Workers:       c.Workers,
-		Compilers:     comps,
-		Oracle:        mode,
-		GenConfig:     gen,
-		Synth:         c.SynthConfig(),
-		Mutate:        !c.NoMutate,
-		Harness:       c.HarnessOptions(),
-		Chaos:         c.ChaosOptions(),
-		StateDir:      c.StateDir,
-		Resume:        c.Resume,
-		SnapshotEvery: c.SnapshotEvery,
-		SyncEvery:     c.SyncEvery,
+		Seed:      c.Seed,
+		Programs:  c.Programs,
+		Workers:   c.Workers,
+		Compilers: comps,
+		Oracle:    mode,
+		GenConfig: gen,
+		Synth:     c.SynthConfig(),
+		Mutate:    !c.NoMutate,
+		Harness:   c.HarnessOptions(),
+		Chaos:     c.ChaosOptions(),
+		StateDir:  c.StateDir,
+		Resume:    c.Resume,
 	}, nil
 }
 

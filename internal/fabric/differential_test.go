@@ -25,7 +25,6 @@ func TestFabricShardedDifferentialMatchesSingleProcess(t *testing.T) {
 		Workers:        2,
 		CompileTimeout: cli.Duration(5 * time.Second),
 		Oracle:         "differential",
-		SnapshotEvery:  -1,
 	}
 	want := refDoc(t, cfg)
 	if !bytes.Contains(want, []byte(`"disagreements"`)) {

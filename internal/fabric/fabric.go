@@ -402,7 +402,12 @@ func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, a
 		ID: leaseID, Shard: sh.index, Lo: sh.lo, Hi: sh.hi, Attempt: attempt,
 		Config: c.opts.Config,
 	})
+	c.settleAttempt(w, sh, attempt, outcome)
+}
 
+// settleAttempt books one finished lease attempt: it frees the worker,
+// updates the shard and the worker's breaker, and records the outcome.
+func (c *coordinator) settleAttempt(w *workerRef, sh *shard, attempt int, outcome attemptOutcome) {
 	c.mu.Lock()
 	w.busy = false
 	sh.running = false
@@ -433,8 +438,13 @@ func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, a
 		c.cRefusals.Inc()
 		c.trace("shard %d lease refused by %s (attempt %d, refusal %d)", sh.index, name, attempt, refusal)
 	case outcomeDied:
+		// A death verdict (HeartbeatMisses failed polls in a row, or a
+		// shipment the worker could not deliver) is conclusive, so the
+		// worker is quarantined at once rather than offered more leases
+		// that a stopped process can only refuse after a full
+		// CallTimeout each; it returns through the half-open probe.
 		sh.notBefore = time.Now().Add(c.backoffLocked(sh))
-		w.breaker.Record(false)
+		w.breaker.Trip()
 		c.mu.Unlock()
 		c.ledger.Died(name)
 		c.cDeaths.Inc()

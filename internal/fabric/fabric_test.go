@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
+	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/metrics"
 )
@@ -36,7 +37,6 @@ func soakConfig(programs int) cli.Config {
 		CompileTimeout: cli.Duration(10 * time.Second),
 		Retries:        2,
 		Chaos:          0.1,
-		SnapshotEvery:  -1,
 	}
 }
 
@@ -304,6 +304,49 @@ func TestDispatchLeasesEachShardOnce(t *testing.T) {
 	}
 }
 
+// TestDispatchSkipsWorkerDeclaredDead pins that a death verdict
+// quarantines the worker at once: after one outcomeDied on w0, with w1
+// idle, the shard's next lease goes to w1 rather than back to the worker
+// that just missed its heartbeats.
+func TestDispatchSkipsWorkerDeclaredDead(t *testing.T) {
+	t.Parallel()
+	var clients []*Client
+	for _, name := range []string{"w0", "w1"} {
+		// Never called: the test drives the scheduler, not the protocol.
+		clients = append(clients, NewClientWith(name, "http://127.0.0.1:1", &http.Client{Timeout: time.Second}))
+	}
+	c, err := newCoordinator(Options{Config: soakConfig(4), Shards: 1, Workers: clients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shards[0]
+	c.mu.Lock()
+	w := c.takeWorkerLocked()
+	sh.attempts, sh.running = 1, true
+	c.mu.Unlock()
+	if w != c.workers[0] {
+		t.Fatalf("first lease went to %s, want w0", w.client.Name())
+	}
+	c.settleAttempt(w, sh, 0, outcomeDied)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sh.notBefore = time.Time{} // skip the retry backoff
+	if next := c.takeWorkerLocked(); next != c.workers[1] {
+		name := "no worker"
+		if next != nil {
+			name = next.client.Name()
+		}
+		t.Fatalf("lease after w0's death went to %s, want w1", name)
+	}
+	if st := c.workers[0].breaker.State(); st != harness.BreakerOpen {
+		t.Errorf("dead worker's breaker is %s, want open", st)
+	}
+	if c.ledger.WorkerDeaths != 1 {
+		t.Errorf("ledger counts %d worker deaths, want 1", c.ledger.WorkerDeaths)
+	}
+}
+
 // TestFabricDegradesWhenWorkersExhausted pins graceful degradation:
 // with the only worker dying on its first lease and refusing
 // everything after, the run must terminate with a partial report and a
@@ -312,7 +355,10 @@ func TestFabricDegradesWhenWorkersExhausted(t *testing.T) {
 	t.Parallel()
 	cfg := soakConfig(8)
 	chaos := &ChaosOptions{Seed: 1, KillRate: 1} // every lease kills its worker
-	clients := startWorkers(t, 1, chaos, 150*time.Millisecond)
+	// The per-call budget must cover a live worker's lease grant on a
+	// loaded machine: a grant answered late reads as a refusal, and the
+	// worker then dies without the death ever being observed.
+	clients := startWorkers(t, 1, chaos, time.Second)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -322,7 +368,7 @@ func TestFabricDegradesWhenWorkersExhausted(t *testing.T) {
 		Workers:          clients,
 		HeartbeatEvery:   20 * time.Millisecond,
 		HeartbeatMisses:  2,
-		CallTimeout:      200 * time.Millisecond,
+		CallTimeout:      1200 * time.Millisecond,
 		MaxAttempts:      2,
 		RetryBackoff:     5 * time.Millisecond,
 		BreakerThreshold: 2,

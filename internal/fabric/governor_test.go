@@ -26,7 +26,6 @@ func TestFabricShardedFuelExhaustionMatchesSingleProcess(t *testing.T) {
 		CompileTimeout: cli.Duration(5 * time.Second),
 		Fuel:           30000,
 		StressEvery:    4,
-		SnapshotEvery:  -1,
 	}
 	want := refDoc(t, cfg)
 

@@ -24,7 +24,6 @@ func TestFabricShardedSynthesisMatchesSingleProcess(t *testing.T) {
 		Workers:        2,
 		CompileTimeout: cli.Duration(5 * time.Second),
 		SynthEvery:     2,
-		SnapshotEvery:  -1,
 	}
 	want := refDoc(t, cfg)
 

@@ -281,7 +281,6 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	opts.Programs = lease.Hi - lease.Lo
 	opts.StateDir = filepath.Join(w.opts.Dir, "lease-"+pathSafe(lease.ID))
 	opts.Resume = false
-	opts.SnapshotEvery = -1 // journal-only: the journal is the shipment
 	opts.Metrics = w.opts.Metrics
 	opts.Trace = w.opts.Trace
 

@@ -158,9 +158,25 @@ func (b *Breaker) Record(ok bool) {
 	}
 }
 
-// BreakerSnapshot is a breaker's exportable state, used by campaign
-// checkpoints so a resumed run re-opens quarantines where the killed
-// run left them.
+// Trip opens the breaker at once, whatever its position: the caller has
+// conclusive evidence the guarded target is down, so there is nothing to
+// count. The target returns only through a half-open probe after a full
+// cooldown.
+func (b *Breaker) Trip() {
+	if b.threshold <= 0 {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.setState(BreakerOpen)
+	b.skipped = 0
+	b.probing = false
+}
+
+// BreakerSnapshot is a breaker's exportable position, shown in campaign
+// status. A resumed campaign does not import it: the position is a pure
+// function of the Allow/Record call sequence, which the campaign
+// re-derives from its journal.
 type BreakerSnapshot struct {
 	State    BreakerState `json:"state"`
 	Failures int          `json:"failures,omitempty"`
@@ -168,24 +184,12 @@ type BreakerSnapshot struct {
 }
 
 // Export captures the breaker's position. An in-flight half-open probe
-// exports as half-open with no probe pending: if the process dies
-// before the probe's Record, the resumed run's next Allow becomes the
-// probe instead of deadlocking the breaker.
+// exports as half-open; the probe marker itself is not part of the
+// position.
 func (b *Breaker) Export() BreakerSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerSnapshot{State: b.state, Failures: b.failures, Skipped: b.skipped}
-}
-
-// Import restores an exported position, clearing any probe-in-flight
-// marker (the probe died with the previous process).
-func (b *Breaker) Import(s BreakerSnapshot) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.setState(s.State)
-	b.failures = s.Failures
-	b.skipped = s.Skipped
-	b.probing = false
 }
 
 // String renders the breaker for logs.

@@ -134,82 +134,67 @@ func TestBreakerConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestBreakerExportImportRoundTrip pins what a resumed campaign relies
+// on instead of importing positions: a breaker's position is a pure
+// function of its Allow/Record call sequence, so a fresh breaker fed the
+// same calls (replayed from the journal) exports the same position at
+// every step.
 func TestBreakerExportImportRoundTrip(t *testing.T) {
-	b := NewBreaker(3, 4)
-	b.Record(false)
-	b.Record(false) // two consecutive failures while closed
-	snap := b.Export()
-	if snap.State != BreakerClosed || snap.Failures != 2 {
+	live := NewBreaker(3, 4)
+	replayed := NewBreaker(3, 4)
+	step := func(label string, call func(b *Breaker)) {
+		t.Helper()
+		call(live)
+		call(replayed)
+		if got, want := replayed.Export(), live.Export(); got != want {
+			t.Fatalf("%s: replayed position %+v, live %+v", label, got, want)
+		}
+	}
+	fail := func(b *Breaker) { b.Record(false) }
+	step("first failure", fail)
+	step("second failure", fail)
+	if snap := live.Export(); snap.State != BreakerClosed || snap.Failures != 2 {
 		t.Fatalf("export = %+v, want closed with 2 failures", snap)
 	}
-
-	restored := NewBreaker(3, 4)
-	restored.Import(snap)
-	restored.Record(false) // third failure: must open, like the original
-	if restored.State() != BreakerOpen {
-		t.Fatalf("restored breaker did not open at threshold: %s", restored.State())
+	step("third failure", fail)
+	if live.State() != BreakerOpen {
+		t.Fatalf("breaker did not open at threshold: %s", live.State())
 	}
-
-	// Open state round-trips mid-cooldown.
-	restored.Allow()
-	restored.Allow() // two skips served
-	snap = restored.Export()
-	if snap.State != BreakerOpen || snap.Skipped != 2 {
+	skip := func(b *Breaker) { b.Allow() }
+	step("first skip", skip)
+	step("second skip", skip)
+	if snap := live.Export(); snap.State != BreakerOpen || snap.Skipped != 2 {
 		t.Fatalf("export = %+v, want open with 2 skipped", snap)
 	}
-	again := NewBreaker(3, 4)
-	again.Import(snap)
-	if again.Allow() || again.Allow() {
-		t.Fatal("restored open breaker admitted before serving its cooldown")
-	}
-	if !again.Allow() {
-		t.Fatal("restored breaker did not probe after cooldown")
-	}
-	if again.State() != BreakerHalfOpen {
-		t.Fatalf("state after cooldown probe = %s, want half-open", again.State())
+	step("third skip", skip)
+	step("fourth skip", skip)
+	step("probe", skip)
+	if replayed.State() != BreakerHalfOpen {
+		t.Fatalf("state after cooldown probe = %s, want half-open", replayed.State())
 	}
 }
 
+// TestBreakerImportClearsStaleProbe: a probe admitted by a unit that
+// died with the process must not wedge the breaker after a resume. The
+// dead unit was never journaled, so the resumed breaker replays only
+// the calls before it and the next Allow becomes a fresh probe.
 func TestBreakerImportClearsStaleProbe(t *testing.T) {
-	// A breaker exported while its half-open probe was in flight must
-	// not stay wedged after restore: the probe died with the process.
 	b := NewBreaker(1, 1)
 	b.Record(false) // open
 	b.Allow()       // serve cooldown
 	if !b.Allow() {
 		t.Fatal("expected the half-open probe admission")
 	}
-	snap := b.Export() // probe in flight
-	if snap.State != BreakerHalfOpen {
+	if snap := b.Export(); snap.State != BreakerHalfOpen {
 		t.Fatalf("export = %+v, want half-open", snap)
 	}
-	restored := NewBreaker(1, 1)
-	restored.Import(snap)
-	if !restored.Allow() {
-		t.Fatal("restored half-open breaker refused the fresh probe")
+	if b.Allow() {
+		t.Fatal("a second probe was admitted while one is in flight")
 	}
-}
-
-func TestHarnessExportImportBreakers(t *testing.T) {
-	h := New(Options{BreakerThreshold: 2, BreakerCooldown: 3})
-	h.Breaker("groovyc").Record(false)
-	h.Breaker("groovyc").Record(false) // open
-	h.Breaker("kotlinc").Record(false)
-
-	states := h.ExportBreakers()
-	if len(states) != 2 {
-		t.Fatalf("exported %d breakers, want 2", len(states))
-	}
-	if states["groovyc"].State != BreakerOpen {
-		t.Errorf("groovyc exported %+v, want open", states["groovyc"])
-	}
-
-	h2 := New(Options{BreakerThreshold: 2, BreakerCooldown: 3})
-	h2.ImportBreakers(states)
-	if h2.Breaker("groovyc").State() != BreakerOpen {
-		t.Error("groovyc quarantine lost across export/import")
-	}
-	if h2.Breaker("kotlinc").Export().Failures != 1 {
-		t.Error("kotlinc consecutive-failure count lost across export/import")
+	resumed := NewBreaker(1, 1)
+	resumed.Record(false)
+	resumed.Allow()
+	if !resumed.Allow() {
+		t.Fatal("resumed breaker refused the fresh probe")
 	}
 }

@@ -340,7 +340,7 @@ func (h *Harness) fuelHistogram(name string) *metrics.Histogram {
 }
 
 // ExportBreakers snapshots every circuit breaker, keyed by compiler
-// name — part of a campaign checkpoint.
+// name, for status displays.
 func (h *Harness) ExportBreakers() map[string]BreakerSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -349,14 +349,6 @@ func (h *Harness) ExportBreakers() map[string]BreakerSnapshot {
 		out[name] = b.Export()
 	}
 	return out
-}
-
-// ImportBreakers restores breaker positions from a checkpoint, creating
-// breakers (with this harness's thresholds) as needed.
-func (h *Harness) ImportBreakers(states map[string]BreakerSnapshot) {
-	for name, s := range states {
-		h.Breaker(name).Import(s)
-	}
 }
 
 // Compile runs one compile through the full resilience stack: breaker

@@ -1,10 +1,9 @@
 // Package journal is the durability layer under long-running campaigns:
-// a write-ahead journal of finished pipeline units plus periodic atomic
-// snapshots of the folded campaign state, both living in one state
-// directory. The paper's evaluation is a nine-month continuous run; a
-// campaign that long survives power loss and OOM kills only if its
-// progress is on disk, so the contract here is crash-safety at any
-// instant:
+// a write-ahead journal of finished pipeline units plus a few side
+// documents, all living in one state directory. The paper's evaluation
+// is a nine-month continuous run; a campaign that long survives power
+// loss and OOM kills only if its progress is on disk, so the contract
+// here is crash-safety at any instant:
 //
 //   - journal records are length-prefixed and CRC32-checksummed, and the
 //     file is appended with batched fsyncs — a record either replays
@@ -13,12 +12,12 @@
 //     cleanly instead of failing it;
 //   - a corrupt record mid-file (bad checksum) is quarantined with its
 //     byte offset and replay resyncs at the next frame;
-//   - snapshots and side documents are written to a temp file, fsynced,
-//     and renamed into place, so a reader never observes a half-written
-//     file; snapshot loading falls back to the newest *valid* snapshot.
+//   - side documents are written to a temp file, fsynced, and renamed
+//     into place, so a reader never observes a half-written file.
 //
-// The package stores bytes, not campaign types: internal/campaign owns
-// the record and snapshot schemas and replays them into its report.
+// The journal is the only restore path: resuming replays every intact
+// record. The package stores bytes, not campaign types: internal/campaign
+// owns the record schema and replays it into its report.
 package journal
 
 import (
@@ -30,14 +29,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 const (
 	journalName = "journal.wal"
-	snapExt     = ".snap"
 	tmpExt      = ".tmp"
 
 	// frameHeader is the per-record overhead: a uint32 payload length
@@ -50,9 +45,8 @@ const (
 	MaxRecord = 64 << 20
 )
 
-// Store is a state directory holding one campaign's journal and
-// snapshots plus side documents (bug corpus, metadata) that outlive
-// individual campaigns.
+// Store is a state directory holding one campaign's journal plus side
+// documents (bug corpus, metadata) that outlive individual campaigns.
 type Store struct {
 	dir string
 	// observe, when set, is called once per Corruption Replay records —
@@ -79,21 +73,12 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, journalName) }
 
-// Reset deletes the journal and every snapshot — a fresh campaign in an
-// already-used directory. Side documents (the persistent bug corpus) are
-// deliberately kept: they accumulate across campaigns.
+// Reset deletes the journal — a fresh campaign in an already-used
+// directory. Side documents (the persistent bug corpus) are deliberately
+// kept: they accumulate across campaigns.
 func (s *Store) Reset() error {
 	if err := os.Remove(s.journalPath()); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("journal: reset: %w", err)
-	}
-	snaps, err := s.snapshotFiles()
-	if err != nil {
-		return err
-	}
-	for _, f := range snaps {
-		if err := os.Remove(f.path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("journal: reset: %w", err)
-		}
 	}
 	return s.syncDir()
 }
@@ -110,7 +95,7 @@ func (s *Store) syncDir() error {
 }
 
 // Writer appends framed records to the journal. It buffers writes and
-// fsyncs every SyncEvery records (and on Sync/Close), bounding the
+// fsyncs every syncEvery records (and on Sync/Close), bounding the
 // window a crash can tear to the unsynced tail.
 type Writer struct {
 	f         *os.File
@@ -282,79 +267,6 @@ func (s *Store) JournalBytes() ([]byte, error) {
 	return b, nil
 }
 
-// snapFile is one snapshot on disk.
-type snapFile struct {
-	path string
-	seq  int64
-}
-
-// snapshotFiles lists snapshots, newest (highest seq) first.
-func (s *Store) snapshotFiles() ([]snapFile, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: list snapshots: %w", err)
-	}
-	var out []snapFile
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snapshot-") || !strings.HasSuffix(name, snapExt) {
-			continue
-		}
-		seq, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "snapshot-"), snapExt), 10, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, snapFile{path: filepath.Join(s.dir, name), seq: seq})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
-	return out, nil
-}
-
-// WriteSnapshot atomically persists a snapshot claiming the fold prefix
-// [0, seq): the payload is framed (length + CRC32) in a temp file,
-// fsynced, and renamed into place, then older snapshots are pruned (the
-// previous one is kept as a fallback against a corrupt write).
-func (s *Store) WriteSnapshot(seq int64, payload []byte) error {
-	name := fmt.Sprintf("snapshot-%016d%s", seq, snapExt)
-	final := filepath.Join(s.dir, name)
-	tmp := final + tmpExt
-	if err := writeFramedFile(tmp, payload); err != nil {
-		return fmt.Errorf("journal: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("journal: write snapshot: %w", err)
-	}
-	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("journal: write snapshot: %w", err)
-	}
-	// Prune all but the two newest snapshots.
-	snaps, err := s.snapshotFiles()
-	if err != nil {
-		return err
-	}
-	for _, old := range snaps[min(2, len(snaps)):] {
-		os.Remove(old.path)
-	}
-	return nil
-}
-
-// LatestSnapshot loads the newest snapshot that passes validation,
-// skipping corrupt ones. ok is false when no valid snapshot exists.
-func (s *Store) LatestSnapshot() (seq int64, payload []byte, ok bool, err error) {
-	snaps, err := s.snapshotFiles()
-	if err != nil {
-		return 0, nil, false, err
-	}
-	for _, f := range snaps {
-		payload, verr := readFramedFile(f.path)
-		if verr != nil {
-			continue // corrupt or half-written: fall back to an older one
-		}
-		return f.seq, payload, true, nil
-	}
-	return 0, nil, false, nil
-}
-
 // WriteDoc atomically writes a named side document (temp + fsync +
 // rename). Documents are plain bytes — campaign keeps JSON there.
 func (s *Store) WriteDoc(name string, payload []byte) error {
@@ -379,35 +291,6 @@ func (s *Store) ReadDoc(name string) ([]byte, error) {
 		return nil, fmt.Errorf("journal: read doc %s: %w", name, err)
 	}
 	return b, nil
-}
-
-// writeFramedFile writes a single framed record as the whole file and
-// fsyncs it; readFramedFile validates and unwraps it.
-func writeFramedFile(path string, payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return writePlainFile(path, append(hdr[:], payload...))
-}
-
-func readFramedFile(path string) ([]byte, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) < frameHeader {
-		return nil, fmt.Errorf("journal: framed file %s too short", path)
-	}
-	length := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	payload := b[frameHeader:]
-	if int(length) != len(payload) {
-		return nil, fmt.Errorf("journal: framed file %s: length %d != payload %d", path, length, len(payload))
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("journal: framed file %s: checksum mismatch", path)
-	}
-	return payload, nil
 }
 
 func writePlainFile(path string, b []byte) error {

@@ -191,86 +191,12 @@ func TestJournalImplausibleLengthStopsReplay(t *testing.T) {
 	}
 }
 
-func TestSnapshotLatestValidWins(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := s.LatestSnapshot(); err != nil || ok {
-		t.Fatalf("empty store: ok=%v err=%v", ok, err)
-	}
-	if err := s.WriteSnapshot(10, []byte("state-at-10")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSnapshot(20, []byte("state-at-20")); err != nil {
-		t.Fatal(err)
-	}
-	seq, payload, ok, err := s.LatestSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if seq != 20 || string(payload) != "state-at-20" {
-		t.Fatalf("latest = %d %q", seq, payload)
-	}
-}
-
-func TestSnapshotCorruptLatestFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSnapshot(10, []byte("state-at-10")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSnapshot(20, []byte("state-at-20")); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the newest snapshot in place (a torn write at kill time).
-	newest := filepath.Join(dir, fmt.Sprintf("snapshot-%016d%s", 20, snapExt))
-	if err := os.WriteFile(newest, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seq, payload, ok, err := s.LatestSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if seq != 10 || string(payload) != "state-at-10" {
-		t.Fatalf("fallback = %d %q, want the older valid snapshot", seq, payload)
-	}
-}
-
-func TestSnapshotPruneKeepsTwo(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 5; i++ {
-		if err := s.WriteSnapshot(i*100, []byte(fmt.Sprintf("s%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snaps, err := s.snapshotFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("kept %d snapshots, want 2", len(snaps))
-	}
-	if snaps[0].seq != 500 || snaps[1].seq != 400 {
-		t.Fatalf("kept %d and %d, want 500 and 400", snaps[0].seq, snaps[1].seq)
-	}
-}
-
 func TestResetClearsJournalAndSnapshotsKeepsDocs(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, s, [][]byte{[]byte("r")}, 1)
-	if err := s.WriteSnapshot(1, []byte("s")); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.WriteDoc("corpus.json", []byte(`{"bugs":{}}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +205,6 @@ func TestResetClearsJournalAndSnapshotsKeepsDocs(t *testing.T) {
 	}
 	if got, _ := replayAll(t, s); len(got) != 0 {
 		t.Errorf("journal survived reset: %d records", len(got))
-	}
-	if _, _, ok, _ := s.LatestSnapshot(); ok {
-		t.Error("snapshot survived reset")
 	}
 	doc, err := s.ReadDoc("corpus.json")
 	if err != nil || doc == nil {

@@ -17,7 +17,7 @@ import (
 
 // manifest is the durable index of hosted campaigns: enough to re-host
 // every suspended one after a restart. Campaign payload state (journal,
-// snapshots, reduced repros) lives in each campaign's own state
+// reduced repros) lives in each campaign's own state
 // directory; the manifest only records who owns what.
 type manifest struct {
 	NextID    int             `json:"next_id"`

@@ -19,10 +19,9 @@
 // endpoints under /debug/tenants/{tenant}/.
 //
 // Every campaign is durable under DataDir, so Drain (the SIGTERM path)
-// is just Pause for every running campaign: each takes its final
-// snapshot through the journal machinery, and a server restarted with
-// Resume re-hosts them as suspended campaigns that continue exactly
-// where they stopped. None of this bends the determinism contract —
+// is just Pause for every running campaign: each syncs its journal,
+// and a server restarted with Resume re-hosts them as suspended
+// campaigns that continue exactly where they stopped. None of this bends the determinism contract —
 // gates and slots only reschedule work, so a campaign run under heavy
 // multi-tenant traffic reports bit-for-bit what a solo CLI run of the
 // same options reports.
@@ -378,9 +377,9 @@ func (s *Server) watch(h *hosted) {
 }
 
 // Drain gracefully suspends the server: no new submissions or resumes
-// are admitted, every running campaign is paused (each taking its
-// final durable snapshot through the journal path), and the manifest
-// is saved so a server restarted with Options.Resume re-hosts them.
+// are admitted, every running campaign is paused (each syncing its
+// journal), and the manifest is saved so a server restarted with
+// Options.Resume re-hosts them.
 // Campaigns that cannot pause (non-durable: no DataDir) are cancelled
 // instead. Blocks until every campaign has stopped executing.
 func (s *Server) Drain(ctx context.Context) error {
@@ -470,7 +469,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := cli.NewConfig()
-	if err := json.NewDecoder(r.Body).Decode(cfg); err != nil {
+	// A field the config does not have is refused, not ignored: a
+	// misspelt or retired knob must not silently run a different
+	// campaign than the submitter asked for.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cfg); err != nil {
 		http.Error(w, fmt.Sprintf("bad campaign config: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -557,7 +561,7 @@ func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	// Pause blocks until the final snapshot is down; s.mu is not held,
+	// Pause blocks until the journal is synced; s.mu is not held,
 	// so other requests proceed meanwhile.
 	if err := h.camp.Pause(); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)

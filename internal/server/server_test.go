@@ -316,6 +316,12 @@ func TestServerValidationRejectsBadConfigs(t *testing.T) {
 		"too large":        {"programs": 5000},
 		"unknown compiler": {"programs": 5, "compilers": []string{"rustc"}},
 		"bad chaos":        {"programs": 5, "chaos": 2.0},
+		// A field the config does not have (a removed knob or a
+		// misspelling) is refused, not silently ignored.
+		"removed batch_size":     {"programs": 5, "batch_size": 4},
+		"removed snapshot_every": {"programs": 5, "snapshot_every": 4},
+		"removed sync_every":     {"programs": 5, "sync_every": 4},
+		"misspelt field":         {"programs": 5, "seeed": 3},
 	} {
 		if code, _ := request(t, ts, "POST", "/api/campaigns", "", cfg); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
