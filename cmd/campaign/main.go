@@ -51,9 +51,8 @@
 // but -covn, split by -shards: without it no fabric flag is read; with
 // it -state, -resume, -heartbeat and (except under -fig all, whose
 // coverage figures read it) -stats are not; and with -fabric-workers
-// the spawn flags -worker-bin, -fabric-procs and -fabric-chaos are
-// not. A flag the chosen run does not read is an
-// error, not silently ignored.
+// the spawn flags -worker-bin and -fabric-procs are not. A flag the
+// chosen run does not read is an error, not silently ignored.
 package main
 
 import (
@@ -259,7 +258,7 @@ func readsFlag(fig, name string, cfg *cli.Config) bool {
 	}
 	sharded := cfg.Shards > 0
 	switch name {
-	case "worker-bin", "fabric-procs", "fabric-chaos":
+	case "worker-bin", "fabric-procs":
 		return sharded && cfg.FabricWorkers == ""
 	case "fabric-state", "fabric-workers", "fabric-timeout":
 		return sharded
@@ -272,7 +271,7 @@ func readsFlag(fig, name string, cfg *cli.Config) bool {
 }
 
 // runFabric runs the campaign sharded across fabric workers — spawned
-// cmd/worker processes, or running ones attached with -fabric-workers —
+// cmd/server processes, or running ones attached with -fabric-workers —
 // and returns the merged report, which is byte-identical to the
 // single-process run of the same flags. On degradation (shards
 // abandoned after worker exhaustion) it flushes the partial report and
@@ -306,20 +305,10 @@ func runFabric(ctx context.Context, cfg *cli.Config, obs *cli.Observability, rep
 				procs = 8
 			}
 		}
-		var chaos *fabric.ChaosOptions
-		if cfg.FabricChaos > 0 {
-			chaos = &fabric.ChaosOptions{
-				Seed:        cfg.Seed,
-				KillRate:    cfg.FabricChaos,
-				StallRate:   cfg.FabricChaos,
-				CorruptRate: cfg.FabricChaos,
-			}
-		}
 		workers, stopWorkers, err := fabric.SpawnWorkers(fabric.SpawnOptions{
 			Bin:         cfg.WorkerBin,
 			Count:       procs,
 			Dir:         cfg.FabricState,
-			Chaos:       chaos,
 			CallTimeout: cfg.FabricTimeout,
 			Announce:    os.Stdout,
 		})

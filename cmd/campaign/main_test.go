@@ -43,14 +43,16 @@ func TestFiguresRejectUnreadFlags(t *testing.T) {
 		// workers (-fabric-workers) read none of the spawn flags.
 		{[]string{"-fig", "7a", "-n", "4", "-worker-bin", "/nonexistent", "-fabric-procs", "3"},
 			[]string{"-worker-bin", "-fabric-procs"}},
-		{[]string{"-fig", "all", "-n", "4", "-fabric-state", fabricState, "-fabric-timeout", "1s", "-fabric-chaos", "0.1"},
-			[]string{"-fabric-state", "-fabric-timeout", "-fabric-chaos"}},
+		{[]string{"-fig", "all", "-n", "4", "-fabric-state", fabricState, "-fabric-timeout", "1s"},
+			[]string{"-fabric-state", "-fabric-timeout"}},
 		{[]string{"-fig", "7c", "-n", "4", "-shards", "2", "-worker-bin", "/nonexistent",
 			"-state", state, "-resume", "-heartbeat", "1s", "-stats"},
 			[]string{"-state", "-resume", "-heartbeat", "-stats"}},
 		{[]string{"-fig", "8", "-n", "4", "-shards", "2", "-fabric-workers", "127.0.0.1:1",
-			"-worker-bin", "/nonexistent", "-fabric-procs", "3", "-fabric-chaos", "0.1"},
-			[]string{"-worker-bin", "-fabric-procs", "-fabric-chaos"}},
+			"-worker-bin", "/nonexistent", "-fabric-procs", "3"},
+			[]string{"-worker-bin", "-fabric-procs"}},
+		// A removed flag is unknown, so it is refused like any other.
+		{[]string{"-fig", "7a", "-n", "4", "-shards", "2", "-fabric-chaos", "0.1"}, []string{"-fabric-chaos"}},
 		{[]string{"-fig", "9", "-covn", "2", "-seed", "3", "-workers", "1", "-stats"}, nil},
 		{[]string{"-fig", "7c", "-n", "4", "-workers", "1"}, nil},
 	} {
@@ -80,6 +82,27 @@ func TestFiguresRejectUnreadFlags(t *testing.T) {
 	for _, p := range []string{state, reportJSON, fabricState} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("a rejected flag created %s", p)
+		}
+	}
+}
+
+// TestCoverageFiguresStdoutIsStable: every coverage figure prints the
+// same bytes on every run and at any worker count.
+func TestCoverageFiguresStdoutIsStable(t *testing.T) {
+	for _, fig := range []string{"9", "10", "synth"} {
+		var first string
+		for i, workers := range []string{"1", "4", "4"} {
+			cmd := exec.Command(os.Args[0], "-fig", fig, "-covn", "40", "-seed", "3", "-workers", workers)
+			cmd.Env = append(os.Environ(), "CAMPAIGN_MAIN=1")
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("campaign -fig %s -workers %s: %v", fig, workers, err)
+			}
+			if i == 0 {
+				first = string(out)
+			} else if string(out) != first {
+				t.Errorf("campaign -fig %s stdout differs at -workers %s (run %d):\n%s\nvs\n%s", fig, workers, i+1, out, first)
+			}
 		}
 	}
 }

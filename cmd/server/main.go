@@ -1,28 +1,38 @@
-// Command server runs the multi-tenant fuzzing service: a long-running
-// host that accepts campaign submissions over HTTP, schedules them onto
-// a bounded slot pool, and keeps every campaign durable so the whole
-// service can stop and resume without losing work.
+// Command server runs the fuzzing service: a long-running host that
+// accepts campaign submissions over HTTP, schedules them onto a bounded
+// slot pool, and keeps every campaign durable so the whole service can
+// stop and resume without losing work. It is also the fabric's worker:
+// cmd/campaign -shards spawns it as `server -max-running 1 -data DIR`
+// and leases shards to it through the same API.
 //
 //	server -addr :8080 -data DIR [-resume] [-max-running N]
-//	       [-max-per-tenant N] [-submit-rate R] [-unit-rate R]
 //	       [-max-programs N] [-max-workers N] [-heartbeat DUR]
+//	       [-drain-timeout DUR]
 //
-// The HTTP API (tenant = X-Tenant header, default "default"):
+// On startup it prints one announce line (the fabric spawner and CI
+// parse it):
+//
+//	fuzzing server listening on http://ADDR
+//
+// The HTTP API:
 //
 //	POST /api/campaigns                 submit a campaign config (JSON)
-//	GET  /api/campaigns                 list the tenant's campaigns
+//	GET  /api/campaigns                 list the campaigns
 //	GET  /api/campaigns/{id}            inspect one campaign's status
 //	POST /api/campaigns/{id}/pause      durably suspend (frees its slot)
 //	POST /api/campaigns/{id}/resume     continue a paused campaign
 //	POST /api/campaigns/{id}/cancel     stop it; partial report remains
 //	GET  /api/campaigns/{id}/report     the deterministic report document
+//	GET  /api/campaigns/{id}/journal    the raw journal of an ended campaign
 //	GET  /api/campaigns/{id}/events     SSE: trace events + heartbeats
 //	GET  /api/campaigns/{id}/repro?bug= reduced repro for one found bug
 //	GET  /api/corpus                    cross-campaign bug corpus
-//	GET  /api/tenants                   known tenants
-//	GET  /debug/tenants/{tenant}/...    per-tenant metrics + events
-//	GET  /debug/server/...              server-level metrics
+//	GET  /debug/server/...              metrics, each campaign's under its ID
 //	GET  /healthz                       liveness
+//
+// A submission with a "shard" range ({"index","attempt","lo","hi"})
+// runs that slice of the campaign's seed space; it needs -data and is
+// refused with 409, not queued, when no slot is free.
 //
 // On SIGINT/SIGTERM the server drains: it stops admitting work, pauses
 // every running campaign (each syncs its journal), and writes the
@@ -51,9 +61,6 @@ func main() {
 	data := flag.String("data", "", "data directory (campaign state, corpus, manifest); empty = in-memory")
 	resume := flag.Bool("resume", false, "re-host suspended campaigns from the data directory's manifest")
 	maxRunning := flag.Int("max-running", 4, "campaigns executing concurrently; the rest queue")
-	maxPerTenant := flag.Int("max-per-tenant", 8, "live campaigns allowed per tenant")
-	submitRate := flag.Float64("submit-rate", 5, "per-tenant campaign submissions per second (burst 10)")
-	unitRate := flag.Float64("unit-rate", 0, "per-tenant pipeline units per second (0 = unlimited)")
 	maxPrograms := flag.Int("max-programs", 100000, "largest accepted campaign, in programs")
 	maxWorkers := flag.Int("max-workers", 0, "largest accepted per-campaign worker count (0 = unlimited)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "SSE heartbeat cadence")
@@ -61,16 +68,13 @@ func main() {
 	flag.Parse()
 
 	s, err := server.New(server.Options{
-		DataDir:      *data,
-		MaxRunning:   *maxRunning,
-		MaxPerTenant: *maxPerTenant,
-		SubmitRate:   *submitRate,
-		UnitRate:     *unitRate,
-		MaxPrograms:  *maxPrograms,
-		MaxWorkers:   *maxWorkers,
-		Heartbeat:    *heartbeat,
-		Resume:       *resume,
-		Metrics:      metrics.NewRegistry(),
+		DataDir:     *data,
+		MaxRunning:  *maxRunning,
+		MaxPrograms: *maxPrograms,
+		MaxWorkers:  *maxWorkers,
+		Heartbeat:   *heartbeat,
+		Resume:      *resume,
+		Metrics:     metrics.NewRegistry(),
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "server: %v\n", err)

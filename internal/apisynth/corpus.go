@@ -369,8 +369,8 @@ func (r *resolver) method(owner string, ms MethodSig, outer map[string]*types.Pa
 }
 
 // Extract mines API signatures from existing programs — the seeding
-// path ROADMAP item 3 names, turning internal/corpus's hand-written
-// suite into synthesizer fuel. It is deliberately conservative: only
+// path that turns internal/corpus's hand-written suite into
+// synthesizer fuel. It is deliberately conservative: only
 // regular, superless classes whose member types the TypeSig grammar
 // can express (nominal types, builtins, type parameters) are taken;
 // anything else (function types, projections, inherited members) is

@@ -126,9 +126,9 @@ type Options struct {
 	// Gate, when set, is called on the source goroutine before each new
 	// unit enters the pipeline; blocking in it stalls the feed channel
 	// and backpressures every bounded stage channel behind it. This is
-	// the admission-control hook the multi-tenant server hangs its
-	// per-tenant rate limits on. A Gate error ends the source (the run
-	// finishes early via its context). Units restored by a resume are
+	// the admission-control hook; the fabric's chaos kill rides it. A
+	// Gate error ends the source (the run finishes early via its
+	// context). Units restored by a resume are
 	// not gated. Scheduling only — a Gate must not vary what the
 	// campaign computes — so it is excluded from the fingerprint.
 	Gate func(ctx context.Context) error
@@ -271,11 +271,11 @@ const SeriesBucketWidth = 32
 // buckets fold commutatively across live units and journal replay.
 type RateBucket struct {
 	// Units is the number of units folded into the bucket.
-	Units int `json:"u"`
+	Units int
 	// Execs is the number of (input, compiler) executions.
-	Execs int `json:"x"`
+	Execs int
 	// BugHits is the number of bug triggerings (before deduplication).
-	BugHits int `json:"h,omitempty"`
+	BugHits int
 }
 
 // SeriesPoint is one step of the derived bug-rate series.

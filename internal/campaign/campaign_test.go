@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/compilers"
+	"repro/internal/coverage"
 	"repro/internal/generator"
 	"repro/internal/oracle"
 )
@@ -235,6 +236,26 @@ func TestMutationCoverageExperiment(t *testing.T) {
 	}
 	if !strings.Contains(cov.String(), "TEM change") {
 		t.Errorf("report rendering:\n%s", cov)
+	}
+}
+
+// TestRegionRowsSorted: the per-region rows of the coverage figures
+// print in region order, skipping regions with nothing new.
+func TestRegionRowsSorted(t *testing.T) {
+	got := (&SynthCoverage{Compiler: "kotlinc", SynthByRegion: map[string]coverage.Delta{
+		"types.subtyping":          {Lines: 2},
+		"resolve.calls.inference":  {Lines: 9, Funcs: 1, Branches: 10},
+		"comp.Attr":                {},
+		"stc.StaticTypeChecking":   {Branches: 1},
+		"code.generator.generated": {Funcs: 3},
+	}}).String()
+	want := "" +
+		"  Synth code.generator.generated   +0 lines, +3 functions, +0 branches\n" +
+		"  Synth resolve.calls.inference    +9 lines, +1 functions, +10 branches\n" +
+		"  Synth stc.StaticTypeChecking     +0 lines, +0 functions, +1 branches\n" +
+		"  Synth types.subtyping            +2 lines, +0 functions, +0 branches\n"
+	if !strings.HasSuffix(got, want) {
+		t.Errorf("region rows:\n%s\nwant suffix:\n%s", got, want)
 	}
 }
 

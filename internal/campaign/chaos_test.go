@@ -1,11 +1,13 @@
 package campaign
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/oracle"
 )
 
@@ -141,6 +143,49 @@ func TestChaosBreakerQuarantinesAndRecordsGaps(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Verdicts, r2.Verdicts) {
 		t.Errorf("single-worker chaos verdicts disagree")
+	}
+}
+
+// TestChaosBreakerRetriesCountOnlyInvocationsThatRan: in a
+// breaker-tripping campaign the ledger's retries are never negative and
+// equal the retries of the compiles that ran, summed from the journal;
+// a quarantined compile made no attempt.
+func TestChaosBreakerRetriesCountOnlyInvocationsThatRan(t *testing.T) {
+	o := breakerChaosOptions()
+	o.StateDir = t.TempDir()
+	r := Run(o)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	want := map[string]int{}
+	store, err := journal.Open(o.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Replay(func(_ int64, payload []byte) error {
+		var rec unitRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		for _, g := range rec.Gaps {
+			if g.Attempts > 0 {
+				want[g.Compiler] += g.Attempts - 1
+			}
+		}
+		for _, e := range rec.Execs {
+			want[e.Compiler] += e.Attempts - 1
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Faults.PerCompiler["groovyc"].Quarantined == 0 {
+		t.Fatal("breaker never quarantined; the test would be vacuous")
+	}
+	for name, rec := range r.Faults.PerCompiler {
+		if rec.Retries < 0 || rec.Retries != want[name] {
+			t.Errorf("%s: ledger retries %d, want %d summed over the compiles that ran", name, rec.Retries, want[name])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/apisynth"
 	"repro/internal/compilers"
@@ -41,14 +42,27 @@ func (m *MutationCoverage) String() string {
 		m.TEMDelta.Lines, m.TEMDelta.Funcs, m.TEMDelta.Branches)
 	s += fmt.Sprintf("  TOM change  +%d lines, +%d functions, +%d branches\n",
 		m.TOMDelta.Lines, m.TOMDelta.Funcs, m.TOMDelta.Branches)
-	for region, d := range m.TEMByRegion {
+	return s + regionRows("TEM", m.TEMByRegion)
+}
+
+// regionRows renders the nonzero per-region rows in region order: map
+// order would make the figure's stdout differ from run to run.
+func regionRows(label string, byRegion map[string]coverage.Delta) string {
+	regions := make([]string, 0, len(byRegion))
+	for region := range byRegion {
+		regions = append(regions, region)
+	}
+	sort.Strings(regions)
+	out := ""
+	for _, region := range regions {
+		d := byRegion[region]
 		if d.Lines+d.Funcs+d.Branches == 0 {
 			continue
 		}
-		s += fmt.Sprintf("  TEM %-28s +%d lines, +%d functions, +%d branches\n",
-			region, d.Lines, d.Funcs, d.Branches)
+		out += fmt.Sprintf("  %-32s +%d lines, +%d functions, +%d branches\n",
+			label+" "+region, d.Lines, d.Funcs, d.Branches)
 	}
-	return s
+	return out
 }
 
 // RunMutationCoverageContext performs the RQ3 experiment (Figure 9):
@@ -124,14 +138,7 @@ func (s *SynthCoverage) String() string {
 		s.MutDelta.Lines, s.MutDelta.Funcs, s.MutDelta.Branches)
 	out += fmt.Sprintf("  Synth change   +%d lines, +%d functions, +%d branches\n",
 		s.SynthDelta.Lines, s.SynthDelta.Funcs, s.SynthDelta.Branches)
-	for region, d := range s.SynthByRegion {
-		if d.Lines+d.Funcs+d.Branches == 0 {
-			continue
-		}
-		out += fmt.Sprintf("  Synth %-26s +%d lines, +%d functions, +%d branches\n",
-			region, d.Lines, d.Funcs, d.Branches)
-	}
-	return out
+	return out + regionRows("Synth", s.SynthByRegion)
 }
 
 // RunSynthCoverageContext performs the three-way generated vs mutated

@@ -162,8 +162,8 @@ type CorpusEntry struct {
 
 // Corpus is the persistent bug-dedup corpus: every distinct bug any
 // campaign run against this state directory has found. It survives
-// Reset — separate campaigns accumulate into it. The multi-tenant
-// server keeps one Corpus across every hosted campaign the same way.
+// Reset — separate campaigns accumulate into it. The campaign server
+// keeps one Corpus across every hosted campaign the same way.
 type Corpus struct {
 	Campaigns int                     `json:"campaigns"`
 	Bugs      map[string]*CorpusEntry `json:"bugs"`

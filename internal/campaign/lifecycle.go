@@ -419,10 +419,10 @@ func (c *Campaign) Status() Status {
 
 // gatedSource applies a per-unit admission gate on the source
 // goroutine. A blocking gate stalls the feed channel, and the stall
-// propagates backward through every bounded stage channel — this is
-// the hook the server's per-tenant rate limits use to backpressure a
-// tenant's campaigns instead of buffering unbounded work. Recovered
-// units pass free: replaying already-folded results costs no budget.
+// propagates backward through every bounded stage channel, so a
+// throttling gate backpressures the campaign instead of buffering
+// unbounded work. Recovered units pass free: replaying already-folded
+// results costs no budget.
 type gatedSource struct {
 	inner pipeline.Source
 	ctx   context.Context

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -314,22 +313,5 @@ func TestFingerprintIgnoresObservability(t *testing.T) {
 	changed.Seed = 99
 	if fingerprint(base) == fingerprint(changed) {
 		t.Error("fingerprint ignored a campaign-defining option")
-	}
-}
-
-// TestRateBucketSnapshotRoundTrip pins the JSON encoding of the
-// int-keyed bug-rate series map.
-func TestRateBucketSnapshotRoundTrip(t *testing.T) {
-	in := map[int]*RateBucket{0: {Units: 32, Execs: 384, BugHits: 7}, 3: {Units: 4, Execs: 48}}
-	raw, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out map[int]*RateBucket
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("series round trip: %+v vs %+v", in, out)
 	}
 }

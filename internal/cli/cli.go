@@ -57,7 +57,7 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 // knob the CLIs expose, in a JSON-marshalable shape the server accepts
 // as a submission body. Process-local concerns (state directory,
 // debug address, heartbeat cadence) are deliberately excluded from the
-// JSON surface — the server owns those per tenant.
+// JSON surface — the server owns those per campaign.
 type Config struct {
 	// Seed is the base seed; program i uses Seed+i.
 	Seed int64 `json:"seed"`
@@ -111,6 +111,10 @@ type Config struct {
 	Retries int `json:"retries,omitempty"`
 	// Chaos injects seeded faults at this rate (0 disables).
 	Chaos float64 `json:"chaos,omitempty"`
+	// Shard, when set, restricts the campaign to global units [Lo, Hi)
+	// of the Programs-unit campaign the rest of the config describes:
+	// the fabric coordinator leases one shard per submission.
+	Shard *ShardRange `json:"shard,omitempty"`
 
 	// Process-local settings, not part of the submission surface.
 	StateDir  string        `json:"-"`
@@ -128,11 +132,15 @@ type Config struct {
 	FabricProcs   int           `json:"-"`
 	FabricWorkers string        `json:"-"`
 	FabricTimeout time.Duration `json:"-"`
-	// FabricChaos is the worker-level fault rate of spawned workers:
-	// each lease draws kill, stall and corrupt-shipment faults at this
-	// rate, keyed by (shard, attempt). Scheduling-only: the merged
-	// report does not move.
-	FabricChaos float64 `json:"-"`
+}
+
+// ShardRange is one fabric lease: shard Index, its Attempt number
+// (starting at 0), and its global unit range [Lo, Hi).
+type ShardRange struct {
+	Index   int `json:"index"`
+	Attempt int `json:"attempt"`
+	Lo      int `json:"lo"`
+	Hi      int `json:"hi"`
 }
 
 // NewConfig returns the defaults both CLIs and the server share:
@@ -189,10 +197,9 @@ func UnreadFlags(fs *flag.FlagSet, reads func(name string) bool) []string {
 func (c *Config) RegisterFabricFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Shards, "shards", c.Shards, "shard the campaign across fabric workers (0 = single process)")
 	fs.StringVar(&c.FabricState, "fabric-state", c.FabricState, "coordinator scratch directory (worker state, fabric fault ledger)")
-	fs.StringVar(&c.WorkerBin, "worker-bin", c.WorkerBin, "cmd/worker binary to spawn local workers from")
+	fs.StringVar(&c.WorkerBin, "worker-bin", c.WorkerBin, "cmd/server binary to spawn local workers from")
 	fs.IntVar(&c.FabricProcs, "fabric-procs", c.FabricProcs, "worker processes to spawn (0 = one per shard, capped at 8)")
 	fs.StringVar(&c.FabricWorkers, "fabric-workers", c.FabricWorkers, "attach these running workers (comma-separated http addresses) instead of spawning")
-	fs.Float64Var(&c.FabricChaos, "fabric-chaos", c.FabricChaos, "worker-level fault rate for spawned workers: kill, stall, corrupt shipment (0 disables)")
 	fs.DurationVar(&c.FabricTimeout, "fabric-timeout", c.FabricTimeout, "per-call coordinator→worker budget (0 = 3s)")
 }
 
@@ -249,7 +256,13 @@ func (c *Config) ChaosOptions() *harness.ChaosOptions {
 
 // CampaignOptions builds campaign.Options from the config. The
 // observability fields (Metrics, Trace, Gate) stay nil — callers wire
-// those per process or per tenant.
+// those per process or per campaign.
+//
+// A shard config runs the global campaign restricted to [Lo, Hi): the
+// base seed shifts by Lo so unit seeds stay global, while the harness
+// and chaos seeds keep the global Seed, so every per-unit decision
+// (injected faults, retry jitter, flaky probes) is the one the
+// single-process run makes for that unit.
 func (c *Config) CampaignOptions() (campaign.Options, error) {
 	comps, err := c.ResolveCompilers()
 	if err != nil {
@@ -261,9 +274,13 @@ func (c *Config) CampaignOptions() (campaign.Options, error) {
 	}
 	gen := generator.DefaultConfig()
 	gen.Stress.Every = c.StressEvery
+	seed, programs := c.Seed, c.Programs
+	if sh := c.Shard; sh != nil {
+		seed, programs = c.Seed+int64(sh.Lo), sh.Hi-sh.Lo
+	}
 	return campaign.Options{
-		Seed:      c.Seed,
-		Programs:  c.Programs,
+		Seed:      seed,
+		Programs:  programs,
 		Workers:   c.Workers,
 		Compilers: comps,
 		Oracle:    mode,
@@ -292,13 +309,22 @@ func (c *Config) SynthConfig() apisynth.Config {
 }
 
 // Validate rejects configs a server should not admit: nonsensical
-// sizes and rates. The CLIs rely on flag parsing for the same bounds.
+// sizes, rates and shard ranges. maxPrograms bounds the units the
+// campaign runs — a shard's range, not the global count. The CLIs rely
+// on flag parsing for the same bounds.
 func (c *Config) Validate(maxPrograms, maxWorkers int) error {
 	if c.Programs <= 0 {
 		return fmt.Errorf("cli: programs must be positive, got %d", c.Programs)
 	}
-	if maxPrograms > 0 && c.Programs > maxPrograms {
-		return fmt.Errorf("cli: programs %d exceeds the limit of %d", c.Programs, maxPrograms)
+	runs := c.Programs
+	if sh := c.Shard; sh != nil {
+		if sh.Lo < 0 || sh.Lo >= sh.Hi || sh.Hi > c.Programs {
+			return fmt.Errorf("cli: shard range [%d,%d) is not within [0,%d)", sh.Lo, sh.Hi, c.Programs)
+		}
+		runs = sh.Hi - sh.Lo
+	}
+	if maxPrograms > 0 && runs > maxPrograms {
+		return fmt.Errorf("cli: programs %d exceeds the limit of %d", runs, maxPrograms)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("cli: workers must be non-negative, got %d", c.Workers)

@@ -1,7 +1,7 @@
-// Package difforacle implements the differential cross-compiler oracle
-// (ROADMAP item 2): a second, ground-truth-free oracle mode in the
-// spirit of cross-language differential compiler testing (arXiv:
-// 2507.06584, CrossLangFuzzer). The derivation-based oracle of
+// Package difforacle implements the differential cross-compiler oracle:
+// a second, ground-truth-free oracle mode in the spirit of
+// cross-language differential compiler testing (arXiv:2507.06584,
+// CrossLangFuzzer). The derivation-based oracle of
 // internal/oracle fixes the expected verdict from how a program was
 // built; the differential oracle instead compiles the same IR program
 // with every compiler under test, normalizes each result into a lane of

@@ -1,8 +1,11 @@
-// Client: the coordinator's view of one worker. Every call is
-// time-bounded — a worker that answers nothing within the budget is a
-// failed call, never a hung coordinator — and the transport is plain
-// HTTP, so a "worker" can be a spawned local process, a remote node,
-// or an in-process handler under test.
+// Client: the coordinator's view of one worker, a campaign server
+// (cmd/server) that it talks to through the ordinary campaign API. A
+// lease is a shard submission, a heartbeat is an inspect, and the
+// shipment is the campaign's journal. Every call is time-bounded — a
+// worker that answers nothing within the budget is a failed call,
+// never a hung coordinator — and the transport is plain HTTP, so a
+// worker can be a spawned local process or an in-process handler under
+// test.
 
 package fabric
 
@@ -15,6 +18,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/cli"
 )
 
 // Client talks to one worker.
@@ -31,11 +36,7 @@ func NewClient(name, base string, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	return &Client{
-		name: name,
-		base: strings.TrimRight(base, "/"),
-		hc:   &http.Client{Timeout: timeout},
-	}
+	return NewClientWith(name, base, &http.Client{Timeout: timeout})
 }
 
 // NewClientWith returns a client over a caller-supplied http.Client —
@@ -48,6 +49,8 @@ func NewClientWith(name, base string, hc *http.Client) *Client {
 // Name returns the worker's label for ledgers and logs.
 func (c *Client) Name() string { return c.name }
 
+// do performs one call. A 2xx answer's body is JSON-decoded into out
+// when out is a value pointer, or read whole when it is a *[]byte.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -69,49 +72,78 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return fmt.Errorf("fabric: %s %s: %w", c.name, path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("fabric: %s %s: %s: %s", c.name, path, resp.Status, strings.TrimSpace(string(msg)))
 	}
-	if out != nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+		return err
+	default:
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return nil
 }
 
-// Lease grants a shard lease to the worker.
-func (c *Client) Lease(ctx context.Context, lease Lease) error {
-	return c.do(ctx, http.MethodPost, "/leases", lease, nil)
+// campaignView is the part of the server's campaign view the
+// coordinator reads.
+type campaignView struct {
+	ID     string     `json:"id"`
+	Config cli.Config `json:"config"`
+	Status struct {
+		State string `json:"state"`
+	} `json:"status"`
 }
 
-// Status polls one lease — the heartbeat.
-func (c *Client) Status(ctx context.Context, id string) (LeaseStatus, error) {
-	var st LeaseStatus
-	err := c.do(ctx, http.MethodGet, "/leases/"+id, nil, &st)
-	return st, err
+// Lease submits one shard campaign (cfg carries the shard range) and
+// returns the campaign ID the worker assigned. A busy worker refuses
+// with 409.
+func (c *Client) Lease(ctx context.Context, cfg cli.Config) (string, error) {
+	var v campaignView
+	err := c.do(ctx, http.MethodPost, "/api/campaigns", cfg, &v)
+	return v.ID, err
 }
 
-// Journal fetches the shard journal of a terminal lease.
+// Status inspects one lease's campaign — the heartbeat — and returns
+// its lifecycle state.
+func (c *Client) Status(ctx context.Context, id string) (string, error) {
+	var v campaignView
+	err := c.do(ctx, http.MethodGet, "/api/campaigns/"+id, nil, &v)
+	return v.Status.State, err
+}
+
+// Journal fetches the journal of an ended lease.
 func (c *Client) Journal(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/leases/"+id+"/journal", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: %s journal: %w", c.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("fabric: %s journal: %s: %s", c.name, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return io.ReadAll(resp.Body)
+	var b []byte
+	err := c.do(ctx, http.MethodGet, "/api/campaigns/"+id+"/journal", nil, &b)
+	return b, err
 }
 
 // Cancel asks the worker to stop a lease; best-effort by design.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/leases/"+id+"/cancel", nil, nil)
+	return c.do(ctx, http.MethodPost, "/api/campaigns/"+id+"/cancel", nil, nil)
+}
+
+// CancelShard cancels every campaign of one shard attempt on the
+// worker: the cleanup for a lease whose grant reply never arrived, so
+// its ID is unknown.
+func (c *Client) CancelShard(ctx context.Context, shard cli.ShardRange) error {
+	var list struct {
+		Campaigns []campaignView `json:"campaigns"`
+	}
+	if err := c.do(ctx, http.MethodGet, "/api/campaigns", nil, &list); err != nil {
+		return err
+	}
+	for _, v := range list.Campaigns {
+		if v.Config.Shard != nil && *v.Config.Shard == shard {
+			if err := c.Cancel(ctx, v.ID); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Healthz answers whether the worker is reachable.

@@ -397,11 +397,7 @@ const (
 // merge, and bookkeeping.
 func (c *coordinator) runAttempt(ctx context.Context, w *workerRef, sh *shard, attempt int) {
 	defer c.wakeup()
-	leaseID := fmt.Sprintf("s%03d-a%d", sh.index, attempt)
-	outcome := c.driveLease(ctx, w, sh, Lease{
-		ID: leaseID, Shard: sh.index, Lo: sh.lo, Hi: sh.hi, Attempt: attempt,
-		Config: c.opts.Config,
-	})
+	outcome := c.driveLease(ctx, w, sh, cli.ShardRange{Index: sh.index, Attempt: attempt, Lo: sh.lo, Hi: sh.hi})
 	c.settleAttempt(w, sh, attempt, outcome)
 }
 
@@ -485,7 +481,7 @@ func minInt(a, b int) int {
 // driveLease grants one lease and follows it to an outcome. Every
 // network call is bounded by CallTimeout; the poll loop is bounded by
 // heartbeat misses or a terminal lease state.
-func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, lease Lease) attemptOutcome {
+func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, lease cli.ShardRange) attemptOutcome {
 	call := func(fn func(context.Context) error) error {
 		cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 		defer cancel()
@@ -494,16 +490,28 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 	// abandonLease fires a detached best-effort cancel. It matters most
 	// when a presumed-dead worker is actually alive (a heartbeat lapse,
 	// not a crash): without it the zombie lease keeps the worker busy —
-	// refusing every reassignment — for the rest of the shard.
+	// refusing every reassignment — for the rest of the shard. With no
+	// ID (the grant's reply never arrived) it cancels by shard attempt.
+	var id string
 	abandonLease := func() {
 		go func() {
 			cctx, cancel := context.WithTimeout(context.Background(), c.opts.CallTimeout)
 			defer cancel()
-			w.client.Cancel(cctx, lease.ID) //nolint:errcheck // best-effort
+			if id == "" {
+				w.client.CancelShard(cctx, lease) //nolint:errcheck // best-effort
+				return
+			}
+			w.client.Cancel(cctx, id) //nolint:errcheck // best-effort
 		}()
 	}
 
-	if err := call(func(cctx context.Context) error { return w.client.Lease(cctx, lease) }); err != nil {
+	cfg := c.opts.Config
+	cfg.Shard = &lease
+	if err := call(func(cctx context.Context) error {
+		var lerr error
+		id, lerr = w.client.Lease(cctx, cfg)
+		return lerr
+	}); err != nil {
 		if ctx.Err() != nil {
 			return outcomeAborted
 		}
@@ -521,10 +529,10 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 			return outcomeAborted
 		case <-time.After(c.opts.HeartbeatEvery):
 		}
-		var st LeaseStatus
+		var state string
 		err := call(func(cctx context.Context) error {
 			var serr error
-			st, serr = w.client.Status(cctx, lease.ID)
+			state, serr = w.client.Status(cctx, id)
 			return serr
 		})
 		if err != nil {
@@ -539,7 +547,7 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 			continue
 		}
 		misses = 0
-		if st.State != "running" && st.State != "pausing" {
+		if state != "running" && state != "pausing" {
 			break
 		}
 	}
@@ -550,7 +558,7 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 	var image []byte
 	err := call(func(cctx context.Context) error {
 		var jerr error
-		image, jerr = w.client.Journal(cctx, lease.ID)
+		image, jerr = w.client.Journal(cctx, id)
 		return jerr
 	})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/server"
 )
 
 // soakConfig is a campaign small enough for CI but rich enough to
@@ -64,18 +66,24 @@ func marshalDoc(t *testing.T, report *campaign.Report) []byte {
 	return b
 }
 
-// startWorkers brings up n in-process workers over httptest and
-// returns their clients. timeout is the per-call client budget — it is
-// what turns a dead worker's silence into a failed call.
-func startWorkers(t *testing.T, n int, chaos *ChaosOptions, timeout time.Duration) []*Client {
+// startWorkers brings up n in-process workers — campaign servers with
+// one slot, as cmd/campaign spawns them — over httptest and returns
+// their clients. timeout is the per-call client budget — it is what
+// turns a dead worker's silence into a failed call.
+func startWorkers(t *testing.T, n int, chaos *server.ChaosOptions, timeout time.Duration) []*Client {
 	t.Helper()
 	var clients []*Client
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("w%d", i)
-		w := NewWorker(WorkerOptions{Dir: t.TempDir(), Name: name, Chaos: chaos})
-		srv := httptest.NewServer(w)
+		s, err := server.New(server.Options{DataDir: t.TempDir(), MaxRunning: 1, Chaos: chaos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(s)
 		t.Cleanup(srv.Close)
-		t.Cleanup(w.Close) // LIFO: drain the lease before closing the server
+		// LIFO: stop the campaigns before closing the HTTP server, and
+		// both before the data directory is removed.
+		t.Cleanup(s.Close)
 		clients = append(clients, NewClientWith(name, srv.URL, &http.Client{Timeout: timeout}))
 	}
 	return clients
@@ -86,12 +94,12 @@ func startWorkers(t *testing.T, n int, chaos *ChaosOptions, timeout time.Duratio
 // kill, stall, or corrupt draw fails the attempt, the first clean draw
 // covers the shard. Returns the executed fault draws and whether a
 // clean attempt exists within the budget.
-func executedAttempts(o ChaosOptions, shard, maxAttempts, units int) ([]faults, bool) {
-	var out []faults
+func executedAttempts(o server.ChaosOptions, shard, maxAttempts, units int) ([]server.Faults, bool) {
+	var out []server.Faults
 	for a := 0; a < maxAttempts; a++ {
-		f := o.decide(shard, a, units)
+		f := o.Decide(shard, a, units)
 		out = append(out, f)
-		if !f.kill && !f.stall && !f.corrupt {
+		if !f.Kill && !f.Stall && !f.Corrupt {
 			return out, true
 		}
 	}
@@ -104,7 +112,7 @@ func executedAttempts(o ChaosOptions, shard, maxAttempts, units int) ([]faults, 
 // goes permanently dead), at least one attempt stalls its heartbeats,
 // at least one ships a corrupt journal, and every shard still reaches
 // a clean attempt within the budget.
-func findSoakSeed(t *testing.T, tmpl ChaosOptions, shards, maxAttempts, units int) int64 {
+func findSoakSeed(t *testing.T, tmpl server.ChaosOptions, shards, maxAttempts, units int) int64 {
 	t.Helper()
 	for seed := int64(1); seed < 1_000_000; seed++ {
 		o := tmpl
@@ -118,13 +126,13 @@ func findSoakSeed(t *testing.T, tmpl ChaosOptions, shards, maxAttempts, units in
 				break
 			}
 			for _, f := range run {
-				if f.kill {
+				if f.Kill {
 					kills++
 				}
-				if f.stall && !f.kill {
+				if f.Stall && !f.Kill {
 					stalls++
 				}
-				if f.corrupt && !f.kill && !f.stall {
+				if f.Corrupt && !f.Kill && !f.Stall {
 					corrupts++
 				}
 			}
@@ -182,7 +190,7 @@ func TestFabricChaosSoak(t *testing.T) {
 	cfg := soakConfig(programs)
 	want := refDoc(t, cfg)
 
-	tmpl := ChaosOptions{
+	tmpl := server.ChaosOptions{
 		KillRate:    0.25,
 		StallRate:   0.25,
 		CorruptRate: 0.25,
@@ -354,7 +362,7 @@ func TestDispatchSkipsWorkerDeclaredDead(t *testing.T) {
 func TestFabricDegradesWhenWorkersExhausted(t *testing.T) {
 	t.Parallel()
 	cfg := soakConfig(8)
-	chaos := &ChaosOptions{Seed: 1, KillRate: 1} // every lease kills its worker
+	chaos := &server.ChaosOptions{Seed: 1, KillRate: 1} // every lease kills its worker
 	// The per-call budget must cover a live worker's lease grant on a
 	// loaded machine: a grant answered late reads as a refusal, and the
 	// worker then dies without the death ever being observed.
@@ -396,53 +404,68 @@ func TestFabricDegradesWhenWorkersExhausted(t *testing.T) {
 	}
 }
 
-// TestWorkerProtocol pins the worker HTTP surface: busy 409s, unknown
-// lease 404s, journal 409 while running, and journal shipping after.
+// newWorker starts one in-process worker and returns a client for it.
+func newWorker(t *testing.T, name string) *Client {
+	t.Helper()
+	clients := startWorkers(t, 1, nil, 5*time.Second)
+	return NewClientWith(name, clients[0].base, clients[0].hc)
+}
+
+// waitLease polls a lease's state, back to back, until it leaves
+// "running" and returns that state.
+func waitLease(t *testing.T, client *Client, id string) string {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		state, err := client.Status(context.Background(), id)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if state != "running" {
+			return state
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("lease never finished")
+		}
+	}
+}
+
+// TestWorkerProtocol pins the worker side of the campaign API: a busy
+// server refuses a second shard with 409 rather than queueing it, an
+// unknown campaign is 404, the journal is 409 while the shard runs, and
+// the shipped journal folds to full shard coverage.
 func TestWorkerProtocol(t *testing.T) {
 	t.Parallel()
-	w := NewWorker(WorkerOptions{Dir: t.TempDir(), Name: "proto"})
-	srv := httptest.NewServer(w)
-	t.Cleanup(srv.Close)
-	t.Cleanup(w.Close)
-	client := NewClientWith("proto", srv.URL, &http.Client{Timeout: 5 * time.Second})
+	client := newWorker(t, "proto")
 	ctx := context.Background()
 
 	if err := client.Healthz(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	if _, err := client.Status(ctx, "nope"); err == nil {
-		t.Error("status of unknown lease succeeded")
+	if _, err := client.Status(ctx, "nope"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("status of unknown campaign: %v, want 404", err)
 	}
 
-	cfg := soakConfig(6)
-	lease := Lease{ID: "s000-a0", Shard: 0, Lo: 0, Hi: 6, Config: cfg}
-	if err := client.Lease(ctx, lease); err != nil {
+	cfg := soakConfig(40)
+	cfg.Shard = &cli.ShardRange{Index: 0, Lo: 0, Hi: 40}
+	id, err := client.Lease(ctx, cfg)
+	if err != nil {
 		t.Fatalf("lease: %v", err)
 	}
 	// A second grant while the first runs must be refused, not queued.
-	err := client.Lease(ctx, Lease{ID: "s001-a0", Shard: 1, Lo: 0, Hi: 6, Config: cfg})
-	if err == nil {
-		t.Error("second concurrent lease was accepted")
+	second := soakConfig(40)
+	second.Shard = &cli.ShardRange{Index: 1, Lo: 0, Hi: 40}
+	if _, err := client.Lease(ctx, second); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Errorf("second concurrent lease: %v, want 409", err)
+	}
+	if _, err := client.Journal(ctx, id); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Errorf("journal of a running lease: %v, want 409", err)
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, err := client.Status(ctx, lease.ID)
-		if err != nil {
-			t.Fatalf("status: %v", err)
-		}
-		if st.State == "done" {
-			break
-		}
-		if st.State != "running" {
-			t.Fatalf("lease ended in state %q (err %q)", st.State, st.Err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lease never finished")
-		}
-		time.Sleep(20 * time.Millisecond)
+	if state := waitLease(t, client, id); state != "done" {
+		t.Fatalf("lease ended in state %q", state)
 	}
-	image, err := client.Journal(ctx, lease.ID)
+	image, err := client.Journal(ctx, id)
 	if err != nil {
 		t.Fatalf("journal: %v", err)
 	}
@@ -451,7 +474,8 @@ func TestWorkerProtocol(t *testing.T) {
 	}
 
 	// The shipped journal folds to full shard coverage.
-	opts, err := cfg.CampaignOptions()
+	global := soakConfig(40)
+	opts, err := global.CampaignOptions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +483,7 @@ func TestWorkerProtocol(t *testing.T) {
 	if _, err := foldImage(m, image, 0); err != nil {
 		t.Fatalf("folding shipped journal: %v", err)
 	}
-	if missing := m.Missing(0, 6); len(missing) != 0 {
+	if missing := m.Missing(0, 40); len(missing) != 0 {
 		t.Errorf("shipped journal missing units %v", missing)
 	}
 }
@@ -483,43 +507,27 @@ func foldImage(m *campaign.Merger, image []byte, offset int) (int, error) {
 	return folded, err
 }
 
-// TestWorkerStatusNeverPhantomFails hammers the status endpoint across
-// a healthy lease's completion. The status handler must never pair a
-// stale pre-terminal campaign state with an observed-closed done
-// channel — the race that intermittently reported a clean lease as
-// "failed" with no error.
+// TestWorkerStatusNeverPhantomFails runs lease after lease on one
+// worker, polling each one's status across its completion. A healthy
+// lease must read "running" until it reads "done" — never a phantom
+// "failed" from a stale state paired with an ended run — and its
+// journal must ship at once, with the next lease granted right after.
 func TestWorkerStatusNeverPhantomFails(t *testing.T) {
 	t.Parallel()
-	w := NewWorker(WorkerOptions{Dir: t.TempDir(), Name: "phantom"})
-	srv := httptest.NewServer(w)
-	t.Cleanup(srv.Close)
-	t.Cleanup(w.Close)
-	client := NewClientWith("phantom", srv.URL, &http.Client{Timeout: 5 * time.Second})
+	client := newWorker(t, "phantom")
 	ctx := context.Background()
 
 	for round := 0; round < 8; round++ {
-		lease := Lease{ID: fmt.Sprintf("s%03d-a0", round), Shard: round, Lo: 0, Hi: 2,
-			Config: soakConfig(2)}
-		if err := client.Lease(ctx, lease); err != nil {
+		cfg := soakConfig(2)
+		cfg.Shard = &cli.ShardRange{Index: round, Lo: 0, Hi: 2}
+		id, err := client.Lease(ctx, cfg)
+		if err != nil {
 			t.Fatalf("round %d: lease: %v", round, err)
 		}
-		deadline := time.Now().Add(time.Minute)
-		for {
-			st, err := client.Status(ctx, lease.ID)
-			if err != nil {
-				t.Fatalf("round %d: status: %v", round, err)
-			}
-			if st.State == "done" {
-				break
-			}
-			if st.State != "running" {
-				t.Fatalf("round %d: healthy lease reported %q (err %q)", round, st.State, st.Err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: lease never finished", round)
-			}
+		if state := waitLease(t, client, id); state != "done" {
+			t.Fatalf("round %d: healthy lease reported %q", round, state)
 		}
-		if _, err := client.Journal(ctx, lease.ID); err != nil {
+		if _, err := client.Journal(ctx, id); err != nil {
 			t.Fatalf("round %d: journal after done: %v", round, err)
 		}
 	}

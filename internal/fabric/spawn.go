@@ -1,8 +1,9 @@
 // Spawning local worker processes: cmd/campaign -shards uses this to
-// bring up N cmd/worker processes, parse each one's announce line for
-// its address and pid, and hand the coordinator ready clients. The
-// pids are re-printed on the campaign's own stdout so a chaos harness
-// (CI's soak step) can kill -9 or SIGSTOP specific workers mid-run.
+// bring up N campaign servers (cmd/server -max-running 1), parse each
+// one's announce line for its address, and hand the coordinator ready
+// clients. The pids are re-printed on the campaign's own stdout so a
+// chaos harness (CI's soak step) can kill -9 or SIGSTOP specific
+// workers mid-run.
 
 package fabric
 
@@ -14,15 +15,14 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"time"
 )
 
-// announceRE matches cmd/worker's startup line:
-// "worker NAME listening on http://ADDR pid=PID".
-var announceRE = regexp.MustCompile(`^worker (\S+) listening on (http://\S+) pid=(\d+)$`)
+// announceRE matches cmd/server's startup line:
+// "fuzzing server listening on http://ADDR".
+var announceRE = regexp.MustCompile(`^fuzzing server listening on (http://\S+)$`)
 
-// SpawnedWorker is one locally spawned cmd/worker process.
+// SpawnedWorker is one locally spawned cmd/server process.
 type SpawnedWorker struct {
 	Client *Client
 	Name   string
@@ -33,15 +33,14 @@ type SpawnedWorker struct {
 
 // SpawnOptions configures SpawnWorkers.
 type SpawnOptions struct {
-	// Bin is the cmd/worker binary path.
+	// Bin is the cmd/server binary path.
 	Bin string
 	// Count is how many workers to spawn.
 	Count int
-	// Dir is the parent scratch directory; each worker gets Dir/worker-i.
-	// Empty means each worker picks its own temp dir.
+	// Dir is the parent scratch directory; each worker's data directory
+	// is Dir/worker-wN. Empty means a temporary directory, removed by
+	// the stop function.
 	Dir string
-	// Chaos, when non-nil, is forwarded to every worker as chaos flags.
-	Chaos *ChaosOptions
 	// CallTimeout is the per-call client budget against these workers;
 	// 0 means the client default.
 	CallTimeout time.Duration
@@ -60,6 +59,14 @@ func SpawnWorkers(opts SpawnOptions) ([]*SpawnedWorker, func(), error) {
 	if opts.Count <= 0 {
 		return nil, nil, fmt.Errorf("fabric: spawn count %d", opts.Count)
 	}
+	dir := opts.Dir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "fabric-workers-*")
+		if err != nil {
+			return nil, nil, err
+		}
+		dir = tmp
+	}
 	var workers []*SpawnedWorker
 	stop := func() {
 		for _, w := range workers {
@@ -68,22 +75,14 @@ func SpawnWorkers(opts SpawnOptions) ([]*SpawnedWorker, func(), error) {
 			}
 			w.cmd.Wait() //nolint:errcheck // reap; exit status is irrelevant
 		}
+		if opts.Dir == "" {
+			os.RemoveAll(dir) //nolint:errcheck // temporary state
+		}
 	}
 	for i := 0; i < opts.Count; i++ {
 		name := fmt.Sprintf("w%d", i)
-		args := []string{"-addr", "127.0.0.1:0", "-name", name}
-		if opts.Dir != "" {
-			args = append(args, "-dir", filepath.Join(opts.Dir, "worker-"+name))
-		}
-		if opts.Chaos.Enabled() {
-			args = append(args,
-				"-chaos-seed", strconv.FormatInt(opts.Chaos.Seed, 10),
-				"-chaos-kill", fmt.Sprintf("%g", opts.Chaos.KillRate),
-				"-chaos-stall", fmt.Sprintf("%g", opts.Chaos.StallRate),
-				"-chaos-corrupt", fmt.Sprintf("%g", opts.Chaos.CorruptRate),
-			)
-		}
-		cmd := exec.Command(opts.Bin, args...)
+		cmd := exec.Command(opts.Bin, "-addr", "127.0.0.1:0", "-max-running", "1",
+			"-data", filepath.Join(dir, "worker-"+name))
 		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
@@ -94,7 +93,7 @@ func SpawnWorkers(opts SpawnOptions) ([]*SpawnedWorker, func(), error) {
 			stop()
 			return nil, nil, fmt.Errorf("fabric: spawn %s: %w", name, err)
 		}
-		w := &SpawnedWorker{Name: name, cmd: cmd}
+		w := &SpawnedWorker{Name: name, Pid: cmd.Process.Pid, cmd: cmd}
 		workers = append(workers, w)
 
 		// Parse the announce line; drain the rest of stdout in the
@@ -106,8 +105,7 @@ func SpawnWorkers(opts SpawnOptions) ([]*SpawnedWorker, func(), error) {
 			if m == nil {
 				continue
 			}
-			w.Name, w.Addr = m[1], m[2]
-			w.Pid, _ = strconv.Atoi(m[3])
+			w.Addr = m[1]
 			announced = true
 			break
 		}

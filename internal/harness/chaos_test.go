@@ -234,6 +234,25 @@ func TestLedgerAddInjectedAccumulates(t *testing.T) {
 	}
 }
 
+// TestLedgerCountsRetriesOfInvocationsThatRan: a quarantined compile
+// never ran (Attempts == 0), so it adds no retries — not minus one.
+func TestLedgerCountsRetriesOfInvocationsThatRan(t *testing.T) {
+	l := NewLedger()
+	for _, inv := range []Invocation{
+		{Outcome: Completed, Attempts: 1},
+		{Outcome: Completed, Attempts: 3},
+		{Outcome: Quarantined},
+		{Outcome: Errored, Attempts: 2},
+		{Outcome: Quarantined},
+	} {
+		l.Observe("groovyc", inv)
+	}
+	rec := l.PerCompiler["groovyc"]
+	if rec.Retries != 3 || rec.Quarantined != 2 || rec.Compiles != 5 {
+		t.Fatalf("ledger = %+v, want 3 retries, 2 quarantined, 5 compiles", rec)
+	}
+}
+
 // TestChaosHangEndsAtOnceUnderWatchdog: under the harness watchdog an
 // injected hang is a TimedOut verdict without waiting the deadline out,
 // so a watchdog far above any real compile costs chaos runs nothing.

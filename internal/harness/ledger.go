@@ -70,11 +70,14 @@ func (l *Ledger) record(compiler string) *FaultRecord {
 	return r
 }
 
-// Observe folds one invocation into the ledger.
+// Observe folds one invocation into the ledger. Only an invocation
+// that ran counts retries: a quarantined one made no attempt at all.
 func (l *Ledger) Observe(compiler string, inv Invocation) {
 	r := l.record(compiler)
 	r.Compiles++
-	r.Retries += inv.Attempts - 1
+	if inv.Attempts > 0 {
+		r.Retries += inv.Attempts - 1
+	}
 	if inv.Flaky {
 		r.Flaky++
 	}

@@ -210,9 +210,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 //
 // A Registry may be a scoped view of a larger one (see Scope): views
 // share one instrument store, with each view prefixing the names it
-// hands out and snapshotting only its own subtree. This is how a
-// multi-tenant host gives every campaign the full instrument surface
-// inside one per-tenant registry without name collisions.
+// hands out and snapshotting only its own subtree. This is how the
+// campaign server gives every campaign the full instrument surface
+// inside one registry without name collisions.
 type Registry struct {
 	prefix string
 	s      *registryState

@@ -26,7 +26,7 @@ type Server struct {
 // Handler returns the debug endpoints (/metrics, /events, /healthz)
 // over the given registry and trace, either of which may be nil, as a
 // plain http.Handler — mountable under any prefix, which is how the
-// fuzzing server exposes one debug surface per tenant.
+// fuzzing server exposes its debug surface under /debug/server/.
 func Handler(reg *Registry, trace *Trace) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -18,12 +18,12 @@ import (
 func TestServerDifferentialCampaignMatchesInProcess(t *testing.T) {
 	s, ts := newTestServer(t, Options{DataDir: t.TempDir()})
 	defer s.Close()
-	id := submit(t, ts, "", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 5, "programs": 30, "workers": 2, "oracle": "differential",
 	})
-	waitState(t, ts, "", id, "done")
+	waitState(t, ts, id, "done")
 
-	code, got := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
+	code, got := request(t, ts, "GET", "/api/campaigns/"+id+"/report", nil)
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, got)
 	}
@@ -52,7 +52,7 @@ func TestServerDifferentialCampaignMatchesInProcess(t *testing.T) {
 	}
 
 	// The status view counts distinct disagreements for dashboards.
-	code, raw := request(t, ts, "GET", "/api/campaigns/"+id, "", nil)
+	code, raw := request(t, ts, "GET", "/api/campaigns/"+id, nil)
 	if code != http.StatusOK {
 		t.Fatalf("inspect: status %d: %s", code, raw)
 	}
@@ -70,7 +70,7 @@ func TestServerDifferentialCampaignMatchesInProcess(t *testing.T) {
 	}
 
 	// An invalid oracle mode is rejected at submission time.
-	if code, _ := request(t, ts, "POST", "/api/campaigns", "",
+	if code, _ := request(t, ts, "POST", "/api/campaigns",
 		map[string]any{"programs": 5, "oracle": "majority"}); code != http.StatusBadRequest {
 		t.Errorf("bad oracle mode admitted with status %d", code)
 	}

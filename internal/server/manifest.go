@@ -12,13 +12,12 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cli"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 )
 
 // manifest is the durable index of hosted campaigns: enough to re-host
 // every suspended one after a restart. Campaign payload state (journal,
 // reduced repros) lives in each campaign's own state
-// directory; the manifest only records who owns what.
+// directory; the manifest only records what was hosted.
 type manifest struct {
 	NextID    int             `json:"next_id"`
 	Campaigns []manifestEntry `json:"campaigns"`
@@ -26,7 +25,6 @@ type manifest struct {
 
 type manifestEntry struct {
 	ID      string     `json:"id"`
-	Tenant  string     `json:"tenant"`
 	Created time.Time  `json:"created"`
 	Config  cli.Config `json:"config"`
 	State   string     `json:"state"`
@@ -42,7 +40,9 @@ func (s *Server) manifestPath() string { return filepath.Join(s.opts.DataDir, ma
 func (s *Server) corpusPath() string   { return filepath.Join(s.opts.DataDir, corpusDoc) }
 
 // saveManifestLocked writes the manifest atomically. Caller holds
-// s.mu. A DataDir-less server skips persistence.
+// s.mu. A DataDir-less server skips persistence. Shard campaigns are
+// left out: a restarted worker has nothing to re-host, because the
+// coordinator leases a lost shard again.
 func (s *Server) saveManifestLocked() {
 	if s.opts.DataDir == "" {
 		return
@@ -50,9 +50,11 @@ func (s *Server) saveManifestLocked() {
 	m := manifest{NextID: s.nextID}
 	for _, id := range s.order {
 		h := s.campaigns[id]
+		if h.cfg.Shard != nil {
+			continue
+		}
 		m.Campaigns = append(m.Campaigns, manifestEntry{
 			ID:      h.id,
-			Tenant:  h.tenant,
 			Created: h.created,
 			Config:  h.cfg,
 			State:   h.camp.State().String(),
@@ -86,31 +88,12 @@ func (s *Server) loadManifest(resume bool) error {
 		if terminalStateName(e.State) {
 			continue
 		}
-		t := s.tenantLocked(e.Tenant)
-		cfg := e.Config
-		cfg.StateDir = s.campaignStateDir(e.ID)
-		cfg.Resume = true
-		opts, err := cfg.CampaignOptions()
+		h, err := s.hostLocked(e.ID, e.Config, true)
 		if err != nil {
 			return fmt.Errorf("re-hosting campaign %s: %w", e.ID, err)
 		}
-		trace := metrics.NewTrace(s.opts.TraceCapacity)
-		opts.Metrics = t.reg.Scope(e.ID)
-		opts.Trace = trace
-		opts.Gate = t.units.gate()
-		h := &hosted{
-			id:        e.ID,
-			tenant:    e.Tenant,
-			created:   e.Created,
-			cfg:       cfg,
-			camp:      campaign.New(opts),
-			trace:     trace,
-			suspended: true,
-			repros:    map[string]*reproDoc{},
-		}
-		s.campaigns[h.id] = h
-		s.order = append(s.order, h.id)
-		go s.watch(h)
+		h.created = e.Created
+		h.suspended = true
 	}
 	return nil
 }

@@ -37,14 +37,8 @@ type reproDoc struct {
 // Results are cached per bug: reduction costs thousands of probe
 // compiles.
 func (s *Server) handleRepro(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h := s.lookup(t, r.PathValue("id"))
+	h := s.lookup(w, r)
 	if h == nil {
-		http.NotFound(w, r)
 		return
 	}
 	bugID := r.URL.Query().Get("bug")
@@ -61,6 +55,7 @@ func (s *Server) handleRepro(w http.ResponseWriter, r *http.Request) {
 	doc := h.repros[bugID]
 	s.mu.Unlock()
 	if doc == nil {
+		var err error
 		doc, err = buildRepro(report, bugID)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)

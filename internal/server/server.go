@@ -1,46 +1,46 @@
-// Package server is the long-running, multi-tenant host for fuzzing
-// campaigns: the campaign lifecycle library behind an HTTP API.
-// Tenants submit campaign configurations (the same JSON shape
-// internal/cli builds from flags), then list, inspect, pause, resume,
-// and cancel them; verdicts and heartbeats stream out over SSE; a
-// cross-campaign bug corpus accumulates across every tenant; reduced
-// repro programs are served per found bug.
+// Package server is the long-running host for fuzzing campaigns: the
+// campaign lifecycle library behind an HTTP API. Clients submit
+// campaign configurations (the same JSON shape internal/cli builds from
+// flags), then list, inspect, pause, resume, and cancel them; verdicts
+// and heartbeats stream out over SSE; a cross-campaign bug corpus
+// accumulates across every campaign; reduced repro programs are served
+// per found bug.
 //
 // Scheduling is slot-based: at most MaxRunning campaigns execute at
 // once and the rest queue FIFO; pausing a campaign frees its slot
-// (suspension is durable, so a paused campaign costs nothing). Tenant
-// isolation is enforced three ways: campaigns are visible only to the
-// submitting tenant, submissions pass a per-tenant token bucket, and a
-// per-tenant unit-rate limiter is installed as each campaign's
-// admission Gate — it blocks on the pipeline's source goroutine, so a
-// throttled tenant's campaigns backpressure into the bounded stage
-// channels instead of buffering unbounded work. Each tenant also gets
-// its own metrics.Registry, served through the standard debug
-// endpoints under /debug/tenants/{tenant}/.
+// (suspension is durable, so a paused campaign costs nothing). Each
+// campaign's instruments live in the server registry under its ID,
+// served at /debug/server/.
+//
+// The server is also the fabric's worker: a submission carrying a
+// shard range runs that slice of a larger campaign's seed space, is
+// refused with 409 rather than queued when no slot is free, and ships
+// its journal from GET /api/campaigns/{id}/journal once it has ended.
 //
 // Every campaign is durable under DataDir, so Drain (the SIGTERM path)
 // is just Pause for every running campaign: each syncs its journal,
 // and a server restarted with Resume re-hosts them as suspended
-// campaigns that continue exactly where they stopped. None of this bends the determinism contract —
-// gates and slots only reschedule work, so a campaign run under heavy
-// multi-tenant traffic reports bit-for-bit what a solo CLI run of the
-// same options reports.
+// campaigns that continue exactly where they stopped. None of this
+// bends the determinism contract — slots only reschedule work, so a
+// hosted campaign reports bit-for-bit what a solo CLI run of the same
+// options reports.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 )
 
@@ -50,23 +50,12 @@ type Options struct {
 	// directory per campaign, the cross-campaign corpus, and the
 	// manifest that lets a restarted server re-host suspended
 	// campaigns. Empty means fully in-memory campaigns (not pausable,
-	// not resumable across restarts) — useful only for tests.
+	// not resumable across restarts, no shard submissions) — useful
+	// only for tests.
 	DataDir string
 	// MaxRunning bounds concurrently executing campaigns (the slot
 	// pool); further submissions queue FIFO. Default 4.
 	MaxRunning int
-	// MaxPerTenant bounds one tenant's live (non-terminal) campaigns.
-	// Default 8.
-	MaxPerTenant int
-	// SubmitRate and SubmitBurst shape the per-tenant submission token
-	// bucket. Defaults: 5/s, burst 10.
-	SubmitRate  float64
-	SubmitBurst int
-	// UnitRate and UnitBurst shape the per-tenant unit admission
-	// bucket, installed as every campaign's Gate; 0 disables unit
-	// throttling.
-	UnitRate  float64
-	UnitBurst int
 	// MaxPrograms and MaxWorkers bound a single submission. Defaults:
 	// 100000 programs, worker count unbounded.
 	MaxPrograms int
@@ -78,24 +67,29 @@ type Options struct {
 	// Resume re-hosts the suspended campaigns recorded in DataDir's
 	// manifest (as paused; POST .../resume continues them).
 	Resume bool
-	// Metrics, when set, receives the server's own instruments
-	// (submissions, queue depth). Tenants always get their own
-	// registries regardless.
+	// Metrics, when set, receives the server's instruments: each
+	// campaign's under its ID.
 	Metrics *metrics.Registry
+	// Chaos, when non-nil, injects worker-level faults into shard
+	// campaigns, drawn per (shard, attempt). Only tests set it.
+	Chaos *ChaosOptions
 }
 
 // Server hosts campaigns behind an HTTP API. Create with New, mount as
 // an http.Handler, and shut down with Drain (graceful, suspends every
 // campaign durably) or Close (abrupt, cancels them).
 type Server struct {
-	opts    Options
-	mux     *http.ServeMux
-	reg     *metrics.Registry
-	baseCtx context.Context
-	cancel  context.CancelFunc
+	opts     Options
+	mux      *http.ServeMux
+	reg      *metrics.Registry
+	baseCtx  context.Context
+	cancel   context.CancelFunc
+	watchers sync.WaitGroup
+	// dead is set by a chaos kill: the server answers nothing from then
+	// on, like a killed process.
+	dead atomic.Bool
 
 	mu        sync.Mutex
-	tenants   map[string]*tenant
 	campaigns map[string]*hosted
 	order     []string
 	queue     []*hosted
@@ -105,27 +99,17 @@ type Server struct {
 	draining  bool
 }
 
-// tenant is one isolation domain: its own registry (debug-served), its
-// own submission bucket, and its own unit-admission bucket shared by
-// all its campaigns' Gates.
-type tenant struct {
-	name   string
-	reg    *metrics.Registry
-	debug  http.Handler
-	submit *limiter
-	units  *limiter
-}
-
 // hosted is one campaign under management. Scheduling fields
 // (queued, holdsSlot) are guarded by Server.mu; the campaign itself is
 // internally synchronized.
 type hosted struct {
 	id      string
-	tenant  string
 	created time.Time
 	cfg     cli.Config
 	camp    *campaign.Campaign
 	trace   *metrics.Trace
+	// faults is the chaos draw of a shard campaign.
+	faults Faults
 	// queued: waiting for a slot (still StateNew). holdsSlot: counted
 	// in Server.running. suspended: restored from a manifest, waiting
 	// for an explicit resume.
@@ -140,18 +124,6 @@ type hosted struct {
 func New(opts Options) (*Server, error) {
 	if opts.MaxRunning <= 0 {
 		opts.MaxRunning = 4
-	}
-	if opts.MaxPerTenant <= 0 {
-		opts.MaxPerTenant = 8
-	}
-	if opts.SubmitRate == 0 {
-		opts.SubmitRate = 5
-	}
-	if opts.SubmitBurst <= 0 {
-		opts.SubmitBurst = 10
-	}
-	if opts.UnitBurst <= 0 {
-		opts.UnitBurst = 16
 	}
 	if opts.MaxPrograms <= 0 {
 		opts.MaxPrograms = 100000
@@ -168,7 +140,6 @@ func New(opts Options) (*Server, error) {
 		reg:       opts.Metrics,
 		baseCtx:   ctx,
 		cancel:    cancel,
-		tenants:   map[string]*tenant{},
 		campaigns: map[string]*hosted{},
 		corpus:    campaign.NewCorpus(),
 	}
@@ -193,12 +164,32 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A chaos-killed server answers
+// nothing — the request hangs until the client gives up, exactly what
+// a SIGKILLed process looks like from the far side.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.dead.Load() {
+		// Drain the body first: net/http only watches for the client
+		// hanging up once the request body is consumed, so parking on the
+		// context with an unread POST body would hang this handler
+		// forever (past the client's own timeout), wedging shutdown.
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // the bytes are irrelevant
+		<-r.Context().Done()
+		return
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
-// Close abruptly cancels every campaign and waits for none of them:
-// the test-and-crash path. Production shutdown is Drain.
-func (s *Server) Close() { s.cancel() }
+// Close abruptly cancels every campaign and returns once the running
+// ones have stopped and their watchers have settled: the test-and-crash
+// path. Production shutdown is Drain.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	s.cancel()
+	s.watchers.Wait()
+}
 
 // routes wires the HTTP API (Go 1.22 pattern routing).
 func (s *Server) routes() {
@@ -210,58 +201,24 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /api/campaigns/{id}/resume", s.handleResume)
 	s.mux.HandleFunc("POST /api/campaigns/{id}/cancel", s.handleCancel)
 	s.mux.HandleFunc("GET /api/campaigns/{id}/report", s.handleReport)
+	s.mux.HandleFunc("GET /api/campaigns/{id}/journal", s.handleJournal)
 	s.mux.HandleFunc("GET /api/campaigns/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /api/campaigns/{id}/repro", s.handleRepro)
 	s.mux.HandleFunc("GET /api/corpus", s.handleCorpus)
-	s.mux.HandleFunc("GET /api/tenants", s.handleTenants)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	s.mux.HandleFunc("/debug/tenants/{tenant}/", s.handleTenantDebug)
 	s.mux.Handle("/debug/server/", http.StripPrefix("/debug/server", metrics.Handler(s.reg, nil)))
 }
 
-var tenantNameRe = regexp.MustCompile(`^[A-Za-z0-9_-]{1,32}$`)
-
-// tenantFor resolves (creating on first use) the request's tenant from
-// the X-Tenant header; absent means "default".
-func (s *Server) tenantFor(r *http.Request) (*tenant, error) {
-	name := r.Header.Get("X-Tenant")
-	if name == "" {
-		name = "default"
-	}
-	if !tenantNameRe.MatchString(name) {
-		return nil, fmt.Errorf("invalid tenant name %q", name)
-	}
+// lookup returns the request's {id} campaign, answering 404 itself when
+// there is none.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *hosted {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenantLocked(name), nil
-}
-
-func (s *Server) tenantLocked(name string) *tenant {
-	t := s.tenants[name]
-	if t == nil {
-		reg := metrics.NewRegistry()
-		t = &tenant{
-			name:   name,
-			reg:    reg,
-			debug:  metrics.Handler(reg, nil),
-			submit: newLimiter(s.opts.SubmitRate, s.opts.SubmitBurst),
-			units:  newLimiter(s.opts.UnitRate, s.opts.UnitBurst),
-		}
-		s.tenants[name] = t
-	}
-	return t
-}
-
-// lookup returns the tenant's campaign, or nil — a campaign owned by
-// another tenant is indistinguishable from a missing one.
-func (s *Server) lookup(t *tenant, id string) *hosted {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.campaigns[id]
-	if h == nil || h.tenant != t.name {
-		return nil
+	h := s.campaigns[r.PathValue("id")]
+	s.mu.Unlock()
+	if h == nil {
+		http.NotFound(w, r)
 	}
 	return h
 }
@@ -274,11 +231,11 @@ func (s *Server) campaignStateDir(id string) string {
 	return filepath.Join(s.opts.DataDir, "campaigns", id)
 }
 
-// host builds the hosted campaign for a validated config: per-campaign
-// state dir, per-tenant registry scope, its own trace ring, and the
-// tenant's unit bucket as the admission gate. Caller holds s.mu.
-func (s *Server) hostLocked(t *tenant, cfg cli.Config, resume bool) (*hosted, error) {
-	id := fmt.Sprintf("c%06d", s.nextID)
+// hostLocked builds the hosted campaign for a validated config under
+// the given ID: its state dir, its registry scope, its own trace ring,
+// and — for a shard campaign under Options.Chaos — its drawn faults.
+// Caller holds s.mu.
+func (s *Server) hostLocked(id string, cfg cli.Config, resume bool) (*hosted, error) {
 	cfg.StateDir = s.campaignStateDir(id)
 	cfg.Resume = resume
 	opts, err := cfg.CampaignOptions()
@@ -286,23 +243,44 @@ func (s *Server) hostLocked(t *tenant, cfg cli.Config, resume bool) (*hosted, er
 		return nil, err
 	}
 	trace := metrics.NewTrace(s.opts.TraceCapacity)
-	opts.Metrics = t.reg.Scope(id)
+	opts.Metrics = s.reg.Scope(id)
 	opts.Trace = trace
-	opts.Gate = t.units.gate()
 	h := &hosted{
 		id:      id,
-		tenant:  t.name,
 		created: time.Now().UTC(),
 		cfg:     cfg,
-		camp:    campaign.New(opts),
 		trace:   trace,
 		repros:  map[string]*reproDoc{},
 	}
-	s.nextID++
+	if sh := cfg.Shard; sh != nil {
+		h.faults = s.opts.Chaos.Decide(sh.Index, sh.Attempt, opts.Programs)
+	}
+	if h.faults.Kill {
+		// The kill rides the admission gate: scheduling-only by
+		// construction, so the units folded before it are untouched.
+		admitted := 0
+		opts.Gate = func(context.Context) error {
+			admitted++
+			if admitted > h.faults.KillAfter {
+				s.die()
+				return context.Canceled
+			}
+			return nil
+		}
+	}
+	h.camp = campaign.New(opts)
 	s.campaigns[id] = h
 	s.order = append(s.order, id)
+	s.watchers.Add(1)
 	go s.watch(h)
 	return h, nil
+}
+
+// die is the in-process chaos kill: stop answering HTTP and cancel
+// every campaign.
+func (s *Server) die() {
+	s.dead.Store(true)
+	s.cancel()
 }
 
 // admitLocked starts the campaign if a slot is free, else queues it.
@@ -362,18 +340,44 @@ func (s *Server) dispatchLocked() {
 
 // watch waits for a campaign to reach a terminal state, then settles
 // its slot, merges its bugs into the cross-campaign corpus, and
-// dispatches the queue.
+// dispatches the queue. A shard campaign's report is a slice of the
+// coordinator's campaign, so it stays out of the corpus and the
+// manifest. Once the server is closed watch waits only for a campaign
+// that is running, since no other will end.
 func (s *Server) watch(h *hosted) {
-	<-h.camp.Done()
+	defer s.watchers.Done()
+	select {
+	case <-h.camp.Done():
+	case <-s.baseCtx.Done():
+		if st := h.camp.State(); st != campaign.StateRunning && st != campaign.StatePausing {
+			return
+		}
+		<-h.camp.Done()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.releaseSlotLocked(h)
-	if r := h.camp.Report(); r != nil && r.Complete() {
-		s.corpus.MergeReport(r)
-		s.saveCorpusLocked()
+	if h.cfg.Shard == nil {
+		if r := h.camp.Report(); r != nil && r.Complete() {
+			s.corpus.MergeReport(r)
+			s.saveCorpusLocked()
+		}
+		s.saveManifestLocked()
 	}
-	s.saveManifestLocked()
 	s.dispatchLocked()
+}
+
+// busyLocked reports whether every slot holds a live campaign. A
+// campaign that has just ended can hold its slot until its watcher
+// runs; its slot is released here instead, so a shard submitted right
+// after the previous one finished is not refused.
+func (s *Server) busyLocked() bool {
+	for _, h := range s.campaigns {
+		if h.holdsSlot && h.camp.State().Terminal() {
+			s.releaseSlotLocked(h)
+		}
+	}
+	return s.running >= s.opts.MaxRunning
 }
 
 // Drain gracefully suspends the server: no new submissions or resumes
@@ -429,7 +433,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // responses.
 type campaignView struct {
 	ID      string    `json:"id"`
-	Tenant  string    `json:"tenant"`
 	Created time.Time `json:"created"`
 	Queued  bool      `json:"queued,omitempty"`
 	// Suspended marks a campaign re-hosted from the manifest that has
@@ -445,7 +448,6 @@ func (s *Server) viewOf(h *hosted) campaignView {
 	st := h.camp.Status()
 	v := campaignView{
 		ID:        h.id,
-		Tenant:    h.tenant,
 		Created:   h.created,
 		Queued:    h.queued,
 		Suspended: h.suspended,
@@ -458,16 +460,13 @@ func (s *Server) viewOf(h *hosted) campaignView {
 	return v
 }
 
+// handleSubmit hosts a campaign. A shard campaign (one carrying a shard
+// range) is a fabric lease: it needs a DataDir, since its journal is
+// what it ships, and it is refused with 409 rather than queued when no
+// slot is free, so the coordinator can lease the shard elsewhere. Its
+// grant writes no document, so it answers without waiting on a disk
+// that a loaded worker may keep busy.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !t.submit.allow() {
-		http.Error(w, "submission rate limit exceeded", http.StatusTooManyRequests)
-		return
-	}
 	cfg := cli.NewConfig()
 	// A field the config does not have is refused, not ignored: a
 	// misspelt or retired knob must not silently run a different
@@ -482,50 +481,43 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if cfg.Shard != nil && s.opts.DataDir == "" {
+		http.Error(w, "a shard campaign needs a server with a data directory", http.StatusBadRequest)
+		return
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
-	liveCount := 0
-	for _, h := range s.campaigns {
-		if h.tenant == t.name && !h.camp.State().Terminal() {
-			liveCount++
-		}
-	}
-	if liveCount >= s.opts.MaxPerTenant {
+	if cfg.Shard != nil && s.busyLocked() {
 		s.mu.Unlock()
-		http.Error(w, fmt.Sprintf("tenant %s already has %d live campaigns", t.name, liveCount), http.StatusTooManyRequests)
+		http.Error(w, fmt.Sprintf("busy: %d of %d slots running", s.running, s.opts.MaxRunning), http.StatusConflict)
 		return
 	}
-	h, err := s.hostLocked(t, *cfg, false)
+	h, err := s.hostLocked(fmt.Sprintf("c%06d", s.nextID), *cfg, false)
 	if err != nil {
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.nextID++
 	s.admitLocked(h)
-	s.saveManifestLocked()
+	if cfg.Shard == nil {
+		s.saveManifestLocked()
+	}
 	view := s.viewOf(h)
 	s.mu.Unlock()
 	w.WriteHeader(http.StatusCreated)
 	writeJSON(w, view)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	var views []campaignView
 	for _, id := range s.order {
-		h := s.campaigns[id]
-		if h.tenant == t.name {
-			views = append(views, s.viewOf(h))
-		}
+		views = append(views, s.viewOf(s.campaigns[id]))
 	}
 	s.mu.Unlock()
 	writeJSON(w, struct {
@@ -533,15 +525,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}{views})
 }
 
+// handleInspect answers one campaign's view. It is the fabric's
+// heartbeat, so a stall-chaos shard hangs here: the shard keeps
+// running, but the coordinator hears nothing.
 func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	h := s.lookup(w, r)
+	if h == nil {
 		return
 	}
-	h := s.lookup(t, r.PathValue("id"))
-	if h == nil {
-		http.NotFound(w, r)
+	if h.faults.Stall {
+		<-r.Context().Done()
 		return
 	}
 	s.mu.Lock()
@@ -551,14 +544,8 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h := s.lookup(t, r.PathValue("id"))
+	h := s.lookup(w, r)
 	if h == nil {
-		http.NotFound(w, r)
 		return
 	}
 	// Pause blocks until the journal is synced; s.mu is not held,
@@ -577,14 +564,8 @@ func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h := s.lookup(t, r.PathValue("id"))
+	h := s.lookup(w, r)
 	if h == nil {
-		http.NotFound(w, r)
 		return
 	}
 	s.mu.Lock()
@@ -608,14 +589,8 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h := s.lookup(t, r.PathValue("id"))
+	h := s.lookup(w, r)
 	if h == nil {
-		http.NotFound(w, r)
 		return
 	}
 	if err := h.camp.Cancel(); err != nil {
@@ -630,14 +605,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h := s.lookup(t, r.PathValue("id"))
+	h := s.lookup(w, r)
 	if h == nil {
-		http.NotFound(w, r)
 		return
 	}
 	report := h.camp.Report()
@@ -648,43 +617,48 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, report.Doc())
 }
 
+// handleJournal ships a campaign's raw journal image — the bytes
+// journal.ReplayBytes accepts — once the campaign has ended; a fabric
+// coordinator folds a shard's shipment into the merged report. A
+// corrupt-chaos shard ships one byte flipped (the on-disk journal is
+// untouched), exercising the coordinator's quarantine and re-run path.
+func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
+	h := s.lookup(w, r)
+	if h == nil {
+		return
+	}
+	select {
+	case <-h.camp.Done():
+	default:
+		http.Error(w, fmt.Sprintf("campaign %s is %s; journal not final", h.id, h.camp.State()), http.StatusConflict)
+		return
+	}
+	if h.cfg.StateDir == "" {
+		http.Error(w, fmt.Sprintf("campaign %s keeps no journal", h.id), http.StatusNotFound)
+		return
+	}
+	store, err := journal.Open(h.cfg.StateDir)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	b, err := store.JournalBytes()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if h.faults.Corrupt && len(b) > 0 {
+		b = append([]byte(nil), b...)
+		b[len(b)/2] ^= 0xff
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(b)
+}
+
 func (s *Server) handleCorpus(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	writeJSON(w, s.corpus)
-}
-
-func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
-	type tenantView struct {
-		Name      string `json:"name"`
-		Campaigns int    `json:"campaigns"`
-	}
-	s.mu.Lock()
-	counts := map[string]int{}
-	for _, h := range s.campaigns {
-		counts[h.tenant]++
-	}
-	var views []tenantView
-	for name := range s.tenants {
-		views = append(views, tenantView{Name: name, Campaigns: counts[name]})
-	}
-	s.mu.Unlock()
-	sort.Slice(views, func(i, j int) bool { return views[i].Name < views[j].Name })
-	writeJSON(w, struct {
-		Tenants []tenantView `json:"tenants"`
-	}{views})
-}
-
-func (s *Server) handleTenantDebug(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	s.mu.Lock()
-	t := s.tenants[name]
-	s.mu.Unlock()
-	if t == nil {
-		http.NotFound(w, r)
-		return
-	}
-	http.StripPrefix("/debug/tenants/"+name, t.debug).ServeHTTP(w, r)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

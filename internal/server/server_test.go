@@ -35,8 +35,8 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// request performs one API call as the given tenant.
-func request(t *testing.T, ts *httptest.Server, method, path, tenant string, body any) (int, []byte) {
+// request performs one API call.
+func request(t *testing.T, ts *httptest.Server, method, path string, body any) (int, []byte) {
 	t.Helper()
 	var payload io.Reader
 	if body != nil {
@@ -49,9 +49,6 @@ func request(t *testing.T, ts *httptest.Server, method, path, tenant string, bod
 	req, err := http.NewRequest(method, ts.URL+path, payload)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -66,9 +63,9 @@ func request(t *testing.T, ts *httptest.Server, method, path, tenant string, bod
 }
 
 // submit posts a campaign config and returns its assigned ID.
-func submit(t *testing.T, ts *httptest.Server, tenant string, cfg map[string]any) string {
+func submit(t *testing.T, ts *httptest.Server, cfg map[string]any) string {
 	t.Helper()
-	code, raw := request(t, ts, "POST", "/api/campaigns", tenant, cfg)
+	code, raw := request(t, ts, "POST", "/api/campaigns", cfg)
 	if code != http.StatusCreated {
 		t.Fatalf("submit: status %d: %s", code, raw)
 	}
@@ -82,9 +79,9 @@ func submit(t *testing.T, ts *httptest.Server, tenant string, cfg map[string]any
 }
 
 // state fetches one campaign's lifecycle state string.
-func state(t *testing.T, ts *httptest.Server, tenant, id string) string {
+func state(t *testing.T, ts *httptest.Server, id string) string {
 	t.Helper()
-	code, raw := request(t, ts, "GET", "/api/campaigns/"+id, tenant, nil)
+	code, raw := request(t, ts, "GET", "/api/campaigns/"+id, nil)
 	if code != http.StatusOK {
 		t.Fatalf("inspect %s: status %d: %s", id, code, raw)
 	}
@@ -100,16 +97,16 @@ func state(t *testing.T, ts *httptest.Server, tenant, id string) string {
 }
 
 // waitState polls until the campaign reaches the wanted state.
-func waitState(t *testing.T, ts *httptest.Server, tenant, id, want string) {
+func waitState(t *testing.T, ts *httptest.Server, id, want string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		if got := state(t, ts, tenant, id); got == want {
+		if got := state(t, ts, id); got == want {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("campaign %s never reached state %s (now %s)", id, want, state(t, ts, tenant, id))
+	t.Fatalf("campaign %s never reached state %s (now %s)", id, want, state(t, ts, id))
 }
 
 // goldenDoc runs the same submission in-process and encodes its report
@@ -138,20 +135,20 @@ func goldenDoc(t *testing.T, mutate func(*cli.Config)) []byte {
 func TestServerSubmitPauseResumeReportMatchesInProcess(t *testing.T) {
 	s, ts := newTestServer(t, Options{DataDir: t.TempDir()})
 	defer s.Close()
-	id := submit(t, ts, "", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 1, "programs": 120, "workers": 2, "compilers": []string{"groovyc"},
 	})
 
 	// Pause mid-run (racing completion: a finished campaign refuses with
 	// 409, which just degrades this into the no-pause path).
 	time.Sleep(100 * time.Millisecond)
-	code, raw := request(t, ts, "POST", "/api/campaigns/"+id+"/pause", "", nil)
+	code, raw := request(t, ts, "POST", "/api/campaigns/"+id+"/pause", nil)
 	if code == http.StatusOK {
-		if got := state(t, ts, "", id); got != "paused" {
+		if got := state(t, ts, id); got != "paused" {
 			t.Fatalf("after pause: state %s", got)
 		}
 		// A paused campaign's report is served, and is partial.
-		code, rep := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
+		code, rep := request(t, ts, "GET", "/api/campaigns/"+id+"/report", nil)
 		if code != http.StatusOK {
 			t.Fatalf("report while paused: status %d", code)
 		}
@@ -164,15 +161,15 @@ func TestServerSubmitPauseResumeReportMatchesInProcess(t *testing.T) {
 		if doc.Complete {
 			t.Error("paused campaign served a complete report")
 		}
-		if code, raw := request(t, ts, "POST", "/api/campaigns/"+id+"/resume", "", nil); code != http.StatusOK {
+		if code, raw := request(t, ts, "POST", "/api/campaigns/"+id+"/resume", nil); code != http.StatusOK {
 			t.Fatalf("resume: status %d: %s", code, raw)
 		}
 	} else if code != http.StatusConflict {
 		t.Fatalf("pause: status %d: %s", code, raw)
 	}
 
-	waitState(t, ts, "", id, "done")
-	code, got := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
+	waitState(t, ts, id, "done")
+	code, got := request(t, ts, "GET", "/api/campaigns/"+id+"/report", nil)
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, got)
 	}
@@ -184,65 +181,16 @@ func TestServerSubmitPauseResumeReportMatchesInProcess(t *testing.T) {
 	}
 }
 
-func TestServerUnitRateGateKeepsDeterminism(t *testing.T) {
-	_, ts := newTestServer(t, Options{UnitRate: 500, UnitBurst: 4})
-	id := submit(t, ts, "", map[string]any{
-		"seed": 7, "programs": 30, "compilers": []string{"groovyc"},
-	})
-	waitState(t, ts, "", id, "done")
-	_, got := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
-	want := goldenDoc(t, func(c *cli.Config) {
-		c.Seed, c.Programs, c.Compilers = 7, 30, []string{"groovyc"}
-	})
-	if !bytes.Equal(got, want) {
-		t.Error("unit-rate-gated report differs from ungated in-process run")
-	}
-}
-
-func TestServerTenantIsolation(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	id := submit(t, ts, "alice", map[string]any{
-		"seed": 1, "programs": 10, "compilers": []string{"groovyc"},
-	})
-	// Bob cannot see, inspect, or control Alice's campaign.
-	if code, _ := request(t, ts, "GET", "/api/campaigns/"+id, "bob", nil); code != http.StatusNotFound {
-		t.Errorf("cross-tenant inspect: status %d, want 404", code)
-	}
-	for _, action := range []string{"pause", "resume", "cancel"} {
-		if code, _ := request(t, ts, "POST", "/api/campaigns/"+id+"/"+action, "bob", nil); code != http.StatusNotFound {
-			t.Errorf("cross-tenant %s: status %d, want 404", action, code)
-		}
-	}
-	code, raw := request(t, ts, "GET", "/api/campaigns", "bob", nil)
-	if code != http.StatusOK {
-		t.Fatalf("list: status %d", code)
-	}
-	var list struct {
-		Campaigns []json.RawMessage `json:"campaigns"`
-	}
-	if err := json.Unmarshal(raw, &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Campaigns) != 0 {
-		t.Errorf("bob sees %d of alice's campaigns", len(list.Campaigns))
-	}
-	// A bad tenant name is rejected outright.
-	if code, _ := request(t, ts, "GET", "/api/campaigns", "../../etc", nil); code != http.StatusBadRequest {
-		t.Errorf("bad tenant name: status %d, want 400", code)
-	}
-	waitState(t, ts, "alice", id, "done")
-}
-
 func TestServerAdmissionQueue(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxRunning: 1})
-	first := submit(t, ts, "", map[string]any{
+	first := submit(t, ts, map[string]any{
 		"seed": 1, "programs": 60, "compilers": []string{"groovyc"},
 	})
-	second := submit(t, ts, "", map[string]any{
+	second := submit(t, ts, map[string]any{
 		"seed": 2, "programs": 10, "compilers": []string{"groovyc"},
 	})
 	// With one slot the second campaign starts queued.
-	code, raw := request(t, ts, "GET", "/api/campaigns/"+second, "", nil)
+	code, raw := request(t, ts, "GET", "/api/campaigns/"+second, nil)
 	if code != http.StatusOK {
 		t.Fatal(code)
 	}
@@ -259,54 +207,8 @@ func TestServerAdmissionQueue(t *testing.T) {
 		t.Error("second campaign is neither running nor queued")
 	}
 	// Both drain through the single slot to completion.
-	waitState(t, ts, "", first, "done")
-	waitState(t, ts, "", second, "done")
-}
-
-func TestServerSubmitRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, Options{SubmitRate: 0.0001, SubmitBurst: 2})
-	small := map[string]any{"seed": 1, "programs": 5, "compilers": []string{"groovyc"}}
-	submit(t, ts, "", small)
-	submit(t, ts, "", small)
-	code, _ := request(t, ts, "POST", "/api/campaigns", "", small)
-	if code != http.StatusTooManyRequests {
-		t.Errorf("third submission: status %d, want 429", code)
-	}
-	// Another tenant has its own bucket.
-	submit(t, ts, "other", small)
-}
-
-func TestServerPerTenantCampaignCap(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxPerTenant: 1})
-	id := submit(t, ts, "", map[string]any{
-		"seed": 1, "programs": 400, "workers": 2, "compilers": []string{"groovyc"},
-	})
-	code, _ := request(t, ts, "POST", "/api/campaigns", "", map[string]any{
-		"seed": 2, "programs": 5, "compilers": []string{"groovyc"},
-	})
-	if code != http.StatusTooManyRequests {
-		t.Errorf("over-cap submission: status %d, want 429", code)
-	}
-	// Cancelling the live campaign frees the tenant's budget.
-	if code, raw := request(t, ts, "POST", "/api/campaigns/"+id+"/cancel", "", nil); code != http.StatusOK {
-		t.Fatalf("cancel: status %d: %s", code, raw)
-	}
-	waitState(t, ts, "", id, "cancelled")
-	code, raw := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
-	if code != http.StatusOK {
-		t.Fatalf("report after cancel: status %d", code)
-	}
-	var doc struct {
-		Complete bool   `json:"complete"`
-		Error    string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Complete || doc.Error == "" {
-		t.Errorf("cancelled report: %+v, want incomplete with error", doc)
-	}
-	submit(t, ts, "", map[string]any{"seed": 2, "programs": 5, "compilers": []string{"groovyc"}})
+	waitState(t, ts, first, "done")
+	waitState(t, ts, second, "done")
 }
 
 func TestServerValidationRejectsBadConfigs(t *testing.T) {
@@ -323,20 +225,62 @@ func TestServerValidationRejectsBadConfigs(t *testing.T) {
 		"removed sync_every":     {"programs": 5, "sync_every": 4},
 		"misspelt field":         {"programs": 5, "seeed": 3},
 	} {
-		if code, _ := request(t, ts, "POST", "/api/campaigns", "", cfg); code != http.StatusBadRequest {
+		if code, _ := request(t, ts, "POST", "/api/campaigns", cfg); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
 }
 
+// TestServerShardSubmissions pins the shard side of submission: a range
+// outside [0, programs) is a 400, MaxPrograms bounds the range rather
+// than the global count, an ended shard ships its journal and is not
+// re-hosted by a restart, and a shard sent to a server with no data
+// directory is a 400.
+func TestServerShardSubmissions(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Options{DataDir: dir, MaxPrograms: 100})
+	shard := func(lo, hi int) map[string]any {
+		return map[string]any{"index": 0, "attempt": 0, "lo": lo, "hi": hi}
+	}
+	for name, cfg := range map[string]map[string]any{
+		"negative lo":      {"programs": 10, "shard": shard(-1, 4)},
+		"empty range":      {"programs": 10, "shard": shard(4, 4)},
+		"reversed range":   {"programs": 10, "shard": shard(5, 4)},
+		"past programs":    {"programs": 10, "shard": shard(8, 11)},
+		"range over limit": {"programs": 5000, "shard": shard(0, 101)},
+	} {
+		if code, raw := request(t, ts, "POST", "/api/campaigns", cfg); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, code, raw)
+		}
+	}
+	id := submit(t, ts, map[string]any{
+		"seed": 1, "programs": 5000, "compilers": []string{"groovyc"}, "shard": shard(4000, 4004),
+	})
+	waitState(t, ts, id, "done")
+	if code, raw := request(t, ts, "GET", "/api/campaigns/"+id+"/journal", nil); code != http.StatusOK || len(raw) == 0 {
+		t.Errorf("journal of an ended shard: status %d, %d bytes", code, len(raw))
+	}
+	// A shard is a lease, not a hosted campaign: a restarted worker
+	// does not re-host it.
+	_, restarted := newTestServer(t, Options{DataDir: dir, Resume: true})
+	if code, _ := request(t, restarted, "GET", "/api/campaigns/"+id, nil); code != http.StatusNotFound {
+		t.Errorf("shard after a restart with resume: status %d, want 404", code)
+	}
+
+	_, bare := newTestServer(t, Options{})
+	if code, _ := request(t, bare, "POST", "/api/campaigns", map[string]any{"programs": 10, "shard": shard(0, 5)}); code != http.StatusBadRequest {
+		t.Errorf("shard on a server with no data dir: status %d, want 400", code)
+	}
+}
+
 func TestServerCorpusAndRepro(t *testing.T) {
 	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
-	id := submit(t, ts, "", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 1, "programs": 40, "compilers": []string{"groovyc"},
 	})
-	waitState(t, ts, "", id, "done")
+	waitState(t, ts, id, "done")
 
-	code, raw := request(t, ts, "GET", "/api/corpus", "", nil)
+	code, raw := request(t, ts, "GET", "/api/corpus", nil)
 	if code != http.StatusOK {
 		t.Fatalf("corpus: status %d", code)
 	}
@@ -353,7 +297,7 @@ func TestServerCorpusAndRepro(t *testing.T) {
 		bugID = bid
 		break
 	}
-	code, raw = request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug="+bugID, "", nil)
+	code, raw = request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug="+bugID, nil)
 	if code != http.StatusOK {
 		t.Fatalf("repro %s: status %d: %s", bugID, code, raw)
 	}
@@ -370,7 +314,7 @@ func TestServerCorpusAndRepro(t *testing.T) {
 	if doc.IR == "" || doc.Source == "" {
 		t.Error("repro doc is missing the program text")
 	}
-	if code, _ := request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug=NOPE-1", "", nil); code != http.StatusNotFound {
+	if code, _ := request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug=NOPE-1", nil); code != http.StatusNotFound {
 		t.Errorf("unknown bug repro: status %d, want 404", code)
 	}
 }
@@ -380,11 +324,11 @@ func TestServerCorpusAndRepro(t *testing.T) {
 // the synthesizer, not the grammar generator — and serves it.
 func TestServerReproServesSynthesizedBugs(t *testing.T) {
 	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
-	id := submit(t, ts, "", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 11, "programs": 16, "synth_every": 2, "compilers": []string{"groovyc"},
 	})
-	waitState(t, ts, "", id, "done")
-	code, raw := request(t, ts, "GET", "/api/campaigns/"+id+"/report", "", nil)
+	waitState(t, ts, id, "done")
+	code, raw := request(t, ts, "GET", "/api/campaigns/"+id+"/report", nil)
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, raw)
 	}
@@ -402,7 +346,7 @@ func TestServerReproServesSynthesizedBugs(t *testing.T) {
 	if bug == nil {
 		t.Fatalf("no synthesized-origin bug in %+v", report.Bugs)
 	}
-	code, raw = request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug="+bug.ID, "", nil)
+	code, raw = request(t, ts, "GET", "/api/campaigns/"+id+"/repro?bug="+bug.ID, nil)
 	if code != http.StatusOK {
 		t.Fatalf("repro %s: status %d: %s", bug.ID, code, raw)
 	}
@@ -417,7 +361,7 @@ func TestServerReproServesSynthesizedBugs(t *testing.T) {
 
 func TestServerSSEStreamsHeartbeatsAndTrace(t *testing.T) {
 	_, ts := newTestServer(t, Options{Heartbeat: 20 * time.Millisecond})
-	id := submit(t, ts, "", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 1, "programs": 40, "workers": 2, "compilers": []string{"groovyc"},
 	})
 	req, err := http.NewRequest("GET", ts.URL+"/api/campaigns/"+id+"/events", nil)
@@ -457,13 +401,13 @@ func TestServerSSEStreamsHeartbeatsAndTrace(t *testing.T) {
 	if events["heartbeat"] > 0 && !sawLine {
 		t.Error("heartbeat events carried no rendered heartbeat line")
 	}
-	waitState(t, ts, "", id, "done")
+	waitState(t, ts, id, "done")
 }
 
 func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Options{DataDir: dir})
-	id := submit(t, ts1, "t1", map[string]any{
+	id := submit(t, ts1, map[string]any{
 		"seed": 1, "programs": 300, "workers": 2, "compilers": []string{"groovyc"},
 	})
 	time.Sleep(150 * time.Millisecond)
@@ -473,16 +417,19 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	if err := s1.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := request(t, ts1, "POST", "/api/campaigns", "t1",
+	if code, _ := request(t, ts1, "POST", "/api/campaigns",
 		map[string]any{"programs": 5, "compilers": []string{"groovyc"}}); code != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: status %d, want 503", code)
 	}
 	ts1.Close()
+	// Manifests written before tenancy was removed carry a "tenant" key
+	// per campaign; they must still load.
+	addTenantKeys(t, filepath.Join(dir, manifestDoc))
 
 	// A fresh server over the same data dir re-hosts the suspension.
 	s2, ts2 := newTestServer(t, Options{DataDir: dir, Resume: true})
 	defer s2.Close()
-	code, raw := request(t, ts2, "GET", "/api/campaigns/"+id, "t1", nil)
+	code, raw := request(t, ts2, "GET", "/api/campaigns/"+id, nil)
 	if code != http.StatusOK {
 		t.Fatalf("restored campaign not listed: status %d: %s", code, raw)
 	}
@@ -495,11 +442,11 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	if !view.Suspended {
 		t.Errorf("restored campaign not marked suspended: %s", raw)
 	}
-	if code, raw := request(t, ts2, "POST", "/api/campaigns/"+id+"/resume", "t1", nil); code != http.StatusOK {
+	if code, raw := request(t, ts2, "POST", "/api/campaigns/"+id+"/resume", nil); code != http.StatusOK {
 		t.Fatalf("resume after restart: status %d: %s", code, raw)
 	}
-	waitState(t, ts2, "t1", id, "done")
-	_, got := request(t, ts2, "GET", "/api/campaigns/"+id+"/report", "t1", nil)
+	waitState(t, ts2, id, "done")
+	_, got := request(t, ts2, "GET", "/api/campaigns/"+id+"/report", nil)
 	want := goldenDoc(t, func(c *cli.Config) {
 		c.Seed, c.Programs, c.Workers, c.Compilers = 1, 300, 2, []string{"groovyc"}
 	})
@@ -508,21 +455,45 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	}
 }
 
-func TestServerTenantDebugEndpoints(t *testing.T) {
+// TestServerDebugEndpoints: each campaign's instruments live in the
+// server registry under the campaign's ID, served at /debug/server/.
+// addTenantKeys rewrites a manifest as an older server wrote it, with a
+// "tenant" key in every campaign entry.
+func addTenantKeys(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m["campaigns"].([]any) {
+		e.(map[string]any)["tenant"] = "default"
+	}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestServerDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	id := submit(t, ts, "alice", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 1, "programs": 10, "compilers": []string{"groovyc"},
 	})
-	waitState(t, ts, "alice", id, "done")
-	code, raw := request(t, ts, "GET", "/debug/tenants/alice/metrics", "", nil)
+	waitState(t, ts, id, "done")
+	code, raw := request(t, ts, "GET", "/debug/server/metrics", nil)
 	if code != http.StatusOK {
-		t.Fatalf("tenant metrics: status %d", code)
+		t.Fatalf("server metrics: status %d", code)
 	}
 	var snap map[string]any
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	// The campaign's counters live under its ID in the tenant registry.
 	found := false
 	for _, section := range snap {
 		if m, ok := section.(map[string]any); ok {
@@ -534,141 +505,10 @@ func TestServerTenantDebugEndpoints(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("no %s.* instruments in tenant registry: %s", id, raw)
+		t.Errorf("no %s.* instruments in the server registry: %s", id, raw)
 	}
-	if code, _ := request(t, ts, "GET", "/debug/tenants/nobody/metrics", "", nil); code != http.StatusNotFound {
-		t.Errorf("unknown tenant debug: status %d, want 404", code)
-	}
-	if code, _ := request(t, ts, "GET", "/healthz", "", nil); code != http.StatusOK {
+	if code, _ := request(t, ts, "GET", "/healthz", nil); code != http.StatusOK {
 		t.Error("healthz failed")
-	}
-}
-
-func TestServerTenantsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	small := map[string]any{"seed": 1, "programs": 5, "compilers": []string{"groovyc"}}
-	a := submit(t, ts, "alice", small)
-	b := submit(t, ts, "bob", small)
-	code, raw := request(t, ts, "GET", "/api/tenants", "", nil)
-	if code != http.StatusOK {
-		t.Fatal(code)
-	}
-	var doc struct {
-		Tenants []struct {
-			Name      string `json:"name"`
-			Campaigns int    `json:"campaigns"`
-		} `json:"tenants"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]int{}
-	for _, tv := range doc.Tenants {
-		byName[tv.Name] = tv.Campaigns
-	}
-	if byName["alice"] != 1 || byName["bob"] != 1 {
-		t.Errorf("tenant listing wrong: %s", raw)
-	}
-	waitState(t, ts, "alice", a, "done")
-	waitState(t, ts, "bob", b, "done")
-}
-
-func TestLimiter(t *testing.T) {
-	l := newLimiter(100, 2)
-	if !l.allow() || !l.allow() {
-		t.Fatal("burst tokens not available")
-	}
-	ok, retry := l.take()
-	if ok {
-		t.Fatal("third immediate take admitted")
-	}
-	if retry <= 0 || retry > 20*time.Millisecond {
-		t.Fatalf("retry hint %v, want ~10ms", retry)
-	}
-	if err := l.wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	slow := newLimiter(0.001, 1)
-	slow.allow()
-	if err := slow.wait(ctx); err == nil {
-		t.Fatal("wait ignored cancelled context")
-	}
-	// Disabled limiters admit everything and gate to nil.
-	var disabled *limiter
-	if !disabled.allow() {
-		t.Error("nil limiter blocked")
-	}
-	if newLimiter(0, 1).gate() != nil {
-		t.Error("disabled limiter produced a gate")
-	}
-	if newLimiter(100, 2).gate() == nil {
-		t.Error("enabled limiter produced no gate")
-	}
-}
-
-// TestLimiterMonotonicRefill steps an injected fake clock through the
-// bucket's life: no wall-clock sleeps, and refill arithmetic pinned
-// exactly — including that a clock that does not advance grants
-// nothing, which is the monotonic guarantee a stepped wall clock used
-// to break.
-func TestLimiterMonotonicRefill(t *testing.T) {
-	clock := time.Duration(0)
-	l := newLimiter(10, 3) // 10 tokens/s, burst 3
-	l.now = func() time.Duration { return clock }
-	l.last = clock
-
-	for i := 0; i < 3; i++ {
-		if !l.allow() {
-			t.Fatalf("burst token %d refused", i)
-		}
-	}
-	ok, retry := l.take()
-	if ok {
-		t.Fatal("empty bucket admitted")
-	}
-	if retry != 100*time.Millisecond {
-		t.Fatalf("retry hint %v, want exactly 100ms at 10/s", retry)
-	}
-
-	// Time standing still grants nothing, no matter how often we ask —
-	// a wall-clock implementation could be stepped into admitting here.
-	for i := 0; i < 5; i++ {
-		if l.allow() {
-			t.Fatal("admitted with a frozen clock")
-		}
-	}
-
-	// Exactly one refill interval accrues exactly one token.
-	clock += 100 * time.Millisecond
-	if !l.allow() {
-		t.Fatal("token not refilled after exactly one interval")
-	}
-	if l.allow() {
-		t.Fatal("one interval refilled more than one token")
-	}
-
-	// A long idle stretch caps at the burst, never beyond.
-	clock += time.Hour
-	for i := 0; i < 3; i++ {
-		if !l.allow() {
-			t.Fatalf("burst token %d missing after long idle", i)
-		}
-	}
-	if l.allow() {
-		t.Fatal("idle stretch overfilled the burst cap")
-	}
-
-	// Fractional accrual accumulates across takes: two half-interval
-	// steps sum to one token.
-	clock += 50 * time.Millisecond
-	if l.allow() {
-		t.Fatal("half a token admitted")
-	}
-	clock += 50 * time.Millisecond
-	if !l.allow() {
-		t.Fatal("two half intervals did not sum to a token")
 	}
 }
 
@@ -691,7 +531,7 @@ func sseHandlerCount(t *testing.T) int {
 // the work it was watching.
 func TestServerSSEClientDisconnect(t *testing.T) {
 	_, ts := newTestServer(t, Options{Heartbeat: 20 * time.Millisecond})
-	id := submit(t, ts, "", map[string]any{
+	id := submit(t, ts, map[string]any{
 		"seed": 7, "programs": 150, "workers": 2, "compilers": []string{"groovyc"},
 	})
 
@@ -735,10 +575,10 @@ func TestServerSSEClientDisconnect(t *testing.T) {
 
 	// The campaign never noticed: it is still running or finished, and
 	// a fresh consumer can attach and see it through to done.
-	if got := state(t, ts, "", id); got != "running" && got != "done" {
+	if got := state(t, ts, id); got != "running" && got != "done" {
 		t.Fatalf("campaign state %q after SSE disconnect, want running or done", got)
 	}
-	waitState(t, ts, "", id, "done")
+	waitState(t, ts, id, "done")
 }
 
 // TestServerDocsWriteIndentedJSON pins the bytes of the server's two

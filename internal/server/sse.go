@@ -23,16 +23,10 @@ import (
 //
 // The stream is observational: it polls the trace ring rather than
 // hooking the pipeline, so a slow SSE consumer can never backpressure
-// the campaign (unlike a throttled tenant's Gate, which is meant to).
+// the campaign.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h := s.lookup(t, r.PathValue("id"))
+	h := s.lookup(w, r)
 	if h == nil {
-		http.NotFound(w, r)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
