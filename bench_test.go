@@ -130,10 +130,11 @@ func BenchmarkFig8AffectedVersions(b *testing.B) {
 func BenchmarkFig9MutationCoverage(b *testing.B) {
 	var temBranches, tomBranches int
 	for i := 0; i < b.N; i++ {
-		cov, err := campaign.RunMutationCoverageContext(context.Background(), compilers.Kotlinc(), 15, int64(i)*999, generator.DefaultConfig(), 0)
+		rows, err := campaign.RunMutationCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 15, int64(i)*999, generator.DefaultConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
+		cov := rows[0]
 		temBranches += cov.TEMDelta.Branches
 		tomBranches += cov.TOMDelta.Branches
 	}

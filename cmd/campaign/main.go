@@ -182,17 +182,17 @@ func main() {
 	}
 	if show("9") {
 		fmt.Println("Figure 9: coverage increase by TEM and TOM (RQ3)")
-		for _, c := range compilers.All() {
-			cov, err := campaign.RunMutationCoverageContext(ctx, c, *covN, cfg.Seed, generator.DefaultConfig(), cfg.Workers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
-				os.Exit(1)
-			}
+		rows, err := campaign.RunMutationCoverageContext(ctx, compilers.All(), *covN, cfg.Seed, generator.DefaultConfig(), cfg.Workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
+			os.Exit(1)
+		}
+		for _, cov := range rows {
 			fmt.Println(cov)
-			if cfg.Stats {
-				fmt.Println("pipeline stages:")
-				fmt.Println(cov.Stats)
-			}
+		}
+		if cfg.Stats {
+			fmt.Println("pipeline stages:")
+			fmt.Println(rows[0].Stats)
 		}
 	}
 	if show("10") {
@@ -212,18 +212,18 @@ func main() {
 	}
 	if show("synth") {
 		fmt.Println("Coverage by input kind: generated vs mutated vs synthesized")
-		for _, c := range compilers.All() {
-			cov, err := campaign.RunSynthCoverageContext(ctx, c, *covN, cfg.Seed+9000,
-				generator.DefaultConfig(), apisynth.Config{Corpus: cfg.SynthCorpus}, cfg.Workers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
-				os.Exit(1)
-			}
+		rows, err := campaign.RunSynthCoverageContext(ctx, compilers.All(), *covN, cfg.Seed+9000,
+			generator.DefaultConfig(), apisynth.Config{Corpus: cfg.SynthCorpus}, cfg.Workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
+			os.Exit(1)
+		}
+		for _, cov := range rows {
 			fmt.Println(cov)
-			if cfg.Stats {
-				fmt.Println("pipeline stages:")
-				fmt.Println(cov.Stats)
-			}
+		}
+		if cfg.Stats {
+			fmt.Println("pipeline stages:")
+			fmt.Println(rows[0].Stats)
 		}
 	}
 	if report != nil && *fig == "all" {

@@ -97,9 +97,10 @@ func main() {
 	case "reduce":
 		reduceUnit(u, opts, *lang)
 	case "typegraph":
-		for name, g := range typegraph.Analyze(u.Program, u.Builtins).BuildAll() {
+		a := typegraph.Analyze(u.Program, u.Builtins)
+		for i, g := range a.BuildAll() {
 			fmt.Printf("// method %s (%d nodes, %d edges, %d candidates)\n",
-				name, g.NumNodes(), g.NumEdges(), len(g.Candidates))
+				a.Methods[i].Name, g.NumNodes(), g.NumEdges(), len(g.Candidates))
 			fmt.Println(g.Dot())
 		}
 	}

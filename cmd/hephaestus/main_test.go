@@ -109,6 +109,20 @@ func TestSubcommandsRejectUnreadFlags(t *testing.T) {
 	}
 }
 
+// TestTypegraphStdoutIsStable: typegraph prints the methods' graphs in
+// declaration order, the same bytes on every run.
+func TestTypegraphStdoutIsStable(t *testing.T) {
+	first := hephaestus(t, "typegraph", "-seed", "3")
+	for run := 2; run <= 4; run++ {
+		if got := hephaestus(t, "typegraph", "-seed", "3"); got != first {
+			t.Fatalf("typegraph -seed 3 stdout differs on run %d:\n%s\nvs\n%s", run, tail(got), tail(first))
+		}
+	}
+	if n := strings.Count(first, "// method "); n < 2 {
+		t.Fatalf("typegraph -seed 3 printed %d method graphs, want several", n)
+	}
+}
+
 func tail(s string) string {
 	if len(s) > 400 {
 		return "..." + s[len(s)-400:]

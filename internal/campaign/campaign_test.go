@@ -211,10 +211,11 @@ func TestCatalogTablesMatchPaper(t *testing.T) {
 }
 
 func TestMutationCoverageExperiment(t *testing.T) {
-	cov, err := RunMutationCoverageContext(context.Background(), compilers.Kotlinc(), 25, 0, generator.DefaultConfig(), 0)
+	rows, err := RunMutationCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 25, 0, generator.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cov := rows[0]
 	if cov.Compiler != "kotlinc" {
 		t.Errorf("compiler = %s", cov.Compiler)
 	}

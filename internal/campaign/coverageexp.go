@@ -15,7 +15,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-// MutationCoverage is the Figure 9 experiment for one compiler: coverage
+// MutationCoverage is one compiler's row of the Figure 9 experiment: coverage
 // of N generated programs, and the additional distinct probe sites their
 // TEM and TOM mutants exercise, with the per-region breakdown the paper
 // highlights (resolve.*, types.*, stc.*, comp.*, code.*).
@@ -29,7 +29,8 @@ type MutationCoverage struct {
 	// ByRegion maps the compiler's package name to TEM's extra sites
 	// there.
 	TEMByRegion map[string]coverage.Delta
-	// Stats holds the per-stage pipeline statistics for the run.
+	// Stats holds the per-stage pipeline statistics of the one run
+	// every compiler's row shares.
 	Stats *pipeline.Stats
 }
 
@@ -68,10 +69,13 @@ func regionRows(label string, byRegion map[string]coverage.Delta) string {
 // RunMutationCoverageContext performs the RQ3 experiment (Figure 9):
 // generate programs, produce one TEM and one TOM mutant per program,
 // and measure the coverage increase each mutation brings over the
-// generator baseline. workers is the per-stage worker count (0 means
-// GOMAXPROCS); the reported quantities are distinct-site counts, so
-// they are deterministic regardless of worker interleaving.
-func RunMutationCoverageContext(ctx context.Context, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) (*MutationCoverage, error) {
+// generator baseline. The compilers share one reference checker, whose
+// probes fire identically under each, so the experiment measures once
+// and returns one row per compiler, its regions named by that compiler's
+// packages; cs must not be empty. workers is the per-stage worker count
+// (0 means GOMAXPROCS); the reported quantities are distinct-site
+// counts, so they are deterministic regardless of worker interleaving.
+func RunMutationCoverageContext(ctx context.Context, cs []*compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) ([]*MutationCoverage, error) {
 	covGen := coverage.NewCollector()
 	covTEM := coverage.NewCollector()
 	covTOM := coverage.NewCollector()
@@ -84,7 +88,7 @@ func RunMutationCoverageContext(ctx context.Context, c *compilers.Compiler, prog
 		label:  "generate+mutate",
 		mutate: &pipeline.Mutate{TEM: true, TOM: true},
 		record: func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
-	}}}, c, programs, seed, cfg, workers)
+	}}}, cs[0], programs, seed, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -92,23 +96,33 @@ func RunMutationCoverageContext(ctx context.Context, c *compilers.Compiler, prog
 	universe := covGen.Clone()
 	universe.Merge(covTEM)
 	universe.Merge(covTOM)
-	out := &MutationCoverage{
-		Compiler:    c.Name(),
-		Programs:    programs,
-		TEMDelta:    covTEM.NewSites(covGen),
-		TOMDelta:    covTOM.NewSites(covGen),
-		TEMByRegion: map[string]coverage.Delta{},
-		Stats:       stats,
+	rows := make([]*MutationCoverage, len(cs))
+	for i, c := range cs {
+		rows[i] = &MutationCoverage{
+			Compiler:    c.Name(),
+			Programs:    programs,
+			TEMDelta:    covTEM.NewSites(covGen),
+			TOMDelta:    covTOM.NewSites(covGen),
+			TEMByRegion: regionsFor(c, covTEM, covGen),
+			Stats:       stats,
+		}
+		rows[i].GenLine, rows[i].GenFunc, rows[i].GenBranch = covGen.Percent(universe)
 	}
-	out.GenLine, out.GenFunc, out.GenBranch = covGen.Percent(universe)
-	for _, region := range covTEM.Regions() {
-		out.TEMByRegion[c.PackageFor(region)] = covTEM.NewSitesIn(covGen, region)
-	}
-	return out, nil
+	return rows, nil
 }
 
-// SynthCoverage is the three-way input-kind comparison extending RQ3/
-// RQ4 to API-driven synthesis: coverage of N generated programs, the
+// regionsFor maps each region's extra sites of cov over base to c's
+// package name for the region.
+func regionsFor(c *compilers.Compiler, cov, base *coverage.Collector) map[string]coverage.Delta {
+	out := map[string]coverage.Delta{}
+	for _, region := range cov.Regions() {
+		out[c.PackageFor(region)] = cov.NewSitesIn(base, region)
+	}
+	return out
+}
+
+// SynthCoverage is one compiler's row of the three-way input-kind
+// comparison extending RQ3/RQ4 to API-driven synthesis: coverage of N generated programs, the
 // additional distinct probe sites their TEM+TOM mutants reach, and the
 // additional sites N synthesized programs (same seeds, same budget)
 // reach — with synthesis's extra sites broken down by region, since the
@@ -125,7 +139,8 @@ type SynthCoverage struct {
 	// SynthByRegion maps the compiler's package names to synthesis's
 	// extra sites there.
 	SynthByRegion map[string]coverage.Delta
-	// Stats holds both pipeline runs' per-stage statistics.
+	// Stats holds both pipeline runs' per-stage statistics, shared by
+	// every compiler's row.
 	Stats *pipeline.Stats
 }
 
@@ -145,9 +160,10 @@ func (s *SynthCoverage) String() string {
 // vs synthesized coverage experiment with cancellation and an explicit
 // worker count. Two passes over the same seed range: one generates and
 // mutates, one synthesizes every unit from the API corpus (synth.Corpus;
-// the built-in default when empty). Distinct-site counts are
-// deterministic regardless of worker interleaving.
-func RunSynthCoverageContext(ctx context.Context, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, synth apisynth.Config, workers int) (*SynthCoverage, error) {
+// the built-in default when empty). Like Figure 9 it measures once and
+// returns one row per compiler. Distinct-site counts are deterministic
+// regardless of worker interleaving.
+func RunSynthCoverageContext(ctx context.Context, cs []*compilers.Compiler, programs int, seed int64, cfg generator.Config, synth apisynth.Config, workers int) ([]*SynthCoverage, error) {
 	// Cadence is forced to every-unit: the experiment compares N
 	// synthesized programs against N generated ones, whatever cadence
 	// the fuzzing campaign itself would use.
@@ -171,7 +187,7 @@ func RunSynthCoverageContext(ctx context.Context, c *compilers.Compiler, program
 		label:     "synthesize",
 		producers: []pipeline.Producer{prod},
 		record:    func(oracle.InputKind) coverage.Recorder { return covSynth },
-	}}}, c, programs, seed, cfg, workers)
+	}}}, cs[0], programs, seed, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -179,19 +195,19 @@ func RunSynthCoverageContext(ctx context.Context, c *compilers.Compiler, program
 	universe := covGen.Clone()
 	universe.Merge(covMut)
 	universe.Merge(covSynth)
-	out := &SynthCoverage{
-		Compiler:      c.Name(),
-		Programs:      programs,
-		MutDelta:      covMut.NewSites(covGen),
-		SynthDelta:    covSynth.NewSites(covGen),
-		SynthByRegion: map[string]coverage.Delta{},
-		Stats:         stats,
+	rows := make([]*SynthCoverage, len(cs))
+	for i, c := range cs {
+		rows[i] = &SynthCoverage{
+			Compiler:      c.Name(),
+			Programs:      programs,
+			MutDelta:      covMut.NewSites(covGen),
+			SynthDelta:    covSynth.NewSites(covGen),
+			SynthByRegion: regionsFor(c, covSynth, covGen),
+			Stats:         stats,
+		}
+		rows[i].GenLine, rows[i].GenFunc, rows[i].GenBranch = covGen.Percent(universe)
 	}
-	out.GenLine, out.GenFunc, out.GenBranch = covGen.Percent(universe)
-	for _, region := range covSynth.Regions() {
-		out.SynthByRegion[c.PackageFor(region)] = covSynth.NewSitesIn(covGen, region)
-	}
-	return out, nil
+	return rows, nil
 }
 
 // SuiteCoverage is the Figure 10 experiment for one compiler: the

@@ -295,48 +295,27 @@ func openState(opts Options, report *Report, agg *reportAggregator, h *harness.H
 	if opts.StateDir == "" {
 		return nil, nil
 	}
-	store, err := journal.Open(opts.StateDir)
+	st, meta, err := openStore(opts)
 	if err != nil {
 		return nil, err
 	}
-	store.SetObserver(CorruptionObserver(opts.Metrics, opts.Trace))
-	st := &durableState{
-		store:    store,
-		fp:       fingerprint(opts),
-		done:     map[int]bool{},
-		appendNs: opts.Metrics.Histogram("campaign.journal.append_ns"),
-		syncNs:   opts.Metrics.Histogram("campaign.journal.sync_ns"),
-	}
-
-	var meta metaState
-	raw, err := store.ReadDoc(metaDoc)
-	if err != nil {
-		return nil, err
-	}
-	haveMeta := raw != nil
-	if haveMeta {
-		if err := json.Unmarshal(raw, &meta); err != nil {
-			return nil, fmt.Errorf("campaign: corrupt %s: %w", metaDoc, err)
-		}
-	}
-
 	switch {
 	case !opts.Resume:
 		// Fresh campaign: drop any previous journal (the corpus document
 		// deliberately survives) and claim the directory.
-		if err := store.Reset(); err != nil {
+		if err := st.store.Reset(); err != nil {
 			return nil, err
 		}
-		if err := writeMeta(store, metaState{Fingerprint: st.fp}); err != nil {
+		if err := writeMeta(st.store, metaState{Fingerprint: st.fp}); err != nil {
 			return nil, err
 		}
-	case haveMeta && meta.Fingerprint != st.fp:
+	case meta != nil && meta.Fingerprint != st.fp:
 		return nil, fmt.Errorf("campaign: state dir %s holds a different campaign (fingerprint %s, want %s); rerun without -resume to start over",
-			store.Dir(), meta.Fingerprint, st.fp)
-	case !haveMeta:
+			st.store.Dir(), meta.Fingerprint, st.fp)
+	case meta == nil:
 		// Resume requested but the directory is empty: behave as a fresh
 		// start so `-state X -resume` is safe to use unconditionally.
-		if err := writeMeta(store, metaState{Fingerprint: st.fp}); err != nil {
+		if err := writeMeta(st.store, metaState{Fingerprint: st.fp}); err != nil {
 			return nil, err
 		}
 	default:
@@ -345,12 +324,46 @@ func openState(opts Options, report *Report, agg *reportAggregator, h *harness.H
 		}
 	}
 
-	w, err := store.Append(0)
+	w, err := st.store.Append(0)
 	if err != nil {
 		return nil, err
 	}
 	st.w = w
 	return st, nil
+}
+
+// peekState replays the journal of a resumable campaign's state directory
+// into report and h without claiming the directory. It reports false, and
+// replays nothing, when the directory holds no journal of this campaign.
+func peekState(opts Options, report *Report, agg *reportAggregator, h *harness.Harness) bool {
+	st, meta, err := openStore(opts)
+	return err == nil && meta != nil && meta.Fingerprint == st.fp && st.restore(report, agg, h) == nil
+}
+
+// openStore opens the state directory and reads its meta document; meta
+// is nil when the directory holds none.
+func openStore(opts Options) (st *durableState, meta *metaState, err error) {
+	store, err := journal.Open(opts.StateDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	store.SetObserver(CorruptionObserver(opts.Metrics, opts.Trace))
+	st = &durableState{
+		store:    store,
+		fp:       fingerprint(opts),
+		done:     map[int]bool{},
+		appendNs: opts.Metrics.Histogram("campaign.journal.append_ns"),
+		syncNs:   opts.Metrics.Histogram("campaign.journal.sync_ns"),
+	}
+	raw, err := store.ReadDoc(metaDoc)
+	if err != nil || raw == nil {
+		return st, nil, err
+	}
+	meta = &metaState{}
+	if err := json.Unmarshal(raw, meta); err != nil {
+		return nil, nil, fmt.Errorf("campaign: corrupt %s: %w", metaDoc, err)
+	}
+	return st, meta, nil
 }
 
 // restore replays the journal into the report through the live fold.

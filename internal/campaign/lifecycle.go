@@ -136,7 +136,20 @@ type Campaign struct {
 // config is clamped), so every segment and the durable fingerprint
 // agree on what the campaign is.
 func New(opts Options) *Campaign {
-	return newCampaign(opts, fuzzPlan{})
+	c := newCampaign(opts, fuzzPlan{})
+	if c.opts.StateDir != "" && c.opts.Resume {
+		// A campaign built to resume inspects as its journal left it
+		// before it starts: replay the journal the way its first segment
+		// will, unobserved, since that segment replays it again.
+		report, h := newReport(c.opts), harness.New(c.opts.Harness)
+		agg := &reportAggregator{report: report, bugIndex: bugIndexFor(c.opts.Compilers)}
+		unobserved := c.opts
+		unobserved.Metrics, unobserved.Trace = nil, nil
+		if peekState(unobserved, report, agg, h) {
+			c.publish(report, h)
+		}
+	}
+	return c
 }
 
 func newCampaign(opts Options, p plan) *Campaign {

@@ -194,13 +194,14 @@ func TestSynthCampaignBadCorpusFailsFast(t *testing.T) {
 // programs must reach probe sites a same-seed generated-only campaign
 // does not — that is the reason the input kind exists.
 func TestSynthCoverageAdvantage(t *testing.T) {
-	cov, err := RunSynthCoverageContext(context.Background(), compilers.Kotlinc(), 25, 0, generator.DefaultConfig(), apisynth.Config{}, 0)
+	rows, err := RunSynthCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 25, 0, generator.DefaultConfig(), apisynth.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov == nil {
-		t.Fatal("experiment returned nothing")
+	if len(rows) != 1 {
+		t.Fatalf("experiment returned %d rows, want 1", len(rows))
 	}
+	cov := rows[0]
 	if cov.SynthDelta.Lines+cov.SynthDelta.Funcs+cov.SynthDelta.Branches == 0 {
 		t.Error("synthesis reached no probe sites beyond the generator baseline")
 	}

@@ -138,6 +138,64 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneProgramSharesNoMutableSlot: every slot a mutation writes —
+// an element of a TypeArgs or Params slice, a parameter's type, a
+// variable's DeclType, a function's Ret — is the clone's own, so
+// overwriting all of them in the clone leaves the source as it was. TOM
+// snapshots its mutant this way before restoring its working copy.
+func TestCloneProgramSharesNoMutableSlot(t *testing.T) {
+	p, b := figure6Program()
+	p.Decls = append(p.Decls, &FuncDecl{
+		Name:   "g",
+		Params: []*ParamDecl{{Name: "x", Type: b.Int}},
+		Ret:    b.Unit,
+		Body: &Block{
+			Stmts: []Node{&VarDecl{Name: "v", DeclType: b.String,
+				Init: &Call{Name: "h", TypeArgs: []types.Type{b.String}, Args: []Expr{&VarRef{Name: "x"}}}}},
+			Value: &Lambda{Params: []*ParamDecl{{Name: "y", Type: b.Int}}, Body: &VarRef{Name: "y"}},
+		},
+	})
+	before := Print(p)
+	clone := CloneProgram(p)
+	var nodes []Node
+	Walk(clone, func(n Node) bool { nodes = append(nodes, n); return true })
+	written := 0
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *Call:
+			for i := range n.TypeArgs {
+				n.TypeArgs[i], written = b.Boolean, written+1
+			}
+		case *New:
+			for i := range n.TypeArgs {
+				n.TypeArgs[i], written = b.Boolean, written+1
+			}
+		case *VarDecl:
+			n.DeclType, written = b.Boolean, written+1
+		case *ParamDecl:
+			n.Type, written = b.Boolean, written+1
+		case *FuncDecl:
+			n.Ret, written = b.Boolean, written+1
+			for i := range n.Params {
+				n.Params[i], written = &ParamDecl{Name: "z", Type: b.Boolean}, written+1
+			}
+		case *Lambda:
+			for i := range n.Params {
+				n.Params[i], written = &ParamDecl{Name: "z", Type: b.Boolean}, written+1
+			}
+		}
+	}
+	if written < 10 {
+		t.Fatalf("wrote %d slots, want every slot kind covered", written)
+	}
+	if Print(clone) == before {
+		t.Fatal("the writes did not change the clone")
+	}
+	if got := Print(p); got != before {
+		t.Errorf("writing the clone's slots changed the source:\n%s\nwant\n%s", got, before)
+	}
+}
+
 func TestCloneCoversAllExprForms(t *testing.T) {
 	b := types.NewBuiltins()
 	e := &Block{

@@ -7,6 +7,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/generator"
 	"repro/internal/ir"
+	"repro/internal/typegraph"
 )
 
 // TestTEMOnGeneratedPrograms verifies the central TEM guarantee
@@ -109,6 +110,37 @@ func TestTEMReportsCapHit(t *testing.T) {
 		_, r := TypeErasure(g.Generate(), g.Builtins())
 		if r.CapHit != want || r.CapHit != (r.CombinationsTried > MaxCombinations) {
 			t.Errorf("seed %d: CapHit = %v after %d combinations, want %v", seed, r.CapHit, r.CombinationsTried, want)
+		}
+	}
+}
+
+// TestSharedAnalysisMatchesFreshOnes runs TEM and then TOM on one
+// analysed working copy, the way the mutate stage shares it, and checks
+// each mutation against the same mutation on a fresh clone and analysis:
+// each must leave the copy as it was.
+func TestSharedAnalysisMatchesFreshOnes(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		g := generator.New(generator.DefaultConfig().WithSeed(seed))
+		p, b := g.Generate(), g.Builtins()
+		want := ir.Print(p)
+		wantTEM, wantTEMReport := TypeErasure(p, b)
+		wantTOM, wantTOMReport := TypeOverwriting(p, b, rand.New(rand.NewSource(seed)))
+
+		a := typegraph.Analyze(ir.CloneProgram(p), b)
+		gotTEM, gotTEMReport := Erase(a)
+		if ir.Print(gotTEM) != ir.Print(wantTEM) || gotTEMReport.CombinationsTried != wantTEMReport.CombinationsTried {
+			t.Fatalf("seed %d: TEM on the shared analysis erased %v, fresh %v", seed, gotTEMReport.Erased, wantTEMReport.Erased)
+		}
+		if ir.Print(a.Env.Program) != want {
+			t.Fatalf("seed %d: TEM did not restore its working copy", seed)
+		}
+		gotTOM, gotTOMReport := Overwrite(a, rand.New(rand.NewSource(seed)))
+		if (gotTOM == nil) != (wantTOM == nil) || gotTOMReport.String() != wantTOMReport.String() ||
+			(gotTOM != nil && ir.Print(gotTOM) != ir.Print(wantTOM)) {
+			t.Fatalf("seed %d: TOM on the shared analysis: %s, fresh: %s", seed, gotTOMReport, wantTOMReport)
+		}
+		if ir.Print(a.Env.Program) != want {
+			t.Fatalf("seed %d: TOM did not restore its working copy", seed)
 		}
 	}
 }

@@ -2,11 +2,13 @@ package mutation
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/checker"
 	"repro/internal/generator"
 	"repro/internal/ir"
+	"repro/internal/typegraph"
 	"repro/internal/types"
 )
 
@@ -151,5 +153,28 @@ func TestOverloadResolutionSemantics(t *testing.T) {
 		// Same arity with Long param: the Int argument applies only to
 		// m(Int), so this still resolves.
 		t.Log("same-arity overloads resolved by applicability")
+	}
+}
+
+// TestEraseRestoresOverloadedMethods: overloads share one qualified
+// name (REM adds such decoys), and Erase must still put back the
+// erasures of every one of them in its working copy.
+func TestEraseRestoresOverloadedMethods(t *testing.T) {
+	p, b := remFixture()
+	base := p.ClassByName("Base")
+	base.Methods = append(base.Methods, &ir.FuncDecl{
+		Name:   "m",
+		Params: []*ir.ParamDecl{{Name: "x", Type: b.Int}, {Name: "y", Type: b.Int}},
+		Ret:    b.Int,
+		Body:   &ir.VarRef{Name: "y"},
+	})
+	want := ir.Print(p)
+	a := typegraph.Analyze(ir.CloneProgram(p), b)
+	mutant, report := Erase(a)
+	if n := strings.Count(ir.Print(mutant), "fun m("); n != 2 || len(report.Erased) < 3 {
+		t.Fatalf("want both overloads erased, got %v in\n%s", report.Erased, ir.Print(mutant))
+	}
+	if got := ir.Print(a.Env.Program); got != want {
+		t.Errorf("Erase left its working copy changed:\n%s\nwant\n%s", got, want)
 	}
 }

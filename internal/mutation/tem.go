@@ -5,9 +5,12 @@
 // overwriting mutation (TOM), a fault-injecting transformation that
 // replaces a type with one the program point is not relevant to.
 //
-// Both mutations clone the input program, build per-method type graphs
-// (internal/typegraph), and rewrite the clone through the candidates' AST
-// back-pointers, so the original program is never disturbed.
+// Both mutations run on a type-graph analysis (internal/typegraph) of a
+// working copy the caller owns, and rewrite it through the candidates' AST
+// back-pointers. Each snapshots its mutant with ir.CloneProgram and then
+// puts the copy back as it was, so TEM and then TOM can share one copy and
+// one analysis. TypeErasure and TypeOverwriting clone their input first,
+// so the caller's program is never disturbed.
 package mutation
 
 import (
@@ -52,25 +55,31 @@ type TEMReport struct {
 // Changed reports whether the mutation removed anything.
 func (r *TEMReport) Changed() bool { return len(r.Erased) > 0 }
 
-// TypeErasure applies the type erasure mutation (Algorithm 2) to p and
-// returns the mutated clone. For every method it builds the type graph,
-// keeps the candidates that individually preserve their types
+// TypeErasure applies the type erasure mutation to a clone of p (see
+// Erase).
+func TypeErasure(p *ir.Program, b *types.Builtins) (*ir.Program, *TEMReport) {
+	return Erase(typegraph.Analyze(ir.CloneProgram(p), b))
+}
+
+// Erase applies the type erasure mutation (Algorithm 2) to the analysed
+// program, a working copy the caller owns. For every method it builds the
+// type graph, keeps the candidates that individually preserve their types
 // (Definition 3.5), and erases the maximal combination for which the
 // generalized type preservation property holds (Definition 3.6). By
-// construction the result is well-typed whenever p is.
-func TypeErasure(p *ir.Program, b *types.Builtins) (*ir.Program, *TEMReport) {
-	clone := ir.CloneProgram(p)
-	a := typegraph.Analyze(clone, b)
+// construction the mutant is well-typed whenever the program was.
+//
+// It returns a snapshot of the mutant and a report, and undoes its
+// erasures, so the working copy ends up as it was.
+func Erase(a *typegraph.Analysis) (*ir.Program, *TEMReport) {
+	p := a.Env.Program
 	report := &TEMReport{}
-	cyclic := cyclicFunctions(clone)
+	cyclic := cyclicFunctions(p)
 
-	// erasedByMethod remembers each method's applied candidates so the
+	// erased maps each method TEM erased in to its erasures, so the
 	// verification pass can roll a method back wholesale.
-	erasedByMethod := map[string][]*typegraph.Candidate{}
-	originals := map[string]*ir.FuncDecl{}
-
-	apply := func(name string, m *ir.FuncDecl, owner *ir.ClassDecl) {
-		g := a.BuildGraph(m, owner)
+	erased := map[string]erasure{}
+	for _, m := range a.Methods {
+		g := a.BuildGraph(m.Decl, m.Owner)
 		report.CandidatesSeen += len(g.Candidates)
 		// Line 5: drop candidates that do not preserve on their own.
 		// Return types additionally require the function to sit outside
@@ -89,29 +98,15 @@ func TypeErasure(p *ir.Program, b *types.Builtins) (*ir.Program, *TEMReport) {
 		report.CandidatesPreserving += len(nodes)
 		// Lines 6–9: find the maximal omittable combination.
 		best := maximalPreservingSet(g, nodes, &report.CombinationsTried)
-		if len(best) > 0 {
-			originals[name] = ir.CloneDecl(m).(*ir.FuncDecl)
+		if len(best) == 0 {
+			continue
 		}
+		e := erased[m.Name] // methods sharing a name share their rollback
 		for _, c := range best {
-			eraseCandidate(c)
-			erasedByMethod[name] = append(erasedByMethod[name], c)
-			report.Erased = append(report.Erased, ErasedPoint{
-				Method: name,
-				Kind:   c.Kind,
-				Detail: c.NodeID,
-			})
+			e.undo = append(e.undo, eraseCandidate(c))
+			e.points = append(e.points, ErasedPoint{Method: m.Name, Kind: c.Kind, Detail: c.NodeID})
 		}
-	}
-
-	for _, d := range clone.Decls {
-		switch t := d.(type) {
-		case *ir.FuncDecl:
-			apply(t.Name, t, nil)
-		case *ir.ClassDecl:
-			for _, m := range t.Methods {
-				apply(t.Name+"."+m.Name, m, t)
-			}
-		}
+		erased[m.Name] = e
 	}
 
 	report.CapHit = report.CombinationsTried > MaxCombinations
@@ -120,71 +115,52 @@ func TypeErasure(p *ir.Program, b *types.Builtins) (*ir.Program, *TEMReport) {
 	// rare cases over-approximate the checker's inference power. Roll
 	// back the erasures of any method the checker still complains about.
 	for round := 0; round < 16; round++ {
-		res := checker.Check(clone, b, checker.Options{})
+		res := checker.Check(p, a.Env.Builtins, checker.Options{})
 		if res.OK() {
 			break
 		}
 		undone := false
 		for _, d := range res.Diags {
-			if _, ok := erasedByMethod[d.Where]; !ok {
+			e, ok := erased[d.Where]
+			if !ok {
 				continue
 			}
-			restoreMethod(clone, d.Where, originals[d.Where])
-			delete(erasedByMethod, d.Where)
+			e.restore()
+			delete(erased, d.Where)
 			report.RepairedMethods++
-			report.Erased = dropMethod(report.Erased, d.Where)
 			undone = true
 		}
 		if !undone {
 			// Diagnostics point at untouched methods (cross-method
 			// effects); roll everything back.
-			for name := range erasedByMethod {
-				restoreMethod(clone, name, originals[name])
+			for _, e := range erased {
+				e.restore()
 				report.RepairedMethods++
 			}
-			report.Erased = nil
-			erasedByMethod = map[string][]*typegraph.Candidate{}
+			clear(erased)
 		}
 	}
-	return clone, report
+	mutant := ir.CloneProgram(p)
+	for _, m := range a.Methods {
+		e := erased[m.Name]
+		delete(erased, m.Name)
+		e.restore()
+		report.Erased = append(report.Erased, e.points...)
+	}
+	return mutant, report
 }
 
-// restoreMethod swaps a method's declaration back to its pre-erasure copy.
-func restoreMethod(p *ir.Program, name string, original *ir.FuncDecl) {
-	if original == nil {
-		return
-	}
-	replace := func(m *ir.FuncDecl) {
-		m.Ret = original.Ret
-		m.Body = original.Body
-		m.Params = original.Params
-	}
-	for _, d := range p.Decls {
-		switch t := d.(type) {
-		case *ir.FuncDecl:
-			if t.Name == name {
-				replace(t)
-				return
-			}
-		case *ir.ClassDecl:
-			for _, m := range t.Methods {
-				if t.Name+"."+m.Name == name {
-					replace(m)
-					return
-				}
-			}
-		}
-	}
+// erasure is what TEM erased in one method: the points it reports and
+// the rewrites that put them back.
+type erasure struct {
+	points []ErasedPoint
+	undo   []func()
 }
 
-func dropMethod(points []ErasedPoint, method string) []ErasedPoint {
-	out := points[:0]
-	for _, p := range points {
-		if p.Method != method {
-			out = append(out, p)
-		}
+func (e erasure) restore() {
+	for _, undo := range e.undo {
+		undo()
 	}
-	return out
 }
 
 // MaxCombinations is the number of preservation checks one TEM run may
@@ -255,17 +231,26 @@ func combinations(n, k int, visit func([]int) bool) {
 }
 
 // eraseCandidate rewrites the AST to remove the candidate's type
-// information (the four erasure cases of Section 3.4.1).
-func eraseCandidate(c *typegraph.Candidate) {
+// information (the four erasure cases of Section 3.4.1) and returns the
+// rewrite that puts it back.
+func eraseCandidate(c *typegraph.Candidate) (undo func()) {
 	switch c.Kind {
 	case typegraph.VarDeclType:
-		c.Var.DeclType = nil
+		v, t := c.Var, c.Var.DeclType
+		v.DeclType = nil
+		return func() { v.DeclType = t }
 	case typegraph.NewTypeArgs:
-		c.NewExpr.TypeArgs = nil
+		n, ts := c.NewExpr, c.NewExpr.TypeArgs
+		n.TypeArgs = nil
+		return func() { n.TypeArgs = ts }
 	case typegraph.CallTypeArgs:
-		c.CallExpr.TypeArgs = nil
-	case typegraph.ReturnType:
-		c.Fun.Ret = nil
+		call, ts := c.CallExpr, c.CallExpr.TypeArgs
+		call.TypeArgs = nil
+		return func() { call.TypeArgs = ts }
+	default:
+		f, t := c.Fun, c.Fun.Ret
+		f.Ret = nil
+		return func() { f.Ret = t }
 	}
 }
 

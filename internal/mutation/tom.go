@@ -32,43 +32,31 @@ func (r *TOMReport) String() string {
 		r.Method, r.Kind, r.Node, r.Original, r.Injected)
 }
 
-// TypeOverwriting applies the type overwriting mutation (Section 3.4.2) to
-// p: it picks a random method, builds its type graph, selects a candidate
-// node (a variable's declared type or an explicit type argument), and
-// replaces its type with a randomly generated type the node is NOT
-// relevant to (Definition 3.7). The resulting program is ill-typed by
-// construction; a compiler that accepts it has a soundness bug.
-//
-// It returns the mutated clone and a report, or (nil, nil) when no
-// applicable mutation point exists.
+// TypeOverwriting applies the type overwriting mutation to a clone of p
+// (see Overwrite).
 func TypeOverwriting(p *ir.Program, b *types.Builtins, rng *rand.Rand) (*ir.Program, *TOMReport) {
-	clone := ir.CloneProgram(p)
-	a := typegraph.Analyze(clone, b)
+	return Overwrite(typegraph.Analyze(ir.CloneProgram(p), b), rng)
+}
 
-	type site struct {
-		name  string
-		m     *ir.FuncDecl
-		owner *ir.ClassDecl
-	}
-	var sites []site
-	for _, d := range clone.Decls {
-		switch t := d.(type) {
-		case *ir.FuncDecl:
-			sites = append(sites, site{t.Name, t, nil})
-		case *ir.ClassDecl:
-			for _, m := range t.Methods {
-				sites = append(sites, site{t.Name + "." + m.Name, m, t})
-			}
-		}
-	}
-	pool := newTypePool(clone, b)
+// Overwrite applies the type overwriting mutation (Section 3.4.2) to the
+// analysed program, a working copy the caller owns: it picks a random
+// method, takes its type graph, selects a candidate node (a variable's
+// declared type or an explicit type argument), and replaces its type with
+// a randomly generated type the node is NOT relevant to (Definition 3.7).
+// The resulting program is ill-typed by construction; a compiler that
+// accepts it has a soundness bug.
+//
+// It returns a snapshot of the mutant and a report, or (nil, nil) when no
+// applicable mutation point exists. Either way the working copy ends up
+// as it was.
+func Overwrite(a *typegraph.Analysis, rng *rand.Rand) (*ir.Program, *TOMReport) {
+	p, b := a.Env.Program, a.Env.Builtins
+	pool := newTypePool(p, b)
 
 	// Randomly pick a method; fall through to the others if it offers no
 	// overwritable node.
-	order := rng.Perm(len(sites))
-	for _, si := range order {
-		s := sites[si]
-		g := a.BuildGraph(s.m, s.owner)
+	for _, i := range rng.Perm(len(a.Methods)) {
+		g := a.BuildGraph(a.Methods[i].Decl, a.Methods[i].Owner)
 		cands := overwritable(g)
 		if len(cands) == 0 {
 			continue
@@ -80,10 +68,11 @@ func TypeOverwriting(p *ir.Program, b *types.Builtins, rng *rand.Rand) (*ir.Prog
 				continue
 			}
 			node := nodes[rng.Intn(len(nodes))]
-			orig := originalTypeAt(c, node)
-			if orig == nil {
+			at := slot(c, node)
+			if at == nil || *at == nil {
 				continue
 			}
+			orig := *at
 			// Generate a type the node is not relevant to, using the
 			// available types of the current scope so the compiler
 			// compares types with diverse shapes (Section 3.4.2). The
@@ -100,13 +89,15 @@ func TypeOverwriting(p *ir.Program, b *types.Builtins, rng *rand.Rand) (*ir.Prog
 				if typegraph.RelevantTo(g, c, node, t) {
 					continue
 				}
-				overwrite(c, node, t)
-				if checker.Check(clone, b, checker.Options{}).OK() {
-					overwrite(c, node, orig) // compatible after all; undo
+				*at = t
+				if checker.Check(p, b, checker.Options{}).OK() {
+					*at = orig // compatible after all; undo
 					continue
 				}
-				return clone, &TOMReport{
-					Method:   s.name,
+				mutant := ir.CloneProgram(p)
+				*at = orig
+				return mutant, &TOMReport{
+					Method:   a.Methods[i].Name,
 					Kind:     c.Kind,
 					Node:     node,
 					Original: orig,
@@ -131,19 +122,19 @@ func overwritable(g *typegraph.Graph) []*typegraph.Candidate {
 	return out
 }
 
-// originalTypeAt returns the type currently written at the candidate's
-// relevance node.
-func originalTypeAt(c *typegraph.Candidate, node string) types.Type {
+// slot returns the type slot written at the candidate's relevance node,
+// or nil when the candidate writes none there.
+func slot(c *typegraph.Candidate, node string) *types.Type {
 	switch c.Kind {
 	case typegraph.VarDeclType:
-		return c.Var.DeclType
+		return &c.Var.DeclType
 	case typegraph.NewTypeArgs:
 		if i := paramIndexOf(c, node); i >= 0 && i < len(c.NewExpr.TypeArgs) {
-			return c.NewExpr.TypeArgs[i]
+			return &c.NewExpr.TypeArgs[i]
 		}
 	case typegraph.CallTypeArgs:
 		if i := paramIndexOf(c, node); i >= 0 && i < len(c.CallExpr.TypeArgs) {
-			return c.CallExpr.TypeArgs[i]
+			return &c.CallExpr.TypeArgs[i]
 		}
 	}
 	return nil
@@ -156,22 +147,6 @@ func paramIndexOf(c *typegraph.Candidate, node string) int {
 		}
 	}
 	return -1
-}
-
-// overwrite substitutes the injected type at the candidate's node.
-func overwrite(c *typegraph.Candidate, node string, t types.Type) {
-	switch c.Kind {
-	case typegraph.VarDeclType:
-		c.Var.DeclType = t
-	case typegraph.NewTypeArgs:
-		if i := paramIndexOf(c, node); i >= 0 {
-			c.NewExpr.TypeArgs[i] = t
-		}
-	case typegraph.CallTypeArgs:
-		if i := paramIndexOf(c, node); i >= 0 {
-			c.CallExpr.TypeArgs[i] = t
-		}
-	}
 }
 
 // typePool is the set of types available for injection: ground builtins

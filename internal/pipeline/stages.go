@@ -13,6 +13,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mutation"
 	"repro/internal/oracle"
+	"repro/internal/typegraph"
 	"repro/internal/types"
 )
 
@@ -298,7 +299,10 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 		b = types.NewBuiltins()
 		u.Builtins = b
 	}
-	tem, temReport := mutation.TypeErasure(u.Program, b)
+	// TEM and then TOM run on one analysed working copy: each snapshots
+	// its mutant and puts the copy back as it was.
+	work := typegraph.Analyze(ir.CloneProgram(u.Program), b)
+	tem, temReport := mutation.Erase(work)
 	u.Repairs += temReport.RepairedMethods
 	if m.TEM && temReport.Changed() {
 		u.Inputs = append(u.Inputs, Input{Kind: oracle.TEMMutant, Prog: tem, Report: temReport})
@@ -307,7 +311,7 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 		return err
 	}
 	if m.TOM {
-		if tom, rep := mutation.TypeOverwriting(u.Program, b, rand.New(rand.NewSource(u.Seed))); tom != nil {
+		if tom, rep := mutation.Overwrite(work, rand.New(rand.NewSource(u.Seed))); tom != nil {
 			u.Inputs = append(u.Inputs, Input{Kind: oracle.TOMMutant, Prog: tom, Report: rep})
 		}
 	}
@@ -316,7 +320,7 @@ func (m *Mutate) Run(ctx context.Context, u *Unit) error {
 	}
 	if m.TEMTOM {
 		// TOM on top of TEM reaches the CombinedClass bugs.
-		if temtom, rep := mutation.TypeOverwriting(tem, b, rand.New(rand.NewSource(u.Seed^0x5bd1e995))); temtom != nil {
+		if temtom, rep := mutation.Overwrite(typegraph.Analyze(tem, b), rand.New(rand.NewSource(u.Seed^0x5bd1e995))); temtom != nil {
 			u.Inputs = append(u.Inputs, Input{Kind: oracle.TEMTOMMutant, Prog: temtom, Report: rep})
 		}
 	}

@@ -421,6 +421,28 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 		map[string]any{"programs": 5, "compilers": []string{"groovyc"}}); code != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: status %d, want 503", code)
 	}
+	type inspectView struct {
+		Suspended bool `json:"suspended"`
+		Status    struct {
+			Units int `json:"units"`
+		} `json:"status"`
+	}
+	inspect := func(ts *httptest.Server) inspectView {
+		t.Helper()
+		code, raw := request(t, ts, "GET", "/api/campaigns/"+id, nil)
+		if code != http.StatusOK {
+			t.Fatalf("inspect %s: status %d: %s", id, code, raw)
+		}
+		var view inspectView
+		if err := json.Unmarshal(raw, &view); err != nil {
+			t.Fatal(err)
+		}
+		return view
+	}
+	drained := inspect(ts1).Status.Units
+	if drained == 0 || drained >= 300 {
+		t.Fatalf("drained campaign folded %d of 300 units, want a partial run", drained)
+	}
 	ts1.Close()
 	// Manifests written before tenancy was removed carry a "tenant" key
 	// per campaign; they must still load.
@@ -429,18 +451,12 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	// A fresh server over the same data dir re-hosts the suspension.
 	s2, ts2 := newTestServer(t, Options{DataDir: dir, Resume: true})
 	defer s2.Close()
-	code, raw := request(t, ts2, "GET", "/api/campaigns/"+id, nil)
-	if code != http.StatusOK {
-		t.Fatalf("restored campaign not listed: status %d: %s", code, raw)
-	}
-	var view struct {
-		Suspended bool `json:"suspended"`
-	}
-	if err := json.Unmarshal(raw, &view); err != nil {
-		t.Fatal(err)
-	}
+	view := inspect(ts2)
 	if !view.Suspended {
-		t.Errorf("restored campaign not marked suspended: %s", raw)
+		t.Errorf("restored campaign not marked suspended: %+v", view)
+	}
+	if view.Status.Units != drained {
+		t.Errorf("re-hosted campaign inspects as %d units before resume, want the %d it drained at", view.Status.Units, drained)
 	}
 	if code, raw := request(t, ts2, "POST", "/api/campaigns/"+id+"/resume", nil); code != http.StatusOK {
 		t.Fatalf("resume after restart: status %d: %s", code, raw)

@@ -9,12 +9,24 @@ import (
 )
 
 // Analysis holds everything needed to build type graphs for a program: the
-// declaration index and the per-expression static types computed by the
-// reference checker ("getType(e)" in Figure 5's rules).
+// declaration index, the per-expression static types computed by the
+// reference checker ("getType(e)" in Figure 5's rules), and the program's
+// methods.
 type Analysis struct {
 	Env       *checker.Env
 	ExprTypes map[ir.Expr]types.Type
 	Result    *checker.Result
+	// Methods lists the functions and class methods in declaration
+	// order, the mutations' "for m ∈ Methods(P)".
+	Methods []Method
+}
+
+// Method is one method of an analysed program: Name is "f" or "Class.m",
+// and Owner is the enclosing class (nil for a top-level function).
+type Method struct {
+	Name  string
+	Decl  *ir.FuncDecl
+	Owner *ir.ClassDecl
 }
 
 // Analyze type-checks p and prepares a type-graph analysis. The program is
@@ -22,7 +34,18 @@ type Analysis struct {
 // best-effort basis).
 func Analyze(p *ir.Program, b *types.Builtins) *Analysis {
 	res := checker.Check(p, b, checker.Options{RecordTypes: true})
-	return &Analysis{Env: checker.NewEnv(p, b), ExprTypes: res.ExprTypes, Result: res}
+	a := &Analysis{Env: checker.NewEnv(p, b), ExprTypes: res.ExprTypes, Result: res}
+	for _, d := range p.Decls {
+		switch t := d.(type) {
+		case *ir.FuncDecl:
+			a.Methods = append(a.Methods, Method{Name: t.Name, Decl: t})
+		case *ir.ClassDecl:
+			for _, m := range t.Methods {
+				a.Methods = append(a.Methods, Method{Name: t.Name + "." + m.Name, Decl: m, Owner: t})
+			}
+		}
+	}
+	return a
 }
 
 // BuildGraph runs the intra-procedural, flow-sensitive analysis A(G, n) of
@@ -83,19 +106,11 @@ func (a *Analysis) BuildGraph(m *ir.FuncDecl, owner *ir.ClassDecl) *Graph {
 	return b.g
 }
 
-// BuildAll builds the graph of every method in the program, keyed by
-// "func" or "Class.method" name.
-func (a *Analysis) BuildAll() map[string]*Graph {
-	out := map[string]*Graph{}
-	for _, d := range a.Env.Program.Decls {
-		switch t := d.(type) {
-		case *ir.FuncDecl:
-			out[t.Name] = a.BuildGraph(t, nil)
-		case *ir.ClassDecl:
-			for _, m := range t.Methods {
-				out[t.Name+"."+m.Name] = a.BuildGraph(m, t)
-			}
-		}
+// BuildAll builds the graph of every method, in the order of Methods.
+func (a *Analysis) BuildAll() []*Graph {
+	out := make([]*Graph, len(a.Methods))
+	for i, m := range a.Methods {
+		out[i] = a.BuildGraph(m.Decl, m.Owner)
 	}
 	return out
 }

@@ -10,6 +10,12 @@
 // application — are the pivotal nodes: erasing an annotation removes the
 // decl edges of its parameter occurrences, and preservation asks whether
 // every occurrence still reaches a concrete type.
+//
+// Ownership: a graph is read-only once built; Preserves, RelevantTo and
+// Infer write only its epoch-stamped query index. A graph describes the
+// program as it was when built: a call's graph reads the callee's declared
+// return type, so TEM builds each graph just before it erases in that
+// method, and never keeps one past it.
 package typegraph
 
 import (

@@ -77,10 +77,12 @@ func TestPreservesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	outcomes := map[bool]int{}
 	for seed := int64(0); seed < 200; seed++ {
-		graphs := Analyze(generatorProgram(seed), types.NewBuiltins()).BuildAll()
-		names := make([]string, 0, len(graphs))
-		for name := range graphs {
-			names = append(names, name)
+		a := Analyze(generatorProgram(seed), types.NewBuiltins())
+		graphs := map[string]*Graph{}
+		names := make([]string, len(a.Methods))
+		for i, g := range a.BuildAll() {
+			names[i] = a.Methods[i].Name
+			graphs[names[i]] = g
 		}
 		sort.Strings(names) // a fixed order keeps the seeded sample fixed
 		for _, name := range names {

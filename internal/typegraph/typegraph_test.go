@@ -281,11 +281,16 @@ func TestBuildAll(t *testing.T) {
 	})
 	a := Analyze(p, b)
 	graphs := a.BuildAll()
-	if _, ok := graphs["m"]; !ok {
-		t.Error("missing graph for m")
+	var names []string
+	for i, m := range a.Methods {
+		names = append(names, m.Name)
+		if graphs[i] == nil {
+			t.Errorf("missing graph for %s", m.Name)
+		}
 	}
-	if _, ok := graphs["B.g"]; !ok {
-		t.Error("missing graph for B.g")
+	// Declaration order: class B's methods come before the function m.
+	if got := strings.Join(names, " "); got != "B.g m" {
+		t.Errorf("methods = %q, want %q", got, "B.g m")
 	}
 }
 
@@ -416,7 +421,8 @@ func TestGraphInvariantsOnGeneratedPrograms(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g := generatorProgram(seed)
 		a := Analyze(g, types.NewBuiltins())
-		for name, graph := range a.BuildAll() {
+		for i, graph := range a.BuildAll() {
+			name := a.Methods[i].Name
 			for _, id := range graph.Nodes() {
 				if graph.Node(id) == nil {
 					t.Fatalf("seed %d %s: Nodes() returned a missing node %s", seed, name, id)
