@@ -172,8 +172,12 @@ const MaxCombinations = 4096
 // generalized type preservation — the maximal erasable set. The
 // enumeration is worst-case exponential (as the paper notes), but the
 // line-5 filter and the early break keep it cheap in practice; a hard cap
-// bounds pathological inputs.
+// bounds pathological inputs. The checks run through one
+// typegraph.Search, which answers a combination from the memo of earlier
+// failures when it can, so most checks never re-infer a node; every
+// check counts in tried either way.
 func maximalPreservingSet(g *typegraph.Graph, nodes []*typegraph.Candidate, tried *int) []*typegraph.Candidate {
+	s := typegraph.NewSearch(g, nodes)
 	for k := len(nodes); k >= 1; k-- {
 		var found []*typegraph.Candidate
 		combinations(len(nodes), k, func(idx []int) bool {
@@ -181,12 +185,11 @@ func maximalPreservingSet(g *typegraph.Graph, nodes []*typegraph.Candidate, trie
 			if *tried > MaxCombinations {
 				return false
 			}
-			combo := make([]*typegraph.Candidate, k)
-			for i, j := range idx {
-				combo[i] = nodes[j]
-			}
-			if typegraph.Preserves(g, combo...) {
-				found = combo
+			if s.Preserves(idx) {
+				found = make([]*typegraph.Candidate, k)
+				for i, j := range idx {
+					found[i] = nodes[j]
+				}
 				return false
 			}
 			return true

@@ -76,18 +76,8 @@ type Candidate struct {
 func Preserves(g *Graph, cands ...*Candidate) bool {
 	ix := g.dense()
 	ix.stamp(cands, true)
-	for _, n := range ix.checked {
-		if ix.marked[n] != ix.epoch || ix.vanished[n] == ix.epoch {
-			continue
-		}
-		if ix.base[n] == nil {
-			ix.base[n] = ix.infer(n, false)
-		}
-		if !ix.base[n].Equal(ix.infer(n, true)) {
-			return false
-		}
-	}
-	return true
+	_, ok := ix.check()
+	return ok
 }
 
 // RelevanceNodes returns the graph nodes type relevance (and hence TOM)

@@ -11,11 +11,13 @@
 // decl edges of its parameter occurrences, and preservation asks whether
 // every occurrence still reaches a concrete type.
 //
-// Ownership: a graph is read-only once built; Preserves, RelevantTo and
-// Infer write only its epoch-stamped query index. A graph describes the
-// program as it was when built: a call's graph reads the callee's declared
-// return type, so TEM builds each graph just before it erases in that
-// method, and never keeps one past it.
+// Ownership: a graph is read-only once built; Preserves, RelevantTo,
+// Infer and a Search's queries write only its epoch-stamped query index.
+// A Search keeps its masks and its memo of failures itself, and rebuilds
+// them when the graph has changed since its last query. A graph describes
+// the program as it was when built: a call's graph reads the callee's
+// declared return type, so TEM builds each graph just before it erases in
+// that method, and never keeps one past it.
 package typegraph
 
 import (
@@ -250,22 +252,50 @@ func (g *Graph) dense() *index {
 func (ix *index) stamp(cands []*Candidate, vanish bool) {
 	ix.epoch++
 	for _, c := range cands {
-		ci, ok := ix.cands[c]
-		if !ok {
-			ci = candIndex{ix.lookup(c.EraseSet), ix.lookup(c.VanishNodes)}
-			ix.cands[c] = ci
-		}
-		for _, n := range ci.erase {
-			ix.erased[n] = ix.epoch
+		ix.stampOne(ix.candidate(c), vanish)
+	}
+}
+
+// stampOne adds one candidate's erasure to the current query.
+func (ix *index) stampOne(ci candIndex, vanish bool) {
+	for _, n := range ci.erase {
+		ix.erased[n] = ix.epoch
+		ix.mark(n)
+	}
+	if vanish {
+		for _, n := range ci.vanish {
+			ix.vanished[n] = ix.epoch
 			ix.mark(n)
 		}
-		if vanish {
-			for _, n := range ci.vanish {
-				ix.vanished[n] = ix.epoch
-				ix.mark(n)
-			}
+	}
+}
+
+// candidate returns c's erase and vanish sets as dense node IDs.
+func (ix *index) candidate(c *Candidate) candIndex {
+	ci, ok := ix.cands[c]
+	if !ok {
+		ci = candIndex{ix.lookup(c.EraseSet), ix.lookup(c.VanishNodes)}
+		ix.cands[c] = ci
+	}
+	return ci
+}
+
+// check runs the preservation check of the current query (stamped with
+// vanish): every marked checked node that does not vanish must infer its
+// baseline type. It returns the first node that does not, if any.
+func (ix *index) check() (fail uint32, ok bool) {
+	for _, n := range ix.checked {
+		if ix.marked[n] != ix.epoch || ix.vanished[n] == ix.epoch {
+			continue
+		}
+		if ix.base[n] == nil {
+			ix.base[n] = ix.infer(n, false)
+		}
+		if !ix.base[n].Equal(ix.infer(n, true)) {
+			return n, false
 		}
 	}
+	return 0, true
 }
 
 // mark marks n and every node that reaches it.
