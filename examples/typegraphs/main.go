@@ -46,7 +46,7 @@ func main() {
 	fmt.Println("--- type preservation per candidate ---")
 	for _, c := range g.Candidates {
 		fmt.Printf("  %-12s at %-22s preserves alone: %v\n",
-			c.Kind, c.NodeID, typegraph.Preserves(g, c))
+			c.Kind, g.Name(c.NodeID), typegraph.Preserves(g, c))
 	}
 	var news []*typegraph.Candidate
 	for _, c := range g.Candidates {

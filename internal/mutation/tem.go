@@ -104,7 +104,7 @@ func Erase(a *typegraph.Analysis) (*ir.Program, *TEMReport) {
 		e := erased[m.Name] // methods sharing a name share their rollback
 		for _, c := range best {
 			e.undo = append(e.undo, eraseCandidate(c))
-			e.points = append(e.points, ErasedPoint{Method: m.Name, Kind: c.Kind, Detail: c.NodeID})
+			e.points = append(e.points, ErasedPoint{Method: m.Name, Kind: c.Kind, Detail: g.Name(c.NodeID)})
 		}
 		erased[m.Name] = e
 	}

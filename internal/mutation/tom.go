@@ -99,7 +99,7 @@ func Overwrite(a *typegraph.Analysis, rng *rand.Rand) (*ir.Program, *TOMReport) 
 				return mutant, &TOMReport{
 					Method:   a.Methods[i].Name,
 					Kind:     c.Kind,
-					Node:     node,
+					Node:     g.Name(node),
 					Original: orig,
 					Injected: t,
 				}
@@ -124,7 +124,7 @@ func overwritable(g *typegraph.Graph) []*typegraph.Candidate {
 
 // slot returns the type slot written at the candidate's relevance node,
 // or nil when the candidate writes none there.
-func slot(c *typegraph.Candidate, node string) *types.Type {
+func slot(c *typegraph.Candidate, node typegraph.NodeID) *types.Type {
 	switch c.Kind {
 	case typegraph.VarDeclType:
 		return &c.Var.DeclType
@@ -140,7 +140,7 @@ func slot(c *typegraph.Candidate, node string) *types.Type {
 	return nil
 }
 
-func paramIndexOf(c *typegraph.Candidate, node string) int {
+func paramIndexOf(c *typegraph.Candidate, node typegraph.NodeID) int {
 	for i, id := range c.ParamNodeIDs {
 		if id == node {
 			return i

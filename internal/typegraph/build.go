@@ -1,8 +1,6 @@
 package typegraph
 
 import (
-	"fmt"
-
 	"repro/internal/checker"
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -65,16 +63,16 @@ func (a *Analysis) BuildGraph(m *ir.FuncDecl, owner *ir.ClassDecl) *Graph {
 		// (the IR cannot omit parameter types on named functions).
 		ref := b.registerType(p.Type, DeclEdge, nil)
 		node := b.g.AddDeclNode("param:" + p.Name)
-		b.g.AddEdge(node.ID, ref.node, DeclEdge)
-		ref.node = node.ID
+		b.g.AddEdge(node, ref.node, DeclEdge)
+		ref.node = node
 		b.varOcc[p.Name] = ref
 	}
 	if owner != nil {
 		for _, f := range owner.Fields {
 			ref := b.registerType(f.Type, DeclEdge, nil)
 			node := b.g.AddDeclNode("field:" + f.Name)
-			b.g.AddEdge(node.ID, ref.node, DeclEdge)
-			ref.node = node.ID
+			b.g.AddEdge(node, ref.node, DeclEdge)
+			ref.node = node
 			b.varOcc[f.Name] = ref
 		}
 	}
@@ -84,22 +82,23 @@ func (a *Analysis) BuildGraph(m *ir.FuncDecl, owner *ir.ClassDecl) *Graph {
 	bodyRef := b.walkExpr(m.Body)
 	// The return value is a virtual variable named ret ([var .*] rules).
 	ret := b.g.AddDeclNode(m.Name + ".ret")
-	b.g.AddEdge(ret.ID, bodyRef.node, InfEdge)
+	b.g.AddEdge(ret, bodyRef.node, InfEdge)
 	if m.Ret != nil {
 		declRef := b.registerType(m.Ret, DeclEdge, nil)
-		b.g.AddEdge(ret.ID, declRef.node, DeclEdge)
+		b.g.AddEdge(ret, declRef.node, DeclEdge)
 		b.linkTarget(declRef, bodyRef)
 		if isUnit(m.Ret) {
 			// Erasing a Unit return annotation is always type-neutral
 			// but also uninteresting; skip the candidate.
 			return b.g
 		}
+		params := declRef.paramNodes()
 		b.g.Candidates = append(b.g.Candidates, &Candidate{
 			Kind:         ReturnType,
-			NodeID:       ret.ID,
-			ParamNodeIDs: declRef.paramIDs(),
-			EraseSet:     append([]string{ret.ID}, declRef.paramIDs()...),
-			VanishNodes:  declRef.paramIDs(),
+			NodeID:       ret,
+			ParamNodeIDs: params,
+			EraseSet:     append([]NodeID{ret}, params...),
+			VanishNodes:  params,
 			Fun:          m,
 		})
 	}
@@ -124,15 +123,15 @@ func isUnit(t types.Type) bool {
 // lives in the graph: its principal node, its type-application structure,
 // and the parameter-occurrence nodes per argument position.
 type occRef struct {
-	node string
+	node NodeID
 	// app is the occurrence's application type (nil for ground types).
 	app *types.App
-	// params maps the app's constructor-parameter IDs to this
-	// occurrence's parameter nodes.
-	params map[string]string
-	// nested holds occurrence refs of application-typed argument
-	// positions, keyed by position index.
-	nested map[int]occRef
+	// params maps the app's constructor parameters to this occurrence's
+	// parameter nodes, in constructor order.
+	params paramOccs
+	// nested holds the occurrence refs of application-typed argument
+	// positions, in position order.
+	nested []nestedOcc
 	// receptive marks expressions whose typing accepts a target type
 	// (constructor and method calls, possibly through blocks). Target
 	// information only flows backward into receptive positions — a
@@ -141,18 +140,56 @@ type occRef struct {
 	receptive bool
 }
 
-func (r occRef) paramIDs() []string {
+// paramOcc is the occurrence node of one type parameter.
+type paramOcc struct {
+	p    *types.Parameter
+	node NodeID
+}
+
+// paramOccs maps type parameters to occurrence nodes.
+type paramOccs []paramOcc
+
+// find returns the occurrence node of p, or nil.
+func (ps paramOccs) find(p *types.Parameter) *NodeID {
+	for i := range ps {
+		if ps[i].p.SameAs(p) {
+			return &ps[i].node
+		}
+	}
+	return nil
+}
+
+// nestedOcc is the occurrence of the application at argument position pos.
+type nestedOcc struct {
+	pos int
+	ref occRef
+}
+
+// nestedAt returns the occurrence at argument position i, or nil.
+func (r occRef) nestedAt(i int) *occRef {
+	for k := range r.nested {
+		if r.nested[k].pos == i {
+			return &r.nested[k].ref
+		}
+	}
+	return nil
+}
+
+// paramNodes lists the occurrence's parameter nodes and then, position by
+// position, those of its nested applications.
+func (r occRef) paramNodes() []NodeID {
 	if r.app == nil {
 		return nil
 	}
-	var out []string
-	for _, p := range r.app.Ctor.Params {
-		if id, ok := r.params[p.ID()]; ok {
-			out = append(out, id)
-		}
+	return r.appendParamNodes(nil)
+}
+
+func (r occRef) appendParamNodes(out []NodeID) []NodeID {
+	for _, p := range r.params {
+		out = append(out, p.node)
 	}
 	for _, n := range r.nested {
-		out = append(out, n.paramIDs()...)
+		out = n.ref.appendParamNodes(out)
 	}
 	return out
 }
@@ -160,20 +197,13 @@ func (r occRef) paramIDs() []string {
 type builder struct {
 	a      *Analysis
 	g      *Graph
-	occ    int
+	occ    int32
 	varOcc map[string]occRef
 }
 
-func (b *builder) nextOcc() int {
+func (b *builder) nextOcc() int32 {
 	b.occ++
 	return b.occ
-}
-
-// scopeParamNode returns the shared node for a type parameter that is in
-// scope (a class or method declaration-site parameter).
-func (b *builder) scopeParamNode(p *types.Parameter) string {
-	n := b.g.AddScopeParamNode("scope:"+p.ID(), p)
-	return n.ID
 }
 
 // registerType materializes a syntactic type occurrence. For type
@@ -182,20 +212,18 @@ func (b *builder) scopeParamNode(p *types.Parameter) string {
 // edges), and an edge of the given kind from each parameter occurrence to
 // its argument (decl for explicit annotations, inf for types that are
 // merely known, never erased). tpOccs, when non-nil, maps in-scope type
-// parameter IDs to existing occurrence nodes, so positions mentioning them
+// parameters to existing occurrence nodes, so positions mentioning them
 // are linked rather than re-created.
-func (b *builder) registerType(t types.Type, kind EdgeKind, tpOccs map[string]string) occRef {
+func (b *builder) registerType(t types.Type, kind EdgeKind, tpOccs paramOccs) occRef {
 	switch tt := t.(type) {
 	case *types.App:
 		occ := b.nextOcc()
-		id := fmt.Sprintf("%s#%d", tt.String(), occ)
-		b.g.AddAppNode(id, tt)
-		ref := occRef{node: id, app: tt, params: map[string]string{}, nested: map[int]occRef{}}
+		id := b.g.add(Node{Type: tt, occ: occ})
+		ref := occRef{node: id, app: tt, params: make(paramOccs, len(tt.Ctor.Params))}
 		for i, p := range tt.Ctor.Params {
-			pid := fmt.Sprintf("%s.%s#%d", tt.Ctor.TypeName, p.ParamName, occ)
-			b.g.AddParamNode(pid, p)
+			pid := b.g.add(Node{Param: p, owner: tt.Ctor.TypeName, occ: occ})
 			b.g.AddEdge(id, pid, DefEdge)
-			ref.params[p.ID()] = pid
+			ref.params[i] = paramOcc{p, pid}
 			arg := tt.Args[i]
 			if proj, ok := arg.(*types.Projection); ok {
 				arg = proj.Bound
@@ -204,32 +232,28 @@ func (b *builder) registerType(t types.Type, kind EdgeKind, tpOccs map[string]st
 			case *types.App:
 				nested := b.registerType(at, kind, tpOccs)
 				b.g.AddEdge(pid, nested.node, kind)
-				ref.nested[i] = nested
+				ref.nested = append(ref.nested, nestedOcc{i, nested})
 			case *types.Parameter:
-				if tpOccs != nil {
-					if occNode, ok := tpOccs[at.ID()]; ok {
-						// Dependent parameters: information flows both
-						// ways between the occurrences.
-						b.g.AddEdge(pid, occNode, InfEdge)
-						b.g.AddEdge(occNode, pid, InfEdge)
-						continue
-					}
+				if occNode := tpOccs.find(at); occNode != nil {
+					// Dependent parameters: information flows both ways
+					// between the occurrences.
+					b.g.AddEdge(pid, *occNode, InfEdge)
+					b.g.AddEdge(*occNode, pid, InfEdge)
+					continue
 				}
-				b.g.AddEdge(pid, b.scopeParamNode(at), kind)
+				b.g.AddEdge(pid, b.g.AddScopeParamNode(at), kind)
 			default:
-				b.g.AddEdge(pid, b.g.AddTypeNode(arg).ID, kind)
+				b.g.AddEdge(pid, b.g.AddTypeNode(arg), kind)
 			}
 		}
 		return ref
 	case *types.Parameter:
-		if tpOccs != nil {
-			if occNode, ok := tpOccs[tt.ID()]; ok {
-				return occRef{node: occNode}
-			}
+		if occNode := tpOccs.find(tt); occNode != nil {
+			return occRef{node: *occNode}
 		}
-		return occRef{node: b.scopeParamNode(tt)}
+		return occRef{node: b.g.AddScopeParamNode(tt)}
 	default:
-		return occRef{node: b.g.AddTypeNode(t).ID}
+		return occRef{node: b.g.AddTypeNode(t)}
 	}
 }
 
@@ -259,8 +283,8 @@ func (b *builder) linkDirectional(to, from occRef) {
 	}
 	for i := range tc {
 		pt, pf := tc[i], fc[i]
-		if pt.paramNode != "" && pf.paramNode != "" {
-			b.g.AddEdge(pt.paramNode, pf.paramNode, InfEdge)
+		if pt.param != nil && pf.param != nil {
+			b.g.AddEdge(*pt.param, *pf.param, InfEdge)
 		}
 		if pt.nested != nil && pf.nested != nil {
 			// Nested receptivity follows the outer expression: an inner
@@ -272,10 +296,12 @@ func (b *builder) linkDirectional(to, from occRef) {
 	}
 }
 
-// position is one aligned argument position of two related occurrences.
+// position is one aligned argument position of two related occurrences:
+// its parameter occurrence node and its nested application, when it has
+// them.
 type position struct {
-	paramNode string
-	nested    *occRef
+	param  *NodeID
+	nested *occRef
 }
 
 // correspond aligns the argument positions of two occurrences whose
@@ -299,11 +325,7 @@ func (b *builder) correspond(x, y occRef) ([]position, []position) {
 func positionsOf(r occRef) []position {
 	out := make([]position, len(r.app.Ctor.Params))
 	for i, p := range r.app.Ctor.Params {
-		out[i] = position{paramNode: r.params[p.ID()]}
-		if n, ok := r.nested[i]; ok {
-			nn := n
-			out[i].nested = &nn
-		}
+		out[i] = position{param: r.params.find(p), nested: r.nestedAt(i)}
 	}
 	return out
 }
@@ -326,14 +348,13 @@ func climb(base, sub occRef) ([]position, []position, bool) {
 		subPos := make([]position, len(app.Args))
 		for i, e := range app.Args {
 			if p, isParam := e.(*types.Parameter); isParam {
-				subPos[i] = position{paramNode: sub.params[p.ID()]}
+				subPos[i] = position{param: sub.params.find(p)}
 				// Find the positional index of p in sub's ctor to carry
 				// nested refs along.
 				for j, sp := range sub.app.Ctor.Params {
 					if sp.SameAs(p) {
-						if n, ok := sub.nested[j]; ok {
-							nn := n
-							subPos[i].nested = &nn
+						if n := sub.nestedAt(j); n != nil {
+							subPos[i].nested = n
 						}
 					}
 				}

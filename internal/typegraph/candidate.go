@@ -43,19 +43,21 @@ type Candidate struct {
 	// NodeID is the candidate's principal graph node (a declaration node
 	// for variables and returns, the application occurrence for explicit
 	// type arguments).
-	NodeID string
+	NodeID NodeID
 	// ParamNodeIDs are the type-parameter occurrence nodes belonging to
-	// the candidate's annotation.
-	ParamNodeIDs []string
-	// EraseSet lists the node IDs whose outgoing decl edges the erasure
-	// of this candidate removes (Definition 3.4).
-	EraseSet []string
+	// the candidate's annotation: the annotation's own parameters in
+	// constructor order, then those of its nested applications in
+	// position order.
+	ParamNodeIDs []NodeID
+	// EraseSet lists the nodes whose outgoing decl edges the erasure of
+	// this candidate removes (Definition 3.4).
+	EraseSet []NodeID
 	// VanishNodes are nodes that cease to exist in the mutated program
 	// (the parameter occurrences of a removed annotation). They are
 	// exempt from the preservation check: an erased `: A<Long>` has no
 	// A.T left to infer, whereas an erased instantiation `A<>(...)`
 	// still does.
-	VanishNodes []string
+	VanishNodes []NodeID
 
 	// AST back-pointers; exactly the one matching Kind is set.
 	Var      *ir.VarDecl
@@ -84,10 +86,10 @@ func Preserves(g *Graph, cands ...*Candidate) bool {
 // is evaluated on: the declaration node for variables and returns, and the
 // parameter occurrences for explicit type arguments (the shadowed nodes of
 // Figure 6).
-func (c *Candidate) RelevanceNodes() []string {
+func (c *Candidate) RelevanceNodes() []NodeID {
 	switch c.Kind {
 	case VarDeclType, ReturnType:
-		return []string{c.NodeID}
+		return []NodeID{c.NodeID}
 	default:
 		return c.ParamNodeIDs
 	}
@@ -97,7 +99,7 @@ func (c *Candidate) RelevanceNodes() []string {
 // candidate c) is relevant to type t when, after erasing n, the inferred
 // type infer(erasure(G, n), n) is a subtype of t. TOM overwrites a node
 // with a type it is NOT relevant to, which guarantees a type error.
-func RelevantTo(g *Graph, c *Candidate, node string, t types.Type) bool {
+func RelevantTo(g *Graph, c *Candidate, node NodeID, t types.Type) bool {
 	inf := g.Infer(node, c)
 	if _, isBottom := inf.(types.Bottom); isBottom {
 		// Nothing inferable: any overwrite may be consistent; treat as

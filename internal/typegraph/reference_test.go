@@ -8,30 +8,27 @@ import (
 	"repro/internal/types"
 )
 
-// refInfer is Definition 3.3 computed directly on the string-keyed
-// graph: a recursive DFS that skips the decl edges of erased nodes and
-// does not enter blocked nodes other than start, followed by the LUB of
-// the visited concrete types. It shares no code with the dense index.
-func refInfer(g *Graph, start string, erased, blocked map[string]bool) types.Type {
+// refInfer is Definition 3.3 computed directly on the graph's nodes and
+// edge lists: a recursive DFS that skips the decl edges of erased nodes
+// and does not enter blocked nodes other than start, followed by the LUB
+// of the visited concrete types. It shares no code with the dense index.
+func refInfer(g *Graph, start NodeID, erased, blocked map[NodeID]bool) types.Type {
 	var ts []types.Type
-	seen := map[string]bool{}
-	var dfs func(id string)
-	dfs = func(id string) {
+	seen := map[NodeID]bool{}
+	var dfs func(id NodeID)
+	dfs = func(id NodeID) {
 		if seen[id] || (blocked[id] && id != start) {
 			return
 		}
 		seen[id] = true
-		n := g.nodes[id]
-		if n == nil {
-			return
-		}
+		n := g.Node(id)
 		if n.Type != nil && id != start {
 			ts = append(ts, n.Type)
 		}
 		if n.Rigid && id != start {
 			ts = append(ts, n.Param)
 		}
-		for _, e := range g.out[id] {
+		for _, e := range g.Edges(id) {
 			if e.Kind == InfEdge || (e.Kind == DeclEdge && !erased[id]) {
 				dfs(e.To)
 			}
@@ -49,7 +46,7 @@ func refInfer(g *Graph, start string, erased, blocked map[string]bool) types.Typ
 // vanish is re-inferred from scratch under the erasure and compared with
 // its erasure-free inference.
 func refPreserves(g *Graph, cands ...*Candidate) bool {
-	erased, vanished := map[string]bool{}, map[string]bool{}
+	erased, vanished := map[NodeID]bool{}, map[NodeID]bool{}
 	for _, c := range cands {
 		for _, id := range c.EraseSet {
 			erased[id] = true
@@ -58,7 +55,8 @@ func refPreserves(g *Graph, cands ...*Candidate) bool {
 			vanished[id] = true
 		}
 	}
-	for id, n := range g.nodes {
+	for i := range g.NumNodes() {
+		id, n := NodeID(i), g.Node(NodeID(i))
 		if (!n.IsDecl && n.Param == nil) || n.Rigid || vanished[id] {
 			continue
 		}
@@ -93,7 +91,7 @@ func TestPreservesMatchesReference(t *testing.T) {
 				if got != want {
 					ids := make([]string, len(combo))
 					for i, c := range combo {
-						ids[i] = c.NodeID
+						ids[i] = g.Name(c.NodeID)
 					}
 					t.Fatalf("seed %d %s: Preserves(%v) = %v, reference %v", seed, name, ids, got, want)
 				}
@@ -130,31 +128,34 @@ func TestPreservesSeesGraphMutation(t *testing.T) {
 	// AddEdge: x keeps String through a new inf edge once its
 	// annotation is erased.
 	g := NewGraph()
-	g.AddDeclNode("x")
+	x := g.AddDeclNode("x")
 	str := g.AddTypeNode(b.String)
-	g.AddEdge("x", str.ID, DeclEdge)
-	c := &Candidate{Kind: VarDeclType, NodeID: "x", EraseSet: []string{"x"}}
+	g.AddEdge(x, str, DeclEdge)
+	c := &Candidate{Kind: VarDeclType, NodeID: x, EraseSet: []NodeID{x}}
 	if Preserves(g, c) {
 		t.Fatal("erasing x's only annotation must not preserve")
 	}
-	g.AddEdge("x", str.ID, InfEdge)
+	g.AddEdge(x, str, InfEdge)
 	if got, want := Preserves(g, c), refPreserves(g, c); got != want || !got {
 		t.Fatalf("after AddEdge: Preserves = %v, reference %v, want true", got, want)
 	}
 
-	// AddDeclNode: w's edge into the vanishing x is dead until w
-	// exists, and then w loses its type when x vanishes.
+	// AddDeclNode and AddEdge: w, added after the first query with an
+	// edge into the vanishing x, loses its type when x vanishes.
 	g = NewGraph()
-	g.AddDeclNode("x")
+	x = g.AddDeclNode("x")
 	str = g.AddTypeNode(b.String)
-	g.AddEdge("x", str.ID, DeclEdge)
-	g.AddEdge("w", "x", InfEdge)
-	c = &Candidate{Kind: VarDeclType, NodeID: "x", EraseSet: []string{"x"}, VanishNodes: []string{"x"}}
+	g.AddEdge(x, str, DeclEdge)
+	c = &Candidate{Kind: VarDeclType, NodeID: x, EraseSet: []NodeID{x}, VanishNodes: []NodeID{x}}
 	if !Preserves(g, c) {
 		t.Fatal("a vanished node with no dependents must preserve")
 	}
-	g.AddDeclNode("w")
+	w := g.AddDeclNode("w")
+	if got, want := Preserves(g, c), refPreserves(g, c); got != want || !got {
+		t.Fatalf("after AddDeclNode: Preserves = %v, reference %v, want true", got, want)
+	}
+	g.AddEdge(w, x, InfEdge)
 	if got, want := Preserves(g, c), refPreserves(g, c); got != want || got {
-		t.Fatalf("after AddDeclNode: Preserves = %v, reference %v, want false", got, want)
+		t.Fatalf("after AddEdge into x: Preserves = %v, reference %v, want false", got, want)
 	}
 }

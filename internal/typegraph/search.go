@@ -22,7 +22,6 @@ type Search struct {
 
 	ix    *index
 	words int
-	ci    []candIndex
 	// reach holds C(n) for every node n: words bits per node, bit i set
 	// when n reaches an erase or vanish node of cands[i].
 	reach []uint64
@@ -57,7 +56,7 @@ func (s *Search) Preserves(idx []int) bool {
 	}
 	ix.epoch++
 	for _, i := range idx {
-		ix.stampOne(s.ci[i], true)
+		ix.stampOne(s.cands[i], true)
 	}
 	n, ok := ix.check()
 	if !ok {
@@ -88,30 +87,28 @@ func (s *Search) matches(f []uint64) bool {
 // candidate, and drops the failures recorded against an older index.
 func (s *Search) build(ix *index) {
 	s.ix, s.words = ix, (len(s.cands)+63)/64
-	s.ci = make([]candIndex, len(s.cands))
 	s.reach = make([]uint64, len(ix.nodes)*s.words)
 	s.fails = s.fails[:0]
 	s.mask = make([]uint64, s.words)
 	for i, c := range s.cands {
-		s.ci[i] = ix.candidate(c)
 		ix.epoch++
-		for _, n := range s.ci[i].erase {
+		for _, n := range c.EraseSet {
 			s.reachFrom(n, i)
 		}
-		for _, n := range s.ci[i].vanish {
+		for _, n := range c.VanishNodes {
 			s.reachFrom(n, i)
 		}
 	}
 }
 
 // reachFrom sets bit i on n and every node that reaches it.
-func (s *Search) reachFrom(n uint32, i int) {
+func (s *Search) reachFrom(n NodeID, i int) {
 	if s.ix.marked[n] == s.ix.epoch {
 		return
 	}
 	s.ix.marked[n] = s.ix.epoch
 	s.reach[int(n)*s.words+i/64] |= 1 << (i % 64)
-	for _, from := range s.ix.rev[n] {
+	for _, from := range s.ix.into(n) {
 		s.reachFrom(from, i)
 	}
 }

@@ -97,14 +97,14 @@ func TestSearchDoesNotPruneSupersets(t *testing.T) {
 	b := types.NewBuiltins()
 	g := NewGraph()
 	str := g.AddTypeNode(b.String)
-	g.AddDeclNode("x")
-	g.AddEdge("x", str.ID, DeclEdge)
-	g.AddDeclNode("y")
-	g.AddEdge("y", str.ID, DeclEdge)
-	g.AddEdge("y", str.ID, InfEdge)
-	a := &Candidate{Kind: VarDeclType, NodeID: "x", EraseSet: []string{"x"}}
-	c := &Candidate{Kind: VarDeclType, NodeID: "x", VanishNodes: []string{"x"}}
-	d := &Candidate{Kind: VarDeclType, NodeID: "y", EraseSet: []string{"y"}}
+	x := g.AddDeclNode("x")
+	g.AddEdge(x, str, DeclEdge)
+	y := g.AddDeclNode("y")
+	g.AddEdge(y, str, DeclEdge)
+	g.AddEdge(y, str, InfEdge)
+	a := &Candidate{Kind: VarDeclType, NodeID: x, EraseSet: []NodeID{x}}
+	c := &Candidate{Kind: VarDeclType, NodeID: x, VanishNodes: []NodeID{x}}
+	d := &Candidate{Kind: VarDeclType, NodeID: y, EraseSet: []NodeID{y}}
 	cands := []*Candidate{a, c, d}
 	s := NewSearch(g, cands)
 	for _, q := range []struct {
@@ -132,31 +132,32 @@ func TestSearchSeesGraphMutation(t *testing.T) {
 
 	// AddEdge: the recorded failure of {c} no longer holds.
 	g := NewGraph()
-	g.AddDeclNode("x")
+	x := g.AddDeclNode("x")
 	str := g.AddTypeNode(b.String)
-	g.AddEdge("x", str.ID, DeclEdge)
-	c := &Candidate{Kind: VarDeclType, NodeID: "x", EraseSet: []string{"x"}}
+	g.AddEdge(x, str, DeclEdge)
+	c := &Candidate{Kind: VarDeclType, NodeID: x, EraseSet: []NodeID{x}}
 	s := NewSearch(g, []*Candidate{c})
 	if s.Preserves([]int{0}) {
 		t.Fatal("erasing x's only annotation must not preserve")
 	}
-	g.AddEdge("x", str.ID, InfEdge)
+	g.AddEdge(x, str, InfEdge)
 	if !s.Preserves([]int{0}) {
 		t.Fatal("after AddEdge: Search answered from a failure of the old graph")
 	}
 
-	// AddDeclNode: the new node w needs masks the old graph lacked.
+	// AddDeclNode and AddEdge: the new node w needs masks the old graph
+	// lacked.
 	g = NewGraph()
-	g.AddDeclNode("x")
+	x = g.AddDeclNode("x")
 	str = g.AddTypeNode(b.String)
-	g.AddEdge("x", str.ID, DeclEdge)
-	g.AddEdge("w", "x", InfEdge)
-	c = &Candidate{Kind: VarDeclType, NodeID: "x", EraseSet: []string{"x"}, VanishNodes: []string{"x"}}
+	g.AddEdge(x, str, DeclEdge)
+	c = &Candidate{Kind: VarDeclType, NodeID: x, EraseSet: []NodeID{x}, VanishNodes: []NodeID{x}}
 	s = NewSearch(g, []*Candidate{c})
 	if !s.Preserves([]int{0}) {
 		t.Fatal("a vanished node with no dependents must preserve")
 	}
-	g.AddDeclNode("w")
+	w := g.AddDeclNode("w")
+	g.AddEdge(w, x, InfEdge)
 	if s.Preserves([]int{0}) {
 		t.Fatal("after AddDeclNode: w loses its type when x vanishes")
 	}

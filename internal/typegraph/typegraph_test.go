@@ -108,7 +108,7 @@ func TestFigure6MaximalErasure(t *testing.T) {
 	// Each constructor instantiation preserves alone...
 	for _, c := range news {
 		if !Preserves(g, c) {
-			t.Errorf("candidate %s must preserve alone (graph:\n%s)", c.NodeID, g.Dot())
+			t.Errorf("candidate %s must preserve alone (graph:\n%s)", g.Name(c.NodeID), g.Dot())
 		}
 	}
 	// ... and the paper's maximal combination {B<String>:7, A<String>:8}
@@ -213,7 +213,7 @@ func TestTypeRelevance(t *testing.T) {
 		node := nodes[0]
 		inf := g.Infer(node, cand)
 		if inf.String() != "String" {
-			t.Fatalf("infer after erasure of %s = %s, want String; graph:\n%s", node, inf, g.Dot())
+			t.Fatalf("infer after erasure of %s = %s, want String; graph:\n%s", g.Name(node), inf, g.Dot())
 		}
 		if !RelevantTo(g, cand, node, b.String) {
 			t.Error("node must be relevant to String")
@@ -232,19 +232,25 @@ func TestGraphBasics(t *testing.T) {
 	b := types.NewBuiltins()
 	d := g.AddDeclNode("var:x")
 	ty := g.AddTypeNode(b.String)
-	g.AddEdge(d.ID, ty.ID, DeclEdge)
-	g.AddEdge(d.ID, ty.ID, DeclEdge) // deduplicated
+	if again := g.AddDeclNode("var:x"); again != d {
+		t.Errorf("a keyed node must be added once: %d, then %d", d, again)
+	}
+	g.AddEdge(d, ty, DeclEdge)
+	g.AddEdge(d, ty, DeclEdge) // deduplicated
 	if g.NumEdges() != 1 {
 		t.Errorf("duplicate edges must collapse, got %d", g.NumEdges())
 	}
-	if got := g.Infer("var:x"); !got.Equal(b.String) {
+	if got := g.Infer(d); !got.Equal(b.String) {
 		t.Errorf("infer = %s", got)
 	}
-	if got := g.Infer("var:x", &Candidate{EraseSet: []string{"var:x"}}); !got.Equal(types.Bottom{}) {
+	if got := g.Infer(d, &Candidate{EraseSet: []NodeID{d}}); !got.Equal(types.Bottom{}) {
 		t.Errorf("erased infer = %s, want Nothing", got)
 	}
-	if g.Node("missing") != nil {
-		t.Error("missing node must be nil")
+	if _, ok := g.keys["missing"]; ok {
+		t.Error("a missing key must not resolve")
+	}
+	if got := g.Name(ty); got != "String" {
+		t.Errorf("a type node is named by its type: %q", got)
 	}
 }
 
@@ -255,10 +261,10 @@ func TestInferFollowsInfButNotDef(t *testing.T) {
 	mid := g.AddDeclNode("mid")
 	str := g.AddTypeNode(b.String)
 	intN := g.AddTypeNode(b.Int)
-	g.AddEdge(d.ID, mid.ID, InfEdge)
-	g.AddEdge(mid.ID, str.ID, InfEdge)
-	g.AddEdge(d.ID, intN.ID, DefEdge) // def edges are not traversed
-	if got := g.Infer("n"); !got.Equal(b.String) {
+	g.AddEdge(d, mid, InfEdge)
+	g.AddEdge(mid, str, InfEdge)
+	g.AddEdge(d, intN, DefEdge) // def edges are not traversed
+	if got := g.Infer(d); !got.Equal(b.String) {
 		t.Errorf("infer = %s, want String (def edge must be ignored)", got)
 	}
 }
@@ -325,7 +331,11 @@ func TestFigure1ClosureFieldFlow(t *testing.T) {
 	}
 	g := a.BuildGraph(test, nil)
 	// var:x must infer A<Long>.
-	if got := g.Infer("var:x"); got.String() != "A<Long>" {
+	x, ok := g.keys["var:x"]
+	if !ok {
+		t.Fatalf("no var:x node; graph:\n%s", g.Dot())
+	}
+	if got := g.Infer(x); got.String() != "A<Long>" {
 		t.Errorf("infer(var:x) = %s, want A<Long>", got)
 	}
 	// And x's annotation is erasable: the right-hand side pins the type.
@@ -414,43 +424,47 @@ func TestUnconstrainedCallTypeArgsNotErasable(t *testing.T) {
 }
 
 // TestGraphInvariantsOnGeneratedPrograms checks structural invariants of
-// every graph built from generated programs: edges reference existing
-// nodes, candidates' erase sets name real nodes, def edges only leave
-// application nodes, and Infer is deterministic.
+// every graph built from generated programs: node names are unique, keyed
+// nodes resolve to themselves, edges and candidates' erase sets name real
+// nodes, def edges only leave application nodes, and Infer is
+// deterministic.
 func TestGraphInvariantsOnGeneratedPrograms(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g := generatorProgram(seed)
 		a := Analyze(g, types.NewBuiltins())
 		for i, graph := range a.BuildAll() {
 			name := a.Methods[i].Name
-			for _, id := range graph.Nodes() {
-				if graph.Node(id) == nil {
-					t.Fatalf("seed %d %s: Nodes() returned a missing node %s", seed, name, id)
+			names := map[string]NodeID{}
+			for j := range graph.NumNodes() {
+				id := NodeID(j)
+				n := graph.Name(id)
+				if prev, dup := names[n]; dup {
+					t.Fatalf("seed %d %s: nodes %d and %d are both named %s", seed, name, prev, id, n)
+				}
+				names[n] = id
+				if k, ok := graph.keys[n]; ok && k != id {
+					t.Fatalf("seed %d %s: key %s resolves to node %d, not %d", seed, name, n, k, id)
 				}
 				for _, e := range graph.Edges(id) {
-					if graph.Node(e.To) == nil {
-						t.Fatalf("seed %d %s: edge %s -> %s dangles", seed, name, id, e.To)
+					if int(e.To) >= graph.NumNodes() {
+						t.Fatalf("seed %d %s: edge %s -> %d dangles", seed, name, n, e.To)
 					}
-					if e.Kind == DefEdge {
-						n := graph.Node(id)
-						if n.Type == nil {
-							t.Errorf("seed %d %s: def edge from non-application %s", seed, name, id)
-						}
+					if e.Kind == DefEdge && graph.Node(id).Type == nil {
+						t.Errorf("seed %d %s: def edge from non-application %s", seed, name, n)
 					}
 				}
 			}
 			for _, c := range graph.Candidates {
 				for _, id := range c.EraseSet {
-					if graph.Node(id) == nil {
-						t.Errorf("seed %d %s: candidate %s erases missing node %s",
-							seed, name, c.Kind, id)
+					if int(id) >= graph.NumNodes() {
+						t.Errorf("seed %d %s: candidate %s erases missing node %d", seed, name, c.Kind, id)
 					}
 				}
 				// Infer is deterministic.
 				i1 := graph.Infer(c.NodeID)
 				i2 := graph.Infer(c.NodeID)
 				if !i1.Equal(i2) {
-					t.Errorf("seed %d %s: Infer nondeterministic on %s", seed, name, c.NodeID)
+					t.Errorf("seed %d %s: Infer nondeterministic on %s", seed, name, graph.Name(c.NodeID))
 				}
 			}
 		}

@@ -1,8 +1,6 @@
 package typegraph
 
 import (
-	"fmt"
-
 	"repro/internal/checker"
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -13,13 +11,13 @@ import (
 func (b *builder) walkExpr(e ir.Expr) occRef {
 	switch t := e.(type) {
 	case *ir.Const:
-		return occRef{node: b.g.AddTypeNode(t.Type).ID}
+		return occRef{node: b.g.AddTypeNode(t.Type)}
 
 	case *ir.VarRef:
 		if ref, ok := b.varOcc[t.Name]; ok {
 			return ref
 		}
-		return occRef{node: b.g.AddTypeNode(b.staticType(t)).ID}
+		return occRef{node: b.g.AddTypeNode(b.staticType(t))}
 
 	case *ir.FieldAccess:
 		return b.walkFieldAccess(t)
@@ -27,7 +25,7 @@ func (b *builder) walkExpr(e ir.Expr) occRef {
 	case *ir.BinaryOp:
 		b.walkExpr(t.Left)
 		b.walkExpr(t.Right)
-		return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Boolean).ID}
+		return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Boolean)}
 
 	case *ir.Block:
 		for _, s := range t.Stmts {
@@ -41,7 +39,7 @@ func (b *builder) walkExpr(e ir.Expr) occRef {
 			}
 		}
 		if t.Value == nil {
-			return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Unit).ID}
+			return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Unit)}
 		}
 		return b.walkExpr(t.Value)
 
@@ -53,20 +51,20 @@ func (b *builder) walkExpr(e ir.Expr) occRef {
 
 	case *ir.Assign:
 		b.walkAssign(t)
-		return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Unit).ID}
+		return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Unit)}
 
 	case *ir.If:
 		b.walkExpr(t.Cond)
 		thenRef := b.walkExpr(t.Then)
 		elseRef := b.walkExpr(t.Else)
-		join := b.g.AddDeclNode(fmt.Sprintf("if#%d", b.nextOcc()))
-		b.g.AddEdge(join.ID, thenRef.node, InfEdge)
-		b.g.AddEdge(join.ID, elseRef.node, InfEdge)
-		return occRef{node: join.ID}
+		join := b.g.add(Node{IsDecl: true, label: "if", occ: b.nextOcc()})
+		b.g.AddEdge(join, thenRef.node, InfEdge)
+		b.g.AddEdge(join, elseRef.node, InfEdge)
+		return occRef{node: join}
 
 	case *ir.MethodRef:
 		b.walkExpr(t.Recv)
-		return occRef{node: b.g.AddTypeNode(b.staticType(t)).ID}
+		return occRef{node: b.g.AddTypeNode(b.staticType(t))}
 
 	case *ir.Lambda:
 		inner := map[string]occRef{}
@@ -83,15 +81,15 @@ func (b *builder) walkExpr(e ir.Expr) occRef {
 			}
 			if pt != nil {
 				ref := b.registerType(pt, DeclEdge, nil)
-				node := b.g.AddDeclNode(fmt.Sprintf("lparam:%s#%d", p.Name, b.nextOcc()))
-				b.g.AddEdge(node.ID, ref.node, DeclEdge)
-				ref.node = node.ID
+				node := b.g.add(Node{IsDecl: true, label: "lparam:" + p.Name, occ: b.nextOcc()})
+				b.g.AddEdge(node, ref.node, DeclEdge)
+				ref.node = node
 				b.varOcc[p.Name] = ref
 			}
 		}
 		b.walkExpr(t.Body)
 		b.varOcc = saved
-		return occRef{node: b.g.AddTypeNode(b.staticType(t)).ID}
+		return occRef{node: b.g.AddTypeNode(b.staticType(t))}
 
 	case *ir.Cast:
 		b.walkExpr(t.Expr)
@@ -99,9 +97,9 @@ func (b *builder) walkExpr(e ir.Expr) occRef {
 
 	case *ir.Is:
 		b.walkExpr(t.Expr)
-		return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Boolean).ID}
+		return occRef{node: b.g.AddTypeNode(b.a.Env.Builtins.Boolean)}
 	}
-	return occRef{node: b.g.AddTypeNode(types.Top{}).ID}
+	return occRef{node: b.g.AddTypeNode(types.Top{})}
 }
 
 // walkVarDecl implements the [var decl], [var param constructor], and
@@ -114,26 +112,27 @@ func (b *builder) walkVarDecl(v *ir.VarDecl) {
 	}
 	rhs := b.walkExpr(v.Init)
 	node := b.g.AddDeclNode("var:" + v.Name)
-	b.g.AddEdge(node.ID, rhs.node, InfEdge)
+	b.g.AddEdge(node, rhs.node, InfEdge)
 
 	stored := rhs
-	stored.node = node.ID
+	stored.node = node
 	stored.receptive = false // uses of the variable are not target-receptive
 	if v.DeclType != nil {
 		declRef := b.registerType(v.DeclType, DeclEdge, nil)
-		b.g.AddEdge(node.ID, declRef.node, DeclEdge)
+		b.g.AddEdge(node, declRef.node, DeclEdge)
 		b.linkTarget(declRef, rhs)
+		params := declRef.paramNodes()
 		b.g.Candidates = append(b.g.Candidates, &Candidate{
 			Kind:         VarDeclType,
-			NodeID:       node.ID,
-			ParamNodeIDs: declRef.paramIDs(),
-			EraseSet:     append([]string{node.ID}, declRef.paramIDs()...),
-			VanishNodes:  declRef.paramIDs(),
+			NodeID:       node,
+			ParamNodeIDs: params,
+			EraseSet:     append([]NodeID{node}, params...),
+			VanishNodes:  params,
 			Var:          v,
 		})
 		// The variable's positional structure is its declared type's.
 		stored = declRef
-		stored.node = node.ID
+		stored.node = node
 		stored.receptive = false
 	}
 	b.varOcc[v.Name] = stored
@@ -170,11 +169,7 @@ func (b *builder) walkFieldAccess(fa *ir.FieldAccess) occRef {
 	if app, ok := recvType.(*types.App); ok && recv.app != nil && app.Ctor.Equal(recv.app.Ctor) {
 		if cls := b.a.Env.Class(app.Ctor.TypeName); cls != nil {
 			if fd := cls.FieldByName(fa.Field); fd != nil {
-				tpOccs := map[string]string{}
-				for id, n := range recv.params {
-					tpOccs[id] = n
-				}
-				ref := b.registerType(fd.Type, InfEdge, tpOccs)
+				ref := b.registerType(fd.Type, InfEdge, recv.params)
 				if ref.app == nil {
 					if app2, isApp := static.(*types.App); isApp {
 						ref.app = app2
@@ -185,7 +180,7 @@ func (b *builder) walkFieldAccess(fa *ir.FieldAccess) occRef {
 		}
 	}
 	// Inherited or structurally opaque field: fall back to the static type.
-	return occRef{node: b.g.AddTypeNode(static).ID}
+	return occRef{node: b.g.AddTypeNode(static)}
 }
 
 // walkNew implements the constructor-invocation rules: the [type
@@ -200,7 +195,7 @@ func (b *builder) walkNew(n *ir.New) occRef {
 		for _, a := range n.Args {
 			b.walkExpr(a)
 		}
-		return occRef{node: b.g.AddTypeNode(static).ID}
+		return occRef{node: b.g.AddTypeNode(static)}
 	}
 	cls := b.a.Env.Class(app.Ctor.TypeName)
 	explicit := n.TypeArgs != nil
@@ -211,11 +206,12 @@ func (b *builder) walkNew(n *ir.New) occRef {
 	ref := b.registerType(app, kind, nil)
 	ref.receptive = true // diamonds are inferred from their target type
 	if explicit && cls != nil {
+		params := ref.paramNodes()
 		b.g.Candidates = append(b.g.Candidates, &Candidate{
 			Kind:         NewTypeArgs,
 			NodeID:       ref.node,
-			ParamNodeIDs: ref.paramIDs(),
-			EraseSet:     ref.paramIDs(),
+			ParamNodeIDs: params,
+			EraseSet:     params,
 			NewExpr:      n,
 		})
 	}
@@ -239,10 +235,10 @@ func (b *builder) walkNew(n *ir.New) occRef {
 
 		// Field declaration node (B<String>.f in Figure 6): declared type
 		// in terms of the instantiation, inferred from the argument.
-		fieldNode := b.g.AddDeclNode(fmt.Sprintf("%s.%s#%d", cls.Name, fd.Name, b.nextOcc()))
+		fieldNode := b.g.add(Node{IsDecl: true, owner: cls.Name, label: fd.Name, occ: b.nextOcc()})
 		declRef := b.registerType(fd.Type, InfEdge, ref.params)
-		b.g.AddEdge(fieldNode.ID, declRef.node, DeclEdge)
-		b.g.AddEdge(fieldNode.ID, argRef.node, InfEdge)
+		b.g.AddEdge(fieldNode, declRef.node, DeclEdge)
+		b.g.AddEdge(fieldNode, argRef.node, InfEdge)
 	}
 	return ref
 }
@@ -253,12 +249,12 @@ func (b *builder) walkNew(n *ir.New) occRef {
 // occs. The callee's parameters are always inferable from the argument's
 // type; the reverse — the argument inferred from the (substituted)
 // parameter type — only holds for target-receptive arguments.
-func (b *builder) linkParamFlowOccs(paramType types.Type, occs map[string]string, argRef occRef) {
+func (b *builder) linkParamFlowOccs(paramType types.Type, occs paramOccs, argRef occRef) {
 	switch pt := paramType.(type) {
 	case *types.Parameter:
-		if occNode, ok := occs[pt.ID()]; ok {
+		if occNode := occs.find(pt); occNode != nil {
 			// The whole argument instantiates this parameter.
-			b.g.AddEdge(occNode, argRef.node, InfEdge)
+			b.g.AddEdge(*occNode, argRef.node, InfEdge)
 		}
 	case *types.App:
 		if argRef.app == nil {
@@ -266,14 +262,14 @@ func (b *builder) linkParamFlowOccs(paramType types.Type, occs map[string]string
 		}
 		// Align the parameter type's positions with the argument's
 		// occurrence positions, climbing the hierarchy when needed.
-		synthetic := occRef{app: pt, params: map[string]string{}, nested: map[int]occRef{}}
+		synthetic := occRef{app: pt}
 		for i, a := range pt.Args {
 			if proj, ok := a.(*types.Projection); ok {
 				a = proj.Bound
 			}
 			if p, ok := a.(*types.Parameter); ok {
-				if occNode, exists := occs[p.ID()]; exists {
-					synthetic.params[ctorParamID(pt, i)] = occNode
+				if occNode := occs.find(p); occNode != nil {
+					synthetic.params = append(synthetic.params, paramOcc{pt.Ctor.Params[i], *occNode})
 				}
 			}
 		}
@@ -281,14 +277,9 @@ func (b *builder) linkParamFlowOccs(paramType types.Type, occs map[string]string
 	}
 }
 
-// ctorParamID returns the constructor parameter ID for position i of app.
-func ctorParamID(app *types.App, i int) string {
-	return app.Ctor.Params[i].ID()
-}
-
 // linkAligned walks pt's argument positions against argRef's occurrence,
 // adding inf edges between dependent parameter occurrences.
-func (b *builder) linkAligned(pt *types.App, synthetic occRef, argRef occRef, occs map[string]string) {
+func (b *builder) linkAligned(pt *types.App, synthetic occRef, argRef occRef, occs paramOccs) {
 	xPos, yPos := b.correspond(synthetic, argRef)
 	if xPos == nil {
 		return
@@ -303,14 +294,14 @@ func (b *builder) linkAligned(pt *types.App, synthetic occRef, argRef occRef, oc
 		}
 		switch at := a.(type) {
 		case *types.Parameter:
-			if occNode, exists := occs[at.ID()]; exists && yPos[i].paramNode != "" {
+			if occNode := occs.find(at); occNode != nil && yPos[i].param != nil {
 				// Callee parameter inferred from the argument: always.
-				b.g.AddEdge(occNode, yPos[i].paramNode, InfEdge)
+				b.g.AddEdge(*occNode, *yPos[i].param, InfEdge)
 				// Argument inferred from the callee parameter (the
 				// compiler passing a target into the argument): only for
 				// receptive arguments.
 				if argRef.receptive {
-					b.g.AddEdge(yPos[i].paramNode, occNode, InfEdge)
+					b.g.AddEdge(*yPos[i].param, *occNode, InfEdge)
 				}
 			}
 		case *types.App:
@@ -347,25 +338,24 @@ func (b *builder) walkCall(call *ir.Call) occRef {
 		if app, ok := static.(*types.App); ok {
 			return b.registerType(app, InfEdge, nil)
 		}
-		return occRef{node: b.g.AddTypeNode(static).ID}
+		return occRef{node: b.g.AddTypeNode(static)}
 	}
 
 	// Type-argument occurrences for the method's own parameters.
-	occs := map[string]string{}
-	var paramNodeIDs []string
+	occs := make(paramOccs, len(sig.TypeParams))
+	var paramNodeIDs []NodeID
 	occ := b.nextOcc()
-	for _, tp := range sig.TypeParams {
-		pid := fmt.Sprintf("%s.%s#%d", call.Name, tp.ParamName, occ)
-		b.g.AddParamNode(pid, tp)
-		occs[tp.ID()] = pid
+	for i, tp := range sig.TypeParams {
+		pid := b.g.add(Node{Param: tp, owner: call.Name, occ: occ})
+		occs[i] = paramOcc{tp, pid}
 		paramNodeIDs = append(paramNodeIDs, pid)
 	}
 	if call.TypeArgs != nil && len(call.TypeArgs) == len(sig.TypeParams) {
-		var eraseSet []string
+		var eraseSet []NodeID
 		for i, ta := range call.TypeArgs {
 			ref := b.registerType(ta, DeclEdge, nil)
-			b.g.AddEdge(occs[sig.TypeParams[i].ID()], ref.node, DeclEdge)
-			eraseSet = append(eraseSet, ref.paramIDs()...)
+			b.g.AddEdge(occs[i].node, ref.node, DeclEdge)
+			eraseSet = ref.appendParamNodes(eraseSet)
 		}
 		eraseSet = append(eraseSet, paramNodeIDs...)
 		b.g.Candidates = append(b.g.Candidates, &Candidate{
