@@ -130,7 +130,7 @@ func BenchmarkFig8AffectedVersions(b *testing.B) {
 func BenchmarkFig9MutationCoverage(b *testing.B) {
 	var temBranches, tomBranches int
 	for i := 0; i < b.N; i++ {
-		rows, err := campaign.RunMutationCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 15, int64(i)*999, generator.DefaultConfig(), 0)
+		rows, _, err := campaign.RunMutationCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 15, int64(i)*999, generator.DefaultConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,11 +148,11 @@ func BenchmarkFig9MutationCoverage(b *testing.B) {
 func BenchmarkFig10SuiteCoverage(b *testing.B) {
 	var change float64
 	for i := 0; i < b.N; i++ {
-		cov, err := campaign.RunSuiteCoverageContext(context.Background(), compilers.Javac(), 30, int64(i)*777, generator.DefaultConfig(), 0)
+		rows, _, err := campaign.RunSuiteCoverageContext(context.Background(), []*compilers.Compiler{compilers.Javac()}, 30, int64(i)*777, generator.DefaultConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		change += cov.LineChange()
+		change += rows[0].LineChange()
 	}
 	b.ReportMetric(change/float64(b.N), "line-pct-change")
 }

@@ -125,7 +125,7 @@ func main() {
 		}
 		report, err = c.Wait()
 		stopBeat()
-		printRecovery(report)
+		cli.PrintRecovery(os.Stdout, report)
 		writeReportDoc(report, *reportJSON)
 		if err != nil {
 			// The partial report is still a valid (if truncated) fold:
@@ -182,7 +182,7 @@ func main() {
 	}
 	if show("9") {
 		fmt.Println("Figure 9: coverage increase by TEM and TOM (RQ3)")
-		rows, err := campaign.RunMutationCoverageContext(ctx, compilers.All(), *covN, cfg.Seed, generator.DefaultConfig(), cfg.Workers)
+		rows, stats, err := campaign.RunMutationCoverageContext(ctx, compilers.All(), *covN, cfg.Seed, generator.DefaultConfig(), cfg.Workers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
 			os.Exit(1)
@@ -192,27 +192,27 @@ func main() {
 		}
 		if cfg.Stats {
 			fmt.Println("pipeline stages:")
-			fmt.Println(rows[0].Stats)
+			fmt.Println(stats)
 		}
 	}
 	if show("10") {
 		fmt.Println("Figure 10: test-suite coverage plus random programs (RQ4)")
-		for _, c := range compilers.All() {
-			cov, err := campaign.RunSuiteCoverageContext(ctx, c, *covN, cfg.Seed+5000, generator.DefaultConfig(), cfg.Workers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
-				os.Exit(1)
-			}
+		rows, stats, err := campaign.RunSuiteCoverageContext(ctx, compilers.All(), *covN, cfg.Seed+5000, generator.DefaultConfig(), cfg.Workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
+			os.Exit(1)
+		}
+		for _, cov := range rows {
 			fmt.Println(cov)
-			if cfg.Stats {
-				fmt.Println("pipeline stages:")
-				fmt.Println(cov.Stats)
-			}
+		}
+		if cfg.Stats {
+			fmt.Println("pipeline stages:")
+			fmt.Println(stats)
 		}
 	}
 	if show("synth") {
 		fmt.Println("Coverage by input kind: generated vs mutated vs synthesized")
-		rows, err := campaign.RunSynthCoverageContext(ctx, compilers.All(), *covN, cfg.Seed+9000,
+		rows, stats, err := campaign.RunSynthCoverageContext(ctx, compilers.All(), *covN, cfg.Seed+9000,
 			generator.DefaultConfig(), apisynth.Config{Corpus: cfg.SynthCorpus}, cfg.Workers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "coverage experiment aborted: %v\n", err)
@@ -223,7 +223,7 @@ func main() {
 		}
 		if cfg.Stats {
 			fmt.Println("pipeline stages:")
-			fmt.Println(rows[0].Stats)
+			fmt.Println(stats)
 		}
 	}
 	if report != nil && *fig == "all" {
@@ -377,18 +377,6 @@ func writeReportDoc(report *campaign.Report, path string) {
 		fmt.Fprintf(os.Stderr, "report-json: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// printRecovery summarizes what a resumed run restored.
-func printRecovery(r *campaign.Report) {
-	if r == nil || !r.Recovery.Resumed {
-		return
-	}
-	fmt.Printf("resumed: %d units restored by journal replay\n", r.Recovery.Recovered)
-	for _, c := range r.Recovery.Quarantined {
-		fmt.Printf("  quarantined %s\n", c)
-	}
-	fmt.Println()
 }
 
 // printCorpus summarizes the cross-campaign bug corpus of a durable run.

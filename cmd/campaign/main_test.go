@@ -106,3 +106,72 @@ func TestCoverageFiguresStdoutIsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsMeasuredResults: EXPERIMENTS.md's "Measured results"
+// block is the documented command's stdout, at one worker and at eight.
+// Lines compare with trailing spaces trimmed, and the output's final
+// blank line is not part of the block.
+func TestExperimentsMeasuredResults(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := measuredResults(string(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "8"} {
+		cmd := exec.Command(os.Args[0], "-fig", "all", "-n", "350", "-seed", "0", "-covn", "120", "-workers", workers)
+		cmd.Env = append(os.Environ(), "CAMPAIGN_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("campaign -workers %s: %v", workers, err)
+		}
+		got := trimLines(string(out))
+		if got == want {
+			continue
+		}
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("-workers %s: EXPERIMENTS.md differs from the command at block line %d:\n got %q\nwant %q", workers, i+1, g, w)
+				break
+			}
+		}
+	}
+}
+
+// measuredResults returns the first fenced block after the "Measured
+// results" heading, its lines trimmed of trailing spaces.
+func measuredResults(doc string) (string, error) {
+	_, rest, ok := strings.Cut(doc, "\n## Measured results\n")
+	if !ok {
+		return "", errors.New("EXPERIMENTS.md has no Measured results section")
+	}
+	_, rest, ok = strings.Cut(rest, "\n```\n")
+	if !ok {
+		return "", errors.New("Measured results has no fenced block")
+	}
+	block, _, ok := strings.Cut(rest, "\n```\n")
+	if !ok {
+		return "", errors.New("Measured results block is not closed")
+	}
+	return trimLines(block), nil
+}
+
+// trimLines trims trailing spaces from every line and drops trailing
+// blank lines.
+func trimLines(s string) string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.TrimRight(strings.Join(lines, "\n"), "\n")
+}

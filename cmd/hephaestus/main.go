@@ -215,9 +215,7 @@ func fuzz(cfg *cli.Config, opts campaign.Options) {
 	}
 	report, err := c.Wait()
 	stopBeat()
-	if report != nil && report.Recovery.Resumed {
-		fmt.Printf("resumed: %d units restored by journal replay\n\n", report.Recovery.Recovered)
-	}
+	cli.PrintRecovery(os.Stdout, report)
 	if err != nil {
 		// Flush what the truncated run still found — findings, the
 		// partial figure, the fault ledger, the stage stats — then

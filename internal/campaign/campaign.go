@@ -351,25 +351,13 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 	return c.Wait()
 }
 
-// fuzzPlan is the standard fuzzing campaign behind the lifecycle: the
-// body RunContext used to be, run once per segment. A resume segment
-// (after Pause, or Options.Resume) replays the journal first and skips
-// restored units, so every segment folds exactly the units
-// no earlier segment did.
-type fuzzPlan struct{}
-
-func (fuzzPlan) name() string { return "campaign" }
-
-func (fuzzPlan) pausable(c *Campaign) bool { return c.opts.StateDir != "" }
-
-func (fuzzPlan) run(ctx context.Context, c *Campaign, resume bool) error {
+// run executes one segment of the campaign, from the first unit no
+// earlier segment folded until completion or ctx cancellation. A
+// resuming segment (Options.Resume, which Pause sets) replays the
+// journal first and skips restored units, so every segment folds
+// exactly the units no earlier segment did.
+func (c *Campaign) run(ctx context.Context) error {
 	opts := c.opts
-	if resume {
-		// A post-Pause segment continues the state directory this
-		// campaign suspended into, whatever the original Resume flag.
-		opts.Resume = true
-	}
-
 	report := newReport(opts)
 	agg := &reportAggregator{
 		report:   report,

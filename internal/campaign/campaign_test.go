@@ -211,7 +211,7 @@ func TestCatalogTablesMatchPaper(t *testing.T) {
 }
 
 func TestMutationCoverageExperiment(t *testing.T) {
-	rows, err := RunMutationCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 25, 0, generator.DefaultConfig(), 0)
+	rows, _, err := RunMutationCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 25, 0, generator.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +261,14 @@ func TestRegionRowsSorted(t *testing.T) {
 }
 
 func TestSuiteCoverageExperiment(t *testing.T) {
-	cov, err := RunSuiteCoverageContext(context.Background(), compilers.Javac(), 40, 500, generator.DefaultConfig(), 0)
+	rows, _, err := RunSuiteCoverageContext(context.Background(), []*compilers.Compiler{compilers.Javac()}, 40, 500, generator.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != 1 {
+		t.Fatalf("%d rows for one compiler", len(rows))
+	}
+	cov := rows[0]
 	// RQ4's claim: the suite already covers almost everything; random
 	// programs add a small increment.
 	if cov.SuiteLine <= 50 {

@@ -29,9 +29,6 @@ type MutationCoverage struct {
 	// ByRegion maps the compiler's package name to TEM's extra sites
 	// there.
 	TEMByRegion map[string]coverage.Delta
-	// Stats holds the per-stage pipeline statistics of the one run
-	// every compiler's row shares.
-	Stats *pipeline.Stats
 }
 
 // String renders the report in the shape of Figure 9's rows.
@@ -72,10 +69,11 @@ func regionRows(label string, byRegion map[string]coverage.Delta) string {
 // generator baseline. The compilers share one reference checker, whose
 // probes fire identically under each, so the experiment measures once
 // and returns one row per compiler, its regions named by that compiler's
-// packages; cs must not be empty. workers is the per-stage worker count
-// (0 means GOMAXPROCS); the reported quantities are distinct-site
-// counts, so they are deterministic regardless of worker interleaving.
-func RunMutationCoverageContext(ctx context.Context, cs []*compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) ([]*MutationCoverage, error) {
+// packages, and the per-stage statistics of the one run; cs must not be
+// empty. workers is the per-stage worker count (0 means GOMAXPROCS); the
+// reported quantities are distinct-site counts, so they are
+// deterministic regardless of worker interleaving.
+func RunMutationCoverageContext(ctx context.Context, cs []*compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) ([]*MutationCoverage, *pipeline.Stats, error) {
 	covGen := coverage.NewCollector()
 	covTEM := coverage.NewCollector()
 	covTOM := coverage.NewCollector()
@@ -84,13 +82,13 @@ func RunMutationCoverageContext(ctx context.Context, cs []*compilers.Compiler, p
 		oracle.TEMMutant: covTEM,
 		oracle.TOMMutant: covTOM,
 	}
-	stats, err := runCoverage(ctx, &coveragePlan{label: "mutation-coverage", passes: []coveragePass{{
+	stats, err := runCoverage(ctx, []coveragePass{{
 		label:  "generate+mutate",
 		mutate: &pipeline.Mutate{TEM: true, TOM: true},
 		record: func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
-	}}}, cs[0], programs, seed, cfg, workers)
+	}}, cs[0], programs, seed, cfg, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	universe := covGen.Clone()
@@ -104,11 +102,10 @@ func RunMutationCoverageContext(ctx context.Context, cs []*compilers.Compiler, p
 			TEMDelta:    covTEM.NewSites(covGen),
 			TOMDelta:    covTOM.NewSites(covGen),
 			TEMByRegion: regionsFor(c, covTEM, covGen),
-			Stats:       stats,
 		}
 		rows[i].GenLine, rows[i].GenFunc, rows[i].GenBranch = covGen.Percent(universe)
 	}
-	return rows, nil
+	return rows, stats, nil
 }
 
 // regionsFor maps each region's extra sites of cov over base to c's
@@ -139,9 +136,6 @@ type SynthCoverage struct {
 	// SynthByRegion maps the compiler's package names to synthesis's
 	// extra sites there.
 	SynthByRegion map[string]coverage.Delta
-	// Stats holds both pipeline runs' per-stage statistics, shared by
-	// every compiler's row.
-	Stats *pipeline.Stats
 }
 
 // String renders the three-way comparison, one row per input kind.
@@ -161,15 +155,16 @@ func (s *SynthCoverage) String() string {
 // worker count. Two passes over the same seed range: one generates and
 // mutates, one synthesizes every unit from the API corpus (synth.Corpus;
 // the built-in default when empty). Like Figure 9 it measures once and
-// returns one row per compiler. Distinct-site counts are deterministic
-// regardless of worker interleaving.
-func RunSynthCoverageContext(ctx context.Context, cs []*compilers.Compiler, programs int, seed int64, cfg generator.Config, synth apisynth.Config, workers int) ([]*SynthCoverage, error) {
+// returns one row per compiler and the per-stage statistics of both
+// passes. Distinct-site counts are deterministic regardless of worker
+// interleaving.
+func RunSynthCoverageContext(ctx context.Context, cs []*compilers.Compiler, programs int, seed int64, cfg generator.Config, synth apisynth.Config, workers int) ([]*SynthCoverage, *pipeline.Stats, error) {
 	// Cadence is forced to every-unit: the experiment compares N
 	// synthesized programs against N generated ones, whatever cadence
 	// the fuzzing campaign itself would use.
 	prod, err := newSynthProducer(apisynth.Config{Every: 1, Corpus: synth.Corpus})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	covGen := coverage.NewCollector()
 	covMut := coverage.NewCollector()
@@ -179,7 +174,7 @@ func RunSynthCoverageContext(ctx context.Context, cs []*compilers.Compiler, prog
 		oracle.TEMMutant: covMut,
 		oracle.TOMMutant: covMut,
 	}
-	stats, err := runCoverage(ctx, &coveragePlan{label: "synth-coverage", passes: []coveragePass{{
+	stats, err := runCoverage(ctx, []coveragePass{{
 		label:  "generate+mutate",
 		mutate: &pipeline.Mutate{TEM: true, TOM: true},
 		record: func(kind oracle.InputKind) coverage.Recorder { return byKind[kind] },
@@ -187,9 +182,9 @@ func RunSynthCoverageContext(ctx context.Context, cs []*compilers.Compiler, prog
 		label:     "synthesize",
 		producers: []pipeline.Producer{prod},
 		record:    func(oracle.InputKind) coverage.Recorder { return covSynth },
-	}}}, cs[0], programs, seed, cfg, workers)
+	}}, cs[0], programs, seed, cfg, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	universe := covGen.Clone()
@@ -203,11 +198,10 @@ func RunSynthCoverageContext(ctx context.Context, cs []*compilers.Compiler, prog
 			MutDelta:      covMut.NewSites(covGen),
 			SynthDelta:    covSynth.NewSites(covGen),
 			SynthByRegion: regionsFor(c, covSynth, covGen),
-			Stats:         stats,
 		}
 		rows[i].GenLine, rows[i].GenFunc, rows[i].GenBranch = covGen.Percent(universe)
 	}
-	return rows, nil
+	return rows, stats, nil
 }
 
 // SuiteCoverage is the Figure 10 experiment for one compiler: the
@@ -220,9 +214,6 @@ type SuiteCoverage struct {
 	// Percentages relative to the union universe.
 	SuiteLine, SuiteFunc, SuiteBranch float64
 	BothLine, BothFunc, BothBranch    float64
-	// Stats holds the per-stage statistics of both pipeline runs (the
-	// suite replay and the random top-up), each under its own run scope.
-	Stats *pipeline.Stats
 }
 
 // LineChange returns the percentage-point increment random programs add.
@@ -246,29 +237,44 @@ func (s *SuiteCoverage) String() string {
 }
 
 // RunSuiteCoverageContext performs the RQ4 experiment (Figure 10) with
-// cancellation and an explicit per-stage worker count: one pass replays
-// the compiler's test suite, a second streams random programs on top.
-func RunSuiteCoverageContext(ctx context.Context, c *compilers.Compiler, random int, seed int64, cfg generator.Config, workers int) (*SuiteCoverage, error) {
-	covSuite := coverage.NewCollector()
+// cancellation and an explicit per-stage worker count: one pass per
+// compiler replays that compiler's test suite, and one pass streams the
+// random programs on top. Probes come from the reference checker every
+// compiler shares, so every pass compiles with the first compiler and
+// the random programs are measured once; cs must not be empty. It
+// returns one row per compiler and the per-stage statistics of every
+// pass, each under its own run scope.
+func RunSuiteCoverageContext(ctx context.Context, cs []*compilers.Compiler, random int, seed int64, cfg generator.Config, workers int) ([]*SuiteCoverage, *pipeline.Stats, error) {
+	suites := make([]*coverage.Collector, len(cs))
+	passes := make([]coveragePass, 0, len(cs)+1)
+	for i, c := range cs {
+		cov := coverage.NewCollector()
+		suites[i] = cov
+		passes = append(passes, coveragePass{
+			label:  "suite-" + c.Name(),
+			suite:  corpus.TestSuite(c.Name()),
+			record: func(oracle.InputKind) coverage.Recorder { return cov },
+		})
+	}
 	covRandom := coverage.NewCollector()
-	stats, err := runCoverage(ctx, &coveragePlan{label: "suite-coverage", passes: []coveragePass{{
-		label:  "suite",
-		suite:  corpus.TestSuite(c.Name()),
-		record: func(oracle.InputKind) coverage.Recorder { return covSuite },
-	}, {
+	passes = append(passes, coveragePass{
 		label:  "random",
 		record: func(oracle.InputKind) coverage.Recorder { return covRandom },
-	}}}, c, random, seed, cfg, workers)
+	})
+	stats, err := runCoverage(ctx, passes, cs[0], random, seed, cfg, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	covBoth := covSuite.Clone()
-	covBoth.Merge(covRandom)
-	out := &SuiteCoverage{Compiler: c.Name(), Random: random, Stats: stats}
-	out.SuiteLine, out.SuiteFunc, out.SuiteBranch = covSuite.Percent(covBoth)
-	out.BothLine, out.BothFunc, out.BothBranch = covBoth.Percent(covBoth)
-	return out, nil
+	rows := make([]*SuiteCoverage, len(cs))
+	for i, c := range cs {
+		covBoth := suites[i].Clone()
+		covBoth.Merge(covRandom)
+		rows[i] = &SuiteCoverage{Compiler: c.Name(), Random: random}
+		rows[i].SuiteLine, rows[i].SuiteFunc, rows[i].SuiteBranch = suites[i].Percent(covBoth)
+		rows[i].BothLine, rows[i].BothFunc, rows[i].BothBranch = covBoth.Percent(covBoth)
+	}
+	return rows, stats, nil
 }
 
 // coveragePass is one pipeline run of a coverage experiment: its
@@ -285,60 +291,35 @@ type coveragePass struct {
 	record func(oracle.InputKind) coverage.Recorder
 }
 
-// coveragePlan is the one driver behind the coverage experiments: it
-// runs its passes in order against the campaign's compiler, each pass
-// under its own labelled scope of one shared Stats. Not pausable —
-// coverage accumulates as stage side effects with no journaled fold.
-type coveragePlan struct {
-	label  string
-	passes []coveragePass
-	stats  *pipeline.Stats
-}
-
-func (p *coveragePlan) name() string { return p.label }
-
-func (p *coveragePlan) pausable(*Campaign) bool { return false }
-
-func (p *coveragePlan) run(ctx context.Context, c *Campaign, _ bool) error {
-	p.stats = pipeline.NewStats()
-	for _, pass := range p.passes {
-		var src pipeline.Source = pipeline.NewGeneratorSource(c.opts.Seed, c.opts.Programs)
+// runCoverage runs a coverage experiment's passes in order over the
+// seed range [seed, seed+programs) against compiler c, each pass under
+// its own labelled scope of one shared Stats, and returns those
+// statistics. Coverage accumulates as a side effect of the compiles, so
+// the passes fold nothing.
+func runCoverage(ctx context.Context, passes []coveragePass, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) (*pipeline.Stats, error) {
+	stats := pipeline.NewStats()
+	for _, pass := range passes {
+		var src pipeline.Source = pipeline.NewGeneratorSource(seed, programs)
 		if pass.suite != nil {
 			src = pipeline.NewProgramSource(oracle.Suite, pass.suite)
 		}
 		derive := pipeline.Derivation{
-			Generate: &pipeline.Generate{Config: c.opts.GenConfig, Producers: pass.producers},
+			Generate: &pipeline.Generate{Config: cfg, Producers: pass.producers},
 			Mutate:   pass.mutate,
 		}
 		pl := &pipeline.Pipeline{
 			Source: src,
 			Stages: append(derive.Stages(),
-				&pipeline.Execute{Compilers: c.opts.Compilers, Coverage: pass.record},
+				&pipeline.Execute{Compilers: []*compilers.Compiler{c}, Coverage: pass.record},
 				pipeline.Judge{}),
 			Aggregator: pipeline.Discard{},
-			Workers:    c.opts.Workers,
-			Stats:      p.stats,
+			Workers:    workers,
+			Stats:      stats,
 			Label:      pass.label,
 		}
 		if _, err := pl.Run(ctx); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// runCoverage runs a coverage plan as a campaign of the given size
-// against one compiler and returns the passes' stage statistics.
-func runCoverage(ctx context.Context, p *coveragePlan, c *compilers.Compiler, programs int, seed int64, cfg generator.Config, workers int) (*pipeline.Stats, error) {
-	camp := newCampaign(Options{
-		Seed: seed, Programs: programs, Workers: workers,
-		GenConfig: cfg, Compilers: []*compilers.Compiler{c},
-	}, p)
-	if err := camp.Start(ctx); err != nil {
-		return nil, err
-	}
-	if _, err := camp.Wait(); err != nil {
-		return nil, err
-	}
-	return p.stats, nil
+	return stats, nil
 }

@@ -1,10 +1,13 @@
 // The campaign lifecycle: a Campaign is a long-lived object with a
-// real state machine — New → Start → (Pause ⇄ Resume)* → Done — rather
-// than a run-to-completion function call. Pause and resume ride the
-// durable journal: pausing cancels the running pipeline segment and
-// lets the durable layer sync and close the journal, so a paused
-// campaign is exactly a crash-suspended one, and resuming replays the
-// journal through the same restore path a crash recovery uses.
+// real state machine — new|paused → running → done|cancelled|failed,
+// with Pause taking running back to paused — rather than a
+// run-to-completion function call. Pause rides the durable journal:
+// pausing cancels the running pipeline segment and lets the durable
+// layer sync and close the journal, so a paused campaign is exactly a
+// crash-suspended one. New over a state directory whose journal holds
+// the campaign returns it paused too, and Start continues either by
+// replaying the journal through the same restore path a crash recovery
+// uses.
 // The determinism contract is therefore inherited, not re-proven: a
 // campaign paused and resumed any number of times folds to the
 // bit-for-bit report of an uninterrupted run.
@@ -35,13 +38,12 @@ type State int32
 const (
 	// StateNew: constructed, not yet started.
 	StateNew State = iota
-	// StateRunning: a pipeline segment is executing.
+	// StateRunning: a pipeline segment is executing, or draining
+	// because Pause asked it to.
 	StateRunning
-	// StatePausing: Pause was requested; the segment is draining and
-	// syncing its journal.
-	StatePausing
-	// StatePaused: durably suspended; Resume continues it, Cancel ends
-	// it. The state directory alone can also resume it in a new process.
+	// StatePaused: durably suspended, by Pause or because New found the
+	// campaign's journal in its state directory. The next Start replays
+	// the journal and continues; Cancel ends it.
 	StatePaused
 	// StateDone: completed; the report is final and Complete().
 	StateDone
@@ -60,8 +62,6 @@ func (s State) String() string {
 		return "new"
 	case StateRunning:
 		return "running"
-	case StatePausing:
-		return "pausing"
 	case StatePaused:
 		return "paused"
 	case StateDone:
@@ -92,24 +92,11 @@ func (s State) MarshalJSON() ([]byte, error) {
 // nothing to pause into.
 var ErrNotPausable = errors.New("campaign: pause requires a durable campaign (Options.StateDir)")
 
-// plan is one campaign flavor behind the shared lifecycle: the
-// standard fuzzing campaign, or one of the coverage experiments. run
-// executes a single segment — from start (or resume) until completion
-// or ctx cancellation — and must publish its observable state through
-// the Campaign as it goes.
-type plan interface {
-	name() string
-	run(ctx context.Context, c *Campaign, resume bool) error
-	pausable(c *Campaign) bool
-}
-
-// Campaign is a lifecycle-managed campaign. Construct with New (the
-// coverage experiments build theirs internally), drive with Start,
-// Pause, Resume, Cancel, and Wait, and observe with Status from any
+// Campaign is a lifecycle-managed campaign. Construct with New, drive
+// with Start, Pause, Cancel, and Wait, and observe with Status from any
 // goroutine. The zero value is not usable.
 type Campaign struct {
 	opts Options
-	plan plan
 
 	// mu guards the state machine; fold guards the report contents
 	// while a segment is writing them. Lock order: mu is never held
@@ -131,28 +118,12 @@ type Campaign struct {
 	fold sync.RWMutex
 }
 
-// New returns an unstarted campaign for the options. The options are
-// normalized once here (nil Compilers means all three, the generator
-// config is clamped), so every segment and the durable fingerprint
-// agree on what the campaign is.
+// New returns a campaign for the options: paused when Options.Resume
+// finds this campaign's journal in the state directory, new otherwise.
+// The options are normalized once here (nil Compilers means all three,
+// the generator config is clamped), so every segment and the durable
+// fingerprint agree on what the campaign is.
 func New(opts Options) *Campaign {
-	c := newCampaign(opts, fuzzPlan{})
-	if c.opts.StateDir != "" && c.opts.Resume {
-		// A campaign built to resume inspects as its journal left it
-		// before it starts: replay the journal the way its first segment
-		// will, unobserved, since that segment replays it again.
-		report, h := newReport(c.opts), harness.New(c.opts.Harness)
-		agg := &reportAggregator{report: report, bugIndex: bugIndexFor(c.opts.Compilers)}
-		unobserved := c.opts
-		unobserved.Metrics, unobserved.Trace = nil, nil
-		if peekState(unobserved, report, agg, h) {
-			c.publish(report, h)
-		}
-	}
-	return c
-}
-
-func newCampaign(opts Options, p plan) *Campaign {
 	if opts.Compilers == nil {
 		opts.Compilers = compilers.All()
 	}
@@ -162,43 +133,49 @@ func newCampaign(opts Options, p plan) *Campaign {
 	// two configs that run identically fingerprint differently, and a
 	// resume validate against state a different effective config wrote).
 	opts.GenConfig = opts.GenConfig.Normalized()
-	return &Campaign{opts: opts, plan: p, done: make(chan struct{})}
+	c := &Campaign{opts: opts, done: make(chan struct{})}
+	if opts.StateDir != "" && opts.Resume {
+		// A campaign built to resume inspects as its journal left it
+		// before it starts: replay the journal the way its first segment
+		// will, unobserved, since that segment replays it again.
+		report, h := newReport(opts), harness.New(opts.Harness)
+		agg := &reportAggregator{report: report, bugIndex: bugIndexFor(opts.Compilers)}
+		unobserved := opts
+		unobserved.Metrics, unobserved.Trace = nil, nil
+		if peekState(unobserved, report, agg, h) {
+			c.report, c.h = report, h
+			c.state = StatePaused
+		}
+	}
+	return c
 }
 
-// Options returns the campaign's normalized options.
-func (c *Campaign) Options() Options { return c.opts }
-
-// Start begins executing the campaign. ctx bounds the whole lifecycle:
-// cancelling it cancels the campaign (including across later resumes).
-// A nil ctx means context.Background. Start can be called once, from
-// StateNew.
+// Start runs a new or paused campaign. A paused one first replays its
+// journal and skips the units it restores. ctx bounds the run until it
+// ends or pauses: cancelling it cancels the campaign. A nil ctx means
+// context.Background.
 func (c *Campaign) Start(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state != StateNew {
+	if c.state != StateNew && c.state != StatePaused {
 		return fmt.Errorf("campaign: Start from state %s", c.state)
 	}
 	c.baseCtx = ctx
-	c.launchLocked(false)
-	return nil
-}
-
-// launchLocked spawns one pipeline segment; c.mu must be held.
-func (c *Campaign) launchLocked(resume bool) {
-	segCtx, cancel := context.WithCancel(c.baseCtx)
+	segCtx, cancel := context.WithCancel(ctx)
 	seg := make(chan struct{})
 	c.cancelSeg = cancel
 	c.segDone = seg
 	c.pauseReq = false
 	c.state = StateRunning
 	go func() {
-		err := c.plan.run(segCtx, c, resume)
+		err := c.run(segCtx)
 		cancel()
 		c.settle(err, seg)
 	}()
+	return nil
 }
 
 // settle records how a segment ended and advances the state machine.
@@ -214,9 +191,10 @@ func (c *Campaign) settle(err error, seg chan struct{}) {
 	case cancelled && c.pauseReq && !c.cancelReq && c.baseCtx.Err() == nil:
 		// The segment drained because Pause asked it to (not because the
 		// lifecycle context died underneath it): the durable layer has
-		// synced the journal, the campaign is suspended, and the
-		// lifecycle stays open for Resume.
+		// synced the journal, the campaign is suspended, and the next
+		// Start resumes the state directory this segment claimed.
 		c.state = StatePaused
+		c.opts.Resume = true
 	case cancelled:
 		c.state = StateCancelled
 		c.err = err
@@ -230,13 +208,14 @@ func (c *Campaign) settle(err error, seg chan struct{}) {
 
 // Pause durably suspends a running campaign: the pipeline segment is
 // cancelled, in-flight units are abandoned (their results are simply
-// recomputed on resume), and the journal is synced and closed. Pause
-// blocks until the suspension is complete. Only durable campaigns
-// (Options.StateDir) can pause; a campaign that finishes while Pause is
-// in flight stays finished.
+// recomputed when Start resumes it), and the journal is synced and
+// closed. The campaign stays running until the suspension is complete,
+// and Pause blocks until then. Only durable campaigns (Options.StateDir)
+// can pause; a campaign that finishes while Pause is in flight stays
+// finished.
 func (c *Campaign) Pause() error {
 	c.mu.Lock()
-	if !c.plan.pausable(c) {
+	if c.opts.StateDir == "" {
 		c.mu.Unlock()
 		return ErrNotPausable
 	}
@@ -245,25 +224,11 @@ func (c *Campaign) Pause() error {
 		c.mu.Unlock()
 		return fmt.Errorf("campaign: Pause from state %s", state)
 	}
-	c.state = StatePausing
 	c.pauseReq = true
 	cancel, seg := c.cancelSeg, c.segDone
 	c.mu.Unlock()
 	cancel()
 	<-seg
-	return nil
-}
-
-// Resume continues a paused campaign: a fresh segment replays the
-// journal through the same fold a live unit uses and picks up at the
-// first unfolded unit — the crash-recovery path, reused verbatim.
-func (c *Campaign) Resume() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StatePaused {
-		return fmt.Errorf("campaign: Resume from state %s", c.state)
-	}
-	c.launchLocked(true)
 	return nil
 }
 
@@ -291,7 +256,7 @@ func (c *Campaign) Cancel() error {
 			c.fold.Unlock()
 		}
 		return nil
-	case StateRunning, StatePausing:
+	case StateRunning:
 		c.cancelReq = true
 		cancel, seg := c.cancelSeg, c.segDone
 		c.mu.Unlock()
@@ -305,7 +270,7 @@ func (c *Campaign) Cancel() error {
 }
 
 // Wait blocks until the campaign reaches a terminal state — through
-// any number of pause/resume cycles — and returns the final report and
+// any number of pause and Start cycles — and returns the final report and
 // error, with the same contract RunContext had: a nil error means the
 // report is complete and deterministic for the options.
 func (c *Campaign) Wait() (*Report, error) {
@@ -333,14 +298,14 @@ func (c *Campaign) State() State {
 func (c *Campaign) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state == StateRunning || c.state == StatePausing {
+	if c.state == StateRunning {
 		return nil
 	}
 	return c.report
 }
 
 // publish installs a segment's report and harness for Status readers;
-// called by plans once restore has finished and before the pipeline
+// called by run once restore has finished and before the pipeline
 // starts folding.
 func (c *Campaign) publish(r *Report, h *harness.Harness) {
 	c.mu.Lock()

@@ -12,7 +12,7 @@ import (
 )
 
 // runWithPauses drives a durable campaign through repeated
-// pause/resume cycles — each pause requested at a random wall-clock
+// pause/Start cycles — each pause requested at a random wall-clock
 // instant — until it completes, asserting the paused invariants at
 // every suspension point.
 func runWithPauses(t *testing.T, opts Options, seed int64, cycles, maxPauseMS int) *Report {
@@ -48,8 +48,8 @@ func runWithPauses(t *testing.T, opts Options, seed int64, cycles, maxPauseMS in
 		if st := c.Status(); st.State != StatePaused {
 			t.Fatalf("paused Status.State = %s", st.State)
 		}
-		if err := c.Resume(); err != nil {
-			t.Fatalf("Resume: %v", err)
+		if err := c.Start(context.Background()); err != nil {
+			t.Fatalf("Start after Pause: %v", err)
 		}
 	}
 	r, err := c.Wait()
@@ -196,21 +196,17 @@ func TestLifecycleStateErrors(t *testing.T) {
 	if err := c.Pause(); !errors.Is(err, ErrNotPausable) {
 		t.Errorf("Pause on non-durable campaign: %v, want ErrNotPausable", err)
 	}
-	// Resume before any pause.
-	if err := c.Resume(); err == nil {
-		t.Error("Resume from new succeeded")
-	}
 	if err := c.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Start is once-only.
+	// Start refuses a running campaign.
 	if err := c.Start(context.Background()); err == nil {
 		t.Error("second Start succeeded")
 	}
 	if _, err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// A finished campaign refuses Pause and Resume.
+	// A finished campaign refuses Pause and Start.
 	o := smallOptions(5)
 	o.StateDir = t.TempDir()
 	d := New(o)
@@ -223,8 +219,8 @@ func TestLifecycleStateErrors(t *testing.T) {
 	if err := d.Pause(); err == nil {
 		t.Error("Pause on done campaign succeeded")
 	}
-	if err := d.Resume(); err == nil {
-		t.Error("Resume on done campaign succeeded")
+	if err := d.Start(context.Background()); err == nil {
+		t.Error("Start on done campaign succeeded")
 	}
 }
 
@@ -246,7 +242,8 @@ func TestLifecycleCancelBeforeStart(t *testing.T) {
 
 func TestLifecyclePausedCampaignResumableByNewProcess(t *testing.T) {
 	// A paused campaign is exactly a crash-suspended one: a fresh
-	// Campaign over the same state dir with Resume set must finish it.
+	// Campaign over the same state dir with Resume set is paused at the
+	// same unit count, and Start finishes it.
 	golden := Run(smallOptions(25))
 	if golden.Err != nil {
 		t.Fatal(golden.Err)
@@ -266,14 +263,33 @@ func TestLifecyclePausedCampaignResumableByNewProcess(t *testing.T) {
 			t.Fatal(werr)
 		}
 	}
+	paused := c.Status().Units
 	o2 := smallOptions(25)
 	o2.StateDir = dir
 	o2.Resume = true
-	r, err := RunContext(context.Background(), o2)
+	c2 := New(o2)
+	if st := c2.Status(); st.State != StatePaused || st.Units != paused {
+		t.Fatalf("New over the paused directory: state %s with %d units, want paused with %d", st.State, st.Units, paused)
+	}
+	if err := c2.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c2.Wait()
 	if err != nil {
 		t.Fatalf("cross-process resume: %v", err)
 	}
 	assertSameOutcome(t, "cross-process resume of paused campaign", golden, r)
+	goldenDoc, err := json.Marshal(golden.Doc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(r.Doc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(doc) != string(goldenDoc) {
+		t.Errorf("cross-process resume: report document differs from uninterrupted run:\n%s\nvs\n%s", doc, goldenDoc)
+	}
 }
 
 func TestLifecycleGateBackpressure(t *testing.T) {
@@ -386,8 +402,8 @@ func TestCorpusMergeReport(t *testing.T) {
 // completion window: the pause is requested only after every unit has
 // folded, so the segment is finishing — or already finished —
 // underneath it. Whatever interleaving lands, the campaign must settle
-// coherently: paused (then resumable to done) or done, never wedged in
-// pausing, with Wait unblocking and the completed report intact.
+// coherently: paused (then startable to done) or done, never wedged
+// mid-drain, with Wait unblocking and the completed report intact.
 // Meaningful under -race.
 func TestLifecyclePauseRacesCompletion(t *testing.T) {
 	for i := 0; i < 8; i++ {
@@ -412,8 +428,8 @@ func TestLifecyclePauseRacesCompletion(t *testing.T) {
 			if pauseErr != nil {
 				t.Fatalf("iteration %d: paused, yet Pause returned %v", i, pauseErr)
 			}
-			if err := c.Resume(); err != nil {
-				t.Fatalf("iteration %d: Resume after racing pause: %v", i, err)
+			if err := c.Start(context.Background()); err != nil {
+				t.Fatalf("iteration %d: Start after racing pause: %v", i, err)
 			}
 		case StateDone:
 			// Completion won; a finished campaign stays finished whether

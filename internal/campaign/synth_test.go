@@ -194,7 +194,7 @@ func TestSynthCampaignBadCorpusFailsFast(t *testing.T) {
 // programs must reach probe sites a same-seed generated-only campaign
 // does not — that is the reason the input kind exists.
 func TestSynthCoverageAdvantage(t *testing.T) {
-	rows, err := RunSynthCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 25, 0, generator.DefaultConfig(), apisynth.Config{}, 0)
+	rows, _, err := RunSynthCoverageContext(context.Background(), []*compilers.Compiler{compilers.Kotlinc()}, 25, 0, generator.DefaultConfig(), apisynth.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

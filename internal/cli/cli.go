@@ -420,6 +420,20 @@ func PrintDifferential(w io.Writer, report *campaign.Report) {
 	}
 }
 
+// PrintRecovery writes what a resumed run restored: the replayed unit
+// count and every quarantined journal stretch, whose units re-ran; a
+// no-op for a run that restored nothing.
+func PrintRecovery(w io.Writer, report *campaign.Report) {
+	if report == nil || !report.Recovery.Resumed {
+		return
+	}
+	fmt.Fprintf(w, "resumed: %d units restored by journal replay\n", report.Recovery.Recovered)
+	for _, c := range report.Recovery.Quarantined {
+		fmt.Fprintf(w, "  quarantined %s\n", c)
+	}
+	fmt.Fprintln(w)
+}
+
 // Close shuts down the debug server, if one is running.
 func (o *Observability) Close() {
 	if o.Server != nil {

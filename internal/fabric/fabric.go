@@ -547,7 +547,7 @@ func (c *coordinator) driveLease(ctx context.Context, w *workerRef, sh *shard, l
 			continue
 		}
 		misses = 0
-		if state != "running" && state != "pausing" {
+		if state != "running" {
 			break
 		}
 	}

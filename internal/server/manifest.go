@@ -64,9 +64,9 @@ func (s *Server) saveManifestLocked() {
 }
 
 // loadManifest reads the manifest and, when resume is set, re-hosts
-// every non-terminal campaign as a suspended one: built with
-// Resume=true so its first Start restores the journal, but not started
-// — POST .../resume (or operator action) continues it. Terminal
+// every non-terminal campaign without starting it: built with
+// Resume=true, so one whose journal holds units is paused with them and
+// one that never started is new. POST .../resume runs either. Terminal
 // campaigns are not re-hosted; their state directories stay on disk.
 func (s *Server) loadManifest(resume bool) error {
 	raw, err := os.ReadFile(s.manifestPath())
@@ -93,7 +93,6 @@ func (s *Server) loadManifest(resume bool) error {
 			return fmt.Errorf("re-hosting campaign %s: %w", e.ID, err)
 		}
 		h.created = e.Created
-		h.suspended = true
 	}
 	return nil
 }

@@ -17,10 +17,12 @@
 // refused with 409 rather than queued when no slot is free, and ships
 // its journal from GET /api/campaigns/{id}/journal once it has ended.
 //
-// Every campaign is durable under DataDir, so Drain (the SIGTERM path)
-// is just Pause for every running campaign: each syncs its journal,
-// and a server restarted with Resume re-hosts them as suspended
-// campaigns that continue exactly where they stopped. None of this
+// A campaign moves new|paused → running → done|cancelled|failed, and
+// Pause takes a running one back to paused. Every campaign is durable
+// under DataDir, so Drain (the SIGTERM path) is just Pause for every
+// running campaign: each syncs its journal, and a server restarted with
+// Resume re-hosts them paused, as their journals left them, so
+// POST …/resume continues them exactly where they stopped. None of this
 // bends the determinism contract — slots only reschedule work, so a
 // hosted campaign reports bit-for-bit what a solo CLI run of the same
 // options reports.
@@ -65,7 +67,8 @@ type Options struct {
 	// TraceCapacity sizes each campaign's event ring. Default 4096.
 	TraceCapacity int
 	// Resume re-hosts the suspended campaigns recorded in DataDir's
-	// manifest (as paused; POST .../resume continues them).
+	// manifest: paused ones paused, never-started ones new, and
+	// POST .../resume runs either.
 	Resume bool
 	// Metrics, when set, receives the server's instruments: each
 	// campaign's under its ID.
@@ -110,12 +113,10 @@ type hosted struct {
 	trace   *metrics.Trace
 	// faults is the chaos draw of a shard campaign.
 	faults Faults
-	// queued: waiting for a slot (still StateNew). holdsSlot: counted
-	// in Server.running. suspended: restored from a manifest, waiting
-	// for an explicit resume.
+	// queued: waiting for a slot (new or paused). holdsSlot: counted
+	// in Server.running.
 	queued    bool
 	holdsSlot bool
-	suspended bool
 	repros    map[string]*reproDoc
 }
 
@@ -294,23 +295,13 @@ func (s *Server) admitLocked(h *hosted) {
 	s.queue = append(s.queue, h)
 }
 
-// startLocked launches (or resumes) a campaign into a slot; returns
-// false when the campaign cannot start (already terminal).
+// startLocked runs a new or paused campaign in a slot; returns false
+// when the campaign cannot start (already terminal).
 func (s *Server) startLocked(h *hosted) bool {
-	var err error
-	switch h.camp.State() {
-	case campaign.StateNew:
-		err = h.camp.Start(s.baseCtx)
-	case campaign.StatePaused:
-		err = h.camp.Resume()
-	default:
-		return false
-	}
-	if err != nil {
+	if h.camp.Start(s.baseCtx) != nil {
 		return false
 	}
 	h.queued = false
-	h.suspended = false
 	h.holdsSlot = true
 	s.running++
 	return true
@@ -349,7 +340,7 @@ func (s *Server) watch(h *hosted) {
 	select {
 	case <-h.camp.Done():
 	case <-s.baseCtx.Done():
-		if st := h.camp.State(); st != campaign.StateRunning && st != campaign.StatePausing {
+		if h.camp.State() != campaign.StateRunning {
 			return
 		}
 		<-h.camp.Done()
@@ -392,7 +383,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	var live []*hosted
 	for _, id := range s.order {
 		h := s.campaigns[id]
-		if st := h.camp.State(); st == campaign.StateRunning || st == campaign.StatePausing {
+		if h.camp.State() == campaign.StateRunning {
 			live = append(live, h)
 		}
 	}
@@ -435,13 +426,20 @@ type campaignView struct {
 	ID      string    `json:"id"`
 	Created time.Time `json:"created"`
 	Queued  bool      `json:"queued,omitempty"`
-	// Suspended marks a campaign re-hosted from the manifest that has
-	// not been resumed yet (its lifecycle state is still "new", but its
-	// journal holds a paused run).
+	// Suspended marks a campaign that POST …/resume would run (see
+	// suspendedLocked).
 	Suspended bool            `json:"suspended,omitempty"`
 	Config    cli.Config      `json:"config"`
 	Status    campaign.Status `json:"status"`
 	Error     string          `json:"error,omitempty"`
+}
+
+// suspendedLocked reports whether h waits for POST …/resume: not queued,
+// and paused or new (a new one that is not queued is a campaign
+// re-hosted before it ever started). Caller holds s.mu.
+func suspendedLocked(h *hosted) bool {
+	st := h.camp.State()
+	return !h.queued && (st == campaign.StatePaused || st == campaign.StateNew)
 }
 
 func (s *Server) viewOf(h *hosted) campaignView {
@@ -450,7 +448,7 @@ func (s *Server) viewOf(h *hosted) campaignView {
 		ID:        h.id,
 		Created:   h.created,
 		Queued:    h.queued,
-		Suspended: h.suspended,
+		Suspended: suspendedLocked(h),
 		Config:    h.cfg,
 		Status:    st,
 	}
@@ -574,11 +572,9 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
-	st := h.camp.State()
-	resumable := st == campaign.StatePaused || (st == campaign.StateNew && h.suspended)
-	if !resumable || h.queued {
+	if !suspendedLocked(h) {
 		s.mu.Unlock()
-		http.Error(w, fmt.Sprintf("campaign %s is %s, not paused", h.id, st), http.StatusConflict)
+		http.Error(w, fmt.Sprintf("campaign %s is %s, not paused", h.id, h.camp.State()), http.StatusConflict)
 		return
 	}
 	s.admitLocked(h)

@@ -404,6 +404,34 @@ func TestServerSSEStreamsHeartbeatsAndTrace(t *testing.T) {
 	waitState(t, ts, id, "done")
 }
 
+// suspendedView is the part of a campaign's inspect view that says
+// where its suspension stands.
+type suspendedView struct {
+	Queued    bool `json:"queued"`
+	Suspended bool `json:"suspended"`
+	Status    struct {
+		State string `json:"state"`
+		Units int    `json:"units"`
+	} `json:"status"`
+}
+
+// inspect fetches one campaign's suspension view.
+func inspect(t *testing.T, ts *httptest.Server, id string) suspendedView {
+	t.Helper()
+	code, raw := request(t, ts, "GET", "/api/campaigns/"+id, nil)
+	if code != http.StatusOK {
+		t.Fatalf("inspect %s: status %d: %s", id, code, raw)
+	}
+	var view suspendedView
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+// TestServerDrainAndResumeAcrossRestart: a paused campaign inspects the
+// same before and after a drain and restart — paused, suspended, at the
+// units it paused at — and resumes to the uninterrupted run's report.
 func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Options{DataDir: dir})
@@ -411,7 +439,17 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 		"seed": 1, "programs": 300, "workers": 2, "compilers": []string{"groovyc"},
 	})
 	time.Sleep(150 * time.Millisecond)
-	// SIGTERM path: drain suspends the running campaign durably.
+	if code, raw := request(t, ts1, "POST", "/api/campaigns/"+id+"/pause", nil); code != http.StatusOK {
+		t.Fatalf("pause: status %d: %s", code, raw)
+	}
+	before := inspect(t, ts1, id)
+	if before.Status.State != "paused" || !before.Suspended {
+		t.Fatalf("paused campaign inspects as %+v, want paused and suspended", before)
+	}
+	if before.Status.Units == 0 || before.Status.Units >= 300 {
+		t.Fatalf("paused campaign folded %d of 300 units, want a partial run", before.Status.Units)
+	}
+	// SIGTERM path: drain suspends the server durably.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {
@@ -421,28 +459,6 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 		map[string]any{"programs": 5, "compilers": []string{"groovyc"}}); code != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: status %d, want 503", code)
 	}
-	type inspectView struct {
-		Suspended bool `json:"suspended"`
-		Status    struct {
-			Units int `json:"units"`
-		} `json:"status"`
-	}
-	inspect := func(ts *httptest.Server) inspectView {
-		t.Helper()
-		code, raw := request(t, ts, "GET", "/api/campaigns/"+id, nil)
-		if code != http.StatusOK {
-			t.Fatalf("inspect %s: status %d: %s", id, code, raw)
-		}
-		var view inspectView
-		if err := json.Unmarshal(raw, &view); err != nil {
-			t.Fatal(err)
-		}
-		return view
-	}
-	drained := inspect(ts1).Status.Units
-	if drained == 0 || drained >= 300 {
-		t.Fatalf("drained campaign folded %d of 300 units, want a partial run", drained)
-	}
 	ts1.Close()
 	// Manifests written before tenancy was removed carry a "tenant" key
 	// per campaign; they must still load.
@@ -451,12 +467,8 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 	// A fresh server over the same data dir re-hosts the suspension.
 	s2, ts2 := newTestServer(t, Options{DataDir: dir, Resume: true})
 	defer s2.Close()
-	view := inspect(ts2)
-	if !view.Suspended {
-		t.Errorf("restored campaign not marked suspended: %+v", view)
-	}
-	if view.Status.Units != drained {
-		t.Errorf("re-hosted campaign inspects as %d units before resume, want the %d it drained at", view.Status.Units, drained)
+	if after := inspect(t, ts2, id); after != before {
+		t.Errorf("re-hosted campaign inspects as %+v, want %+v as before the restart", after, before)
 	}
 	if code, raw := request(t, ts2, "POST", "/api/campaigns/"+id+"/resume", nil); code != http.StatusOK {
 		t.Fatalf("resume after restart: status %d: %s", code, raw)
@@ -467,12 +479,125 @@ func TestServerDrainAndResumeAcrossRestart(t *testing.T) {
 		c.Seed, c.Programs, c.Workers, c.Compilers = 1, 300, 2, []string{"groovyc"}
 	})
 	if !bytes.Equal(got, want) {
-		t.Error("report after drain+restart+resume differs from uninterrupted in-process run")
+		t.Error("report after pause+drain+restart+resume differs from uninterrupted in-process run")
 	}
 }
 
-// TestServerDebugEndpoints: each campaign's instruments live in the
-// server registry under the campaign's ID, served at /debug/server/.
+// TestServerDrainRehostsQueuedCampaign: drain pauses the running
+// campaign mid-run (the SIGTERM path) and leaves the queued one
+// unstarted; after a restart the first inspects paused and the second
+// new, both suspended, and POST …/resume runs each to its uninterrupted
+// run's report.
+func TestServerDrainRehostsQueuedCampaign(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Options{DataDir: dir, MaxRunning: 1})
+	running := submit(t, ts1, map[string]any{
+		"seed": 1, "programs": 300, "workers": 1, "compilers": []string{"groovyc"},
+	})
+	queued := submit(t, ts1, map[string]any{
+		"seed": 2, "programs": 20, "workers": 1, "compilers": []string{"groovyc"},
+	})
+	if v := inspect(t, ts1, queued); v.Status.State != "new" || !v.Queued || v.Suspended {
+		t.Fatalf("second campaign behind one slot inspects as %+v, want new and queued", v)
+	}
+	time.Sleep(100 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := inspect(t, ts1, running)
+	if before.Status.State != "paused" || !before.Suspended {
+		t.Errorf("drained campaign inspects as %+v, want paused and suspended", before)
+	}
+	ts1.Close()
+
+	s2, ts2 := newTestServer(t, Options{DataDir: dir, Resume: true})
+	defer s2.Close()
+	if after := inspect(t, ts2, running); after != before {
+		t.Errorf("re-hosted drained campaign inspects as %+v, want %+v as before the restart", after, before)
+	}
+	if v := inspect(t, ts2, queued); v.Status.State != "new" || v.Queued || !v.Suspended {
+		t.Fatalf("re-hosted queued campaign inspects as %+v, want new, suspended and not queued", v)
+	}
+	for _, id := range []string{running, queued} {
+		if code, raw := request(t, ts2, "POST", "/api/campaigns/"+id+"/resume", nil); code != http.StatusOK {
+			t.Fatalf("resume %s after restart: status %d: %s", id, code, raw)
+		}
+	}
+	for _, c := range []struct {
+		id       string
+		seed     int64
+		programs int
+	}{{running, 1, 300}, {queued, 2, 20}} {
+		waitState(t, ts2, c.id, "done")
+		_, got := request(t, ts2, "GET", "/api/campaigns/"+c.id+"/report", nil)
+		want := goldenDoc(t, func(cfg *cli.Config) {
+			cfg.Seed, cfg.Programs, cfg.Workers, cfg.Compilers = c.seed, c.programs, 1, []string{"groovyc"}
+		})
+		if !bytes.Equal(got, want) {
+			t.Errorf("report of re-hosted campaign %s (seed %d) differs from the uninterrupted in-process run", c.id, c.seed)
+		}
+	}
+}
+
+// TestServerResumeRefusesQueuedCampaign: a paused campaign resumed
+// behind a full slot is queued, not suspended, so a second resume is
+// refused with 409 rather than queueing it twice; once it runs, a pause
+// holds.
+func TestServerResumeRefusesQueuedCampaign(t *testing.T) {
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir(), MaxRunning: 1})
+	cfg := map[string]any{"programs": 2000, "workers": 1, "compilers": []string{"groovyc"}}
+	cfg["seed"] = 1
+	paused := submit(t, ts, cfg)
+	if code, raw := request(t, ts, "POST", "/api/campaigns/"+paused+"/pause", nil); code != http.StatusOK {
+		t.Fatalf("pause: status %d: %s", code, raw)
+	}
+	cfg["seed"] = 2
+	holder := submit(t, ts, cfg)
+	if got := state(t, ts, holder); got != "running" {
+		t.Fatalf("second campaign is %s, want running in the freed slot", got)
+	}
+
+	path := "/api/campaigns/" + paused + "/resume"
+	if code, raw := request(t, ts, "POST", path, nil); code != http.StatusOK {
+		t.Fatalf("first resume: status %d: %s", code, raw)
+	}
+	if v := inspect(t, ts, paused); v.Status.State != "paused" || !v.Queued || v.Suspended {
+		t.Fatalf("resumed campaign behind a full slot inspects as %+v, want paused, queued, not suspended", v)
+	}
+	if code, raw := request(t, ts, "POST", path, nil); code != http.StatusConflict {
+		t.Fatalf("second resume of a queued campaign: status %d, want 409: %s", code, raw)
+	}
+
+	// Freeing the slot runs the queued campaign; pausing it again holds,
+	// since no stale queue entry is left to restart it.
+	if code, raw := request(t, ts, "POST", "/api/campaigns/"+holder+"/cancel", nil); code != http.StatusOK {
+		t.Fatalf("cancel: status %d: %s", code, raw)
+	}
+	waitState(t, ts, paused, "running")
+	if code, raw := request(t, ts, "POST", "/api/campaigns/"+paused+"/pause", nil); code != http.StatusOK {
+		t.Fatalf("second pause: status %d: %s", code, raw)
+	}
+	if v := inspect(t, ts, paused); v.Status.State != "paused" || v.Queued || !v.Suspended {
+		t.Errorf("campaign paused again inspects as %+v, want paused and suspended", v)
+	}
+}
+
+// TestServerPauseNeedsDataDir: a server without a data directory keeps
+// no journal to suspend into, so pause is refused with 409 and the
+// campaign runs on to done.
+func TestServerPauseNeedsDataDir(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	id := submit(t, ts, map[string]any{
+		"seed": 1, "programs": 40, "workers": 1, "compilers": []string{"groovyc"},
+	})
+	if code, raw := request(t, ts, "POST", "/api/campaigns/"+id+"/pause", nil); code != http.StatusConflict {
+		t.Errorf("pause without a data directory: status %d, want 409: %s", code, raw)
+	}
+	waitState(t, ts, id, "done")
+}
+
 // addTenantKeys rewrites a manifest as an older server wrote it, with a
 // "tenant" key in every campaign entry.
 func addTenantKeys(t *testing.T, path string) {
@@ -496,6 +621,8 @@ func addTenantKeys(t *testing.T, path string) {
 	}
 }
 
+// TestServerDebugEndpoints: each campaign's instruments live in the
+// server registry under the campaign's ID, served at /debug/server/.
 func TestServerDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	id := submit(t, ts, map[string]any{
