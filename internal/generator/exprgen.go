@@ -15,70 +15,109 @@ func (g *Generator) generateExpr(t types.Type, sc *scope, depth int) ir.Expr {
 	if depth <= 0 {
 		return g.leafExpr(t, sc)
 	}
-	type strategy func() ir.Expr
-	var strategies []strategy
+	var kinds [maxStrategies]strategy
+	strategies := kinds[:0]
 
-	if v := g.scopeVarOf(t, sc); v != nil {
-		strategies = append(strategies, func() ir.Expr { return v })
+	name, haveVar := g.scopeVarOf(t, sc)
+	if haveVar {
+		strategies = append(strategies, useVar)
 	}
-	strategies = append(strategies, func() ir.Expr { return g.newExpr(t, sc, depth) })
-	strategies = append(strategies, func() ir.Expr { return g.resolveMethodCall(t, sc, depth) })
-	strategies = append(strategies, func() ir.Expr { return g.resolveFieldAccess(t, sc, depth) })
+	strategies = append(strategies, newObject, callMethod, accessField)
 	if g.cfg.Conditionals && depth >= 2 {
-		strategies = append(strategies, func() ir.Expr {
-			return &ir.If{
-				Cond: g.boolExpr(sc, depth-1),
-				Then: g.generateExpr(t, sc, depth-1),
-				Else: g.generateExpr(t, sc, depth-1),
-			}
-		})
+		strategies = append(strategies, conditional)
 	}
-	if ft, ok := t.(*types.Func); ok {
+	ft, isFunc := t.(*types.Func)
+	if isFunc {
 		if g.cfg.Lambdas {
-			strategies = append(strategies, func() ir.Expr { return g.lambdaExpr(ft, sc, depth) })
+			strategies = append(strategies, lambda)
 		}
 		if g.cfg.MethodReferences {
-			strategies = append(strategies, func() ir.Expr { return g.methodRefExpr(ft, sc, depth) })
+			strategies = append(strategies, methodRef)
 		}
 	}
 	if depth >= 3 {
-		strategies = append(strategies, func() ir.Expr { return g.blockExpr(t, sc, depth) })
+		strategies = append(strategies, block)
 	}
 
 	// Try strategies in random order; the first that produces something
 	// wins, otherwise fall back to a leaf.
-	for _, i := range g.rng.Perm(len(strategies)) {
-		if e := strategies[i](); e != nil {
+	var order [maxStrategies]int
+	perm := order[:len(strategies)]
+	g.permInto(perm)
+	for _, i := range perm {
+		var e ir.Expr
+		switch strategies[i] {
+		case useVar:
+			e = &ir.VarRef{Name: name}
+		case newObject:
+			e = g.newExpr(t, sc, depth)
+		case callMethod:
+			e = g.resolveMethodCall(t, sc, depth)
+		case accessField:
+			e = g.resolveFieldAccess(t, sc, depth)
+		case conditional:
+			e = &ir.If{
+				Cond: g.boolExpr(sc, depth-1),
+				Then: g.generateExpr(t, sc, depth-1),
+				Else: g.generateExpr(t, sc, depth-1),
+			}
+		case lambda:
+			e = g.lambdaExpr(ft, sc, depth)
+		case methodRef:
+			e = g.methodRefExpr(ft, sc, depth)
+		case block:
+			e = g.blockExpr(t, sc, depth)
+		}
+		if e != nil {
 			return e
 		}
 	}
 	return g.leafExpr(t, sc)
 }
 
+// strategy is one way generateExpr may build an expression. generateExpr
+// lists the applicable ones in this order and tries them in the order of
+// a permutation drawn over the list, so the order is part of what a seed
+// produces.
+type strategy uint8
+
+const (
+	useVar strategy = iota
+	newObject
+	callMethod
+	accessField
+	conditional
+	lambda
+	methodRef
+	block
+	maxStrategies
+)
+
 // leafExpr terminates recursion: a conforming scope variable or val(t).
 func (g *Generator) leafExpr(t types.Type, sc *scope) ir.Expr {
-	if v := g.scopeVarOf(t, sc); v != nil && g.rng.Intn(2) == 0 {
-		return v
+	if name, ok := g.scopeVarOf(t, sc); ok && g.rng.Intn(2) == 0 {
+		return &ir.VarRef{Name: name}
 	}
 	return &ir.Const{Type: t}
 }
 
-// scopeVarOf returns a reference to a scope variable conforming to t, or
-// nil.
-func (g *Generator) scopeVarOf(t types.Type, sc *scope) ir.Expr {
+// scopeVarOf picks a scope variable conforming to t and returns its name,
+// or reports that there is none.
+func (g *Generator) scopeVarOf(t types.Type, sc *scope) (string, bool) {
 	if sc == nil {
-		return nil
+		return "", false
 	}
-	var matches []string
+	var buf [8]string
+	matches := buf[:0]
 	for _, v := range sc.vars {
 		if types.IsSubtype(v.typ, t) {
 			matches = append(matches, v.name)
 		}
 	}
 	if len(matches) == 0 {
-		return nil
+		return "", false
 	}
-	return &ir.VarRef{Name: matches[g.rng.Intn(len(matches))]}
+	return matches[g.rng.Intn(len(matches))], true
 }
 
 // newExpr builds a constructor invocation of a type conforming to t:
@@ -143,9 +182,10 @@ func (g *Generator) instantiateConcrete(cls *ir.ClassDecl, sc *scope, depth int)
 // instantiation is a subtype of t (exercising subtyping rules), builds the
 // instantiation through unification, and emits its constructor call.
 func (g *Generator) subclassNew(t types.Type, sc *scope, depth int) ir.Expr {
-	perm := g.rng.Perm(len(g.classes))
-	for _, i := range perm {
-		cls := g.classes[i]
+	base := g.pushPerm(len(g.classes))
+	defer g.popPerm(base)
+	for k := range len(g.classes) {
+		cls := g.classes[g.perm[base+k]]
 		if cls.Kind != ir.RegularClass {
 			continue
 		}
@@ -256,9 +296,10 @@ func (g *Generator) lambdaExpr(ft *types.Func, sc *scope, depth int) ir.Expr {
 // methodRefExpr builds e::m when a declared method's signature conforms to
 // the target function type.
 func (g *Generator) methodRefExpr(ft *types.Func, sc *scope, depth int) ir.Expr {
-	perm := g.rng.Perm(len(g.classes))
-	for _, i := range perm {
-		cls := g.classes[i]
+	base := g.pushPerm(len(g.classes))
+	defer g.popPerm(base)
+	for k := range len(g.classes) {
+		cls := g.classes[g.perm[base+k]]
 		if cls.Kind != ir.RegularClass || len(cls.TypeParams) > 0 {
 			continue
 		}

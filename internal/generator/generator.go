@@ -3,6 +3,7 @@ package generator
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -25,6 +26,14 @@ type Generator struct {
 	// bound's identity; types are immutable) and each class's Type().
 	builtinPools map[types.Type][]types.Type
 	classTypes   map[*ir.ClassDecl]types.Type
+
+	// Scratch stacks for the choices of one resolution step: the
+	// permutations it draws (pushPerm) and the callees it may try
+	// (resolveMethodCall, resolveMatchingClass). A step pushes its part,
+	// nested steps push above it, and the step pops its part before it
+	// returns, so both are empty between programs.
+	perm  []int
+	cands []candidate
 
 	classN, funcN, varN, fieldN, methodN int
 }
@@ -73,6 +82,7 @@ func (g *Generator) reset() {
 	g.funcs = nil
 	clear(g.builtinPools)
 	clear(g.classTypes)
+	clear(g.cands[:cap(g.cands)]) // drop the last program's declarations
 }
 
 // GenerateBatch produces n programs, each in its own package so batched
@@ -145,7 +155,7 @@ func (g *Generator) generateClass() *ir.ClassDecl {
 	// Optionally extend an existing open class (Inheritance).
 	if g.cfg.Inheritance && g.rng.Float64() < 0.4 {
 		if super := g.pickOpenClass(); super != nil {
-			superType := g.instantiate(super, sc, 1)
+			superType := g.instantiate(super, sc, 1, true)
 			if superType != nil {
 				cls.Super = &ir.SuperRef{Type: superType}
 			}
@@ -281,6 +291,31 @@ func (g *Generator) generateTestFunc() {
 	f.Body = block
 }
 
+// ----- choices -----
+
+// permInto draws a permutation of [0, len(p)) into p with exactly the
+// draws rand.Perm(len(p)) makes, so a seed's choices do not depend on
+// where the permutation is kept.
+func (g *Generator) permInto(p []int) {
+	for i := range p {
+		j := g.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+}
+
+// pushPerm draws a permutation of [0, n) onto the perm stack and returns
+// its base. Nested steps may grow the stack, so the caller reads
+// g.perm[base+k], and pops with popPerm(base) before it returns.
+func (g *Generator) pushPerm(n int) int {
+	base := len(g.perm)
+	g.perm = slices.Grow(g.perm, n)[:base+n]
+	g.permInto(g.perm[base:])
+	return base
+}
+
+func (g *Generator) popPerm(base int) { g.perm = g.perm[:base] }
+
 // ----- helpers over the context -----
 
 // classType is cls.Type(), built once per class and program. generateClass
@@ -333,9 +368,9 @@ func typeName(t types.Type) string {
 // instantiationSubst maps a class's parameters to the arguments of the
 // given instantiation (identity for simple types). Use-site projections
 // are approximated by their bounds, matching the checker's capture
-// approximation for member access.
-func instantiationSubst(t types.Type) *types.Substitution {
-	sigma := types.NewSubstitution()
+// approximation for member access. It returns the substitution by value,
+// so a caller's copy stays on its stack.
+func instantiationSubst(t types.Type) (sigma types.Substitution) {
 	if app, ok := t.(*types.App); ok {
 		for i, p := range app.Ctor.Params {
 			arg := app.Args[i]

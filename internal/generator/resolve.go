@@ -17,51 +17,43 @@ import (
 // with return type t. The result is nil only when every step fails (e.g.
 // t mentions rigid type parameters no fresh function could return).
 func (g *Generator) resolveMethodCall(t types.Type, sc *scope, depth int) ir.Expr {
-	type option func() ir.Expr
-	var opts []option
-
+	base := len(g.cands)
+	defer g.popCands(base)
 	// Step 1a: top-level functions (resolveMatchingFunctions).
 	for _, f := range g.funcs {
-		f := f
 		if f.Ret == nil || f.Name == "test" {
 			continue
 		}
-		opts = append(opts, func() ir.Expr {
-			var sigma *types.Substitution
-			if len(f.TypeParams) > 0 {
-				sigma = types.NewSubstitution()
-			}
-			return g.tryCall(nil, f.Name, f.TypeParams, paramTypes(f), f.Ret, sigma, t, sc, depth)
-		})
+		g.cands = append(g.cands, candidate{m: f, recv: -1})
 	}
 	// Step 1b: methods of live objects in scope (resolveMatchingObjects).
 	if sc != nil {
-		for _, v := range sc.vars {
-			v := v
+		for i, v := range sc.vars {
 			cls := g.classByName(typeName(v.typ))
 			if cls == nil {
 				continue
 			}
-			sigma := instantiationSubst(v.typ)
 			for _, m := range cls.Methods {
-				m := m
-				if m.Ret == nil {
-					continue
+				if m.Ret != nil {
+					g.cands = append(g.cands, candidate{m: m, recv: i})
 				}
-				opts = append(opts, func() ir.Expr {
-					callSigma := sigma
-					if len(m.TypeParams) > 0 {
-						callSigma = sigma.Clone()
-					}
-					return g.tryCall(&ir.VarRef{Name: v.name}, m.Name, m.TypeParams,
-						paramTypes(m), m.Ret, callSigma, t, sc, depth)
-				})
 			}
 		}
 	}
 
-	for _, i := range g.rng.Perm(len(opts)) {
-		if e := opts[i](); e != nil {
+	n := len(g.cands) - base
+	pbase := g.pushPerm(n)
+	defer g.popPerm(pbase)
+	for k := range n {
+		c := g.cands[base+g.perm[pbase+k]]
+		var recv ir.Expr
+		var sigma types.Substitution
+		if c.recv >= 0 {
+			v := sc.vars[c.recv]
+			recv = &ir.VarRef{Name: v.name}
+			sigma = instantiationSubst(v.typ)
+		}
+		if e := g.tryCall(recv, c.m, &sigma, t, sc, depth); e != nil {
 			return e
 		}
 	}
@@ -81,56 +73,60 @@ func (g *Generator) resolveMethodCall(t types.Type, sc *scope, depth int) ir.Exp
 	return nil
 }
 
-func paramTypes(f *ir.FuncDecl) []types.Type {
-	out := make([]types.Type, len(f.Params))
-	for i, p := range f.Params {
-		out[i] = p.Type
-	}
-	return out
+// candidate is a callee a method-resolution step may try: the function or
+// method m, called on the scope variable sc.vars[recv] (recv -1: no
+// receiver), or on a fresh receiver of class cls (resolveMatchingClass).
+type candidate struct {
+	m    *ir.FuncDecl
+	cls  *ir.ClassDecl
+	recv int
 }
 
-// tryCall attempts to build a call to a known callee so that its
+func (g *Generator) popCands(base int) { g.cands = g.cands[:base] }
+
+// tryCall attempts to build a call to a known callee f so that its
 // (substituted) return type conforms to t: unify the return type with t,
 // complete the substitution with random conforming types, validate bounds,
-// and generate arguments for the substituted parameter types. sigma is
-// only read when tps is empty, so such a callee may pass nil or a shared
-// substitution.
-func (g *Generator) tryCall(recv ir.Expr, name string, tps []*types.Parameter,
-	params []types.Type, ret types.Type, sigma *types.Substitution,
+// and generate arguments for the substituted parameter types. sigma holds
+// the receiver's instantiation, and tryCall binds f's type parameters in
+// it.
+func (g *Generator) tryCall(recv ir.Expr, f *ir.FuncDecl, sigma *types.Substitution,
 	t types.Type, sc *scope, depth int) ir.Expr {
 
-	if len(tps) == 0 {
-		if !types.IsSubtype(sigma.Apply(ret), t) {
+	if len(f.TypeParams) == 0 {
+		if !types.IsSubtype(sigma.Apply(f.Ret), t) {
 			return nil
 		}
-		call := &ir.Call{Recv: recv, Name: name}
-		for _, pt := range params {
-			call.Args = append(call.Args, g.generateExpr(sigma.Apply(pt), sc, depth-1))
-		}
-		return call
+		return g.finishCall(&ir.Call{Recv: recv, Name: f.Name}, f.Params, sigma, sc, depth)
 	}
 
-	if s := types.Unify(sigma.Apply(ret), t); s != nil {
+	if s := types.Unify(sigma.Apply(f.Ret), t); s != nil {
 		for _, p := range s.Domain() {
-			if owned(p, tps) {
+			if owned(p, f.TypeParams) {
 				bound, _ := s.Lookup(p)
 				sigma.Bind(p, stripProjections(bound))
 			}
 		}
 	}
-	if !g.completeSubstitution(sigma, tps, sc, 1) {
+	if !g.completeSubstitution(sigma, f.TypeParams, sc, 1) {
 		return nil
 	}
-	if !types.IsSubtype(sigma.Apply(ret), t) {
+	if !types.IsSubtype(sigma.Apply(f.Ret), t) {
 		return nil
 	}
-	call := &ir.Call{Recv: recv, Name: name}
-	for _, tp := range tps {
+	call := &ir.Call{Recv: recv, Name: f.Name}
+	for _, tp := range f.TypeParams {
 		arg, _ := sigma.Lookup(tp)
 		call.TypeArgs = append(call.TypeArgs, arg)
 	}
-	for _, pt := range params {
-		call.Args = append(call.Args, g.generateExpr(sigma.Apply(pt), sc, depth-1))
+	return g.finishCall(call, f.Params, sigma, sc, depth)
+}
+
+// finishCall generates the call's arguments for the substituted parameter
+// types.
+func (g *Generator) finishCall(call *ir.Call, params []*ir.ParamDecl, sigma *types.Substitution, sc *scope, depth int) ir.Expr {
+	for _, p := range params {
+		call.Args = append(call.Args, g.generateExpr(sigma.Apply(p.Type), sc, depth-1))
 	}
 	return call
 }
@@ -176,25 +172,25 @@ func stripProjections(t types.Type) types.Type {
 // type from the (partial) substitution, and generate a receiver expression
 // of that type.
 func (g *Generator) resolveMatchingClass(t types.Type, sc *scope, depth int) ir.Expr {
-	type match struct {
-		cls *ir.ClassDecl
-		m   *ir.FuncDecl
-	}
-	var matches []match
+	base := len(g.cands)
+	defer g.popCands(base)
 	for _, cls := range g.classes {
 		if cls.Kind != ir.RegularClass {
 			continue
 		}
 		for _, m := range cls.Methods {
-			if m.Ret == nil {
-				continue
+			if m.Ret != nil {
+				g.cands = append(g.cands, candidate{m: m, cls: cls, recv: -1})
 			}
-			matches = append(matches, match{cls, m})
 		}
 	}
-	for _, i := range g.rng.Perm(len(matches)) {
-		cls, m := matches[i].cls, matches[i].m
-		sigma := types.NewSubstitution()
+	n := len(g.cands) - base
+	pbase := g.pushPerm(n)
+	defer g.popPerm(pbase)
+	for k := range n {
+		c := g.cands[base+g.perm[pbase+k]]
+		cls, m := c.cls, c.m
+		var sigma types.Substitution
 		// Unify the declared return type (mentioning class and method
 		// parameters) with the target.
 		if s := types.Unify(m.Ret, t); s != nil {
@@ -203,11 +199,10 @@ func (g *Generator) resolveMatchingClass(t types.Type, sc *scope, depth int) ir.
 				sigma.Bind(p, stripProjections(bound))
 			}
 		}
-		classParams := classTypeParams(cls)
-		if !g.completeSubstitution(sigma, classParams, sc, 1) {
+		if !g.completeSubstitution(&sigma, cls.TypeParams, sc, 1) {
 			continue
 		}
-		if !g.completeSubstitution(sigma, m.TypeParams, sc, 1) {
+		if !g.completeSubstitution(&sigma, m.TypeParams, sc, 1) {
 			continue
 		}
 		if !types.IsSubtype(sigma.Apply(m.Ret), t) {
@@ -215,33 +210,29 @@ func (g *Generator) resolveMatchingClass(t types.Type, sc *scope, depth int) ir.
 		}
 		// Instantiate the receiver type from the substitution and
 		// generate an expression of that type (Algorithm 1, line 25).
-		var rt types.Type
-		switch ct := g.classType(cls).(type) {
-		case *types.Simple:
-			rt = ct
-		case *types.Constructor:
-			args := make([]types.Type, len(ct.Params))
-			for j, p := range ct.Params {
-				args[j], _ = sigma.Lookup(p)
-			}
-			rt = ct.Apply(args...)
-		}
-		recv := g.generateExpr(rt, sc, depth-1)
+		recv := g.generateExpr(g.receiverType(cls, &sigma), sc, depth-1)
 		call := &ir.Call{Recv: recv, Name: m.Name}
 		for _, tp := range m.TypeParams {
 			arg, _ := sigma.Lookup(tp)
 			call.TypeArgs = append(call.TypeArgs, arg)
 		}
-		for _, p := range m.Params {
-			call.Args = append(call.Args, g.generateExpr(sigma.Apply(p.Type), sc, depth-1))
-		}
-		return call
+		return g.finishCall(call, m.Params, &sigma, sc, depth)
 	}
 	return nil
 }
 
-func classTypeParams(cls *ir.ClassDecl) []*types.Parameter {
-	return cls.TypeParams
+// receiverType instantiates cls from the parameters sigma binds.
+func (g *Generator) receiverType(cls *ir.ClassDecl, sigma *types.Substitution) types.Type {
+	switch ct := g.classType(cls).(type) {
+	case *types.Constructor:
+		args := make([]types.Type, len(ct.Params))
+		for j, p := range ct.Params {
+			args[j], _ = sigma.Lookup(p)
+		}
+		return ct.Apply(args...)
+	default:
+		return ct
+	}
 }
 
 // generateMatchingMethod creates a fresh top-level function returning t
@@ -264,7 +255,8 @@ func (g *Generator) resolveFieldAccess(t types.Type, sc *scope, depth int) ir.Ex
 			varName string
 			field   string
 		}
-		var hits []hit
+		var buf [8]hit
+		hits := buf[:0]
 		for _, v := range sc.vars {
 			cls := g.classByName(typeName(v.typ))
 			if cls == nil {
@@ -283,37 +275,28 @@ func (g *Generator) resolveFieldAccess(t types.Type, sc *scope, depth int) ir.Ex
 		}
 	}
 	// Otherwise instantiate a receiver whose field unifies with t.
-	for _, i := range g.rng.Perm(len(g.classes)) {
-		cls := g.classes[i]
+	base := g.pushPerm(len(g.classes))
+	defer g.popPerm(base)
+	for k := range len(g.classes) {
+		cls := g.classes[g.perm[base+k]]
 		if cls.Kind != ir.RegularClass {
 			continue
 		}
 		for _, f := range cls.Fields {
-			sigma := types.NewSubstitution()
+			var sigma types.Substitution
 			if s := types.Unify(f.Type, t); s != nil {
 				for _, p := range s.Domain() {
 					bound, _ := s.Lookup(p)
 					sigma.Bind(p, stripProjections(bound))
 				}
 			}
-			if !g.completeSubstitution(sigma, cls.TypeParams, sc, 1) {
+			if !g.completeSubstitution(&sigma, cls.TypeParams, sc, 1) {
 				continue
 			}
 			if !types.IsSubtype(sigma.Apply(f.Type), t) {
 				continue
 			}
-			var rt types.Type
-			switch ct := g.classType(cls).(type) {
-			case *types.Simple:
-				rt = ct
-			case *types.Constructor:
-				args := make([]types.Type, len(ct.Params))
-				for j, p := range ct.Params {
-					args[j], _ = sigma.Lookup(p)
-				}
-				rt = ct.Apply(args...)
-			}
-			recv := g.generateExpr(rt, sc, depth-1)
+			recv := g.generateExpr(g.receiverType(cls, &sigma), sc, depth-1)
 			return &ir.FieldAccess{Recv: recv, Field: f.Name}
 		}
 	}

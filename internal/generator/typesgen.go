@@ -17,7 +17,7 @@ func (g *Generator) generateType(sc *scope, depth int) types.Type {
 	case roll < 0.15 && sc != nil && len(sc.typeParams) > 0:
 		return sc.typeParams[g.rng.Intn(len(sc.typeParams))]
 	case roll < 0.60 && depth > 0 && len(g.classes) > 0:
-		if t := g.instantiate(g.randomClass(), sc, depth-1); t != nil {
+		if t := g.instantiate(g.randomClass(), sc, depth-1, true); t != nil {
 			return t
 		}
 	case roll < 0.68 && depth > 0 && g.cfg.Lambdas:
@@ -37,7 +37,7 @@ func (g *Generator) generateType(sc *scope, depth int) types.Type {
 func (g *Generator) groundType(sc *scope, depth int) types.Type {
 	if depth > 0 && len(g.classes) > 0 && g.rng.Float64() < 0.3 {
 		cls := g.randomClass()
-		if t := g.instantiate(cls, nil, depth-1); t != nil {
+		if t := g.instantiate(cls, nil, depth-1, true); t != nil {
 			return t
 		}
 	}
@@ -57,20 +57,28 @@ func (g *Generator) randomClass() *ir.ClassDecl {
 // type, or its constructor applied to randomly chosen arguments that
 // satisfy the parameters' upper bounds. Use-site projections are added
 // occasionally when enabled. Returns nil when no conforming argument
-// exists.
-func (g *Generator) instantiate(cls *ir.ClassDecl, sc *scope, depth int) types.Type {
+// exists. With build false it makes the same draws for a parameterized
+// class but builds nothing, and returns nil.
+func (g *Generator) instantiate(cls *ir.ClassDecl, sc *scope, depth int, build bool) types.Type {
 	t := g.classType(cls)
 	ctor, ok := t.(*types.Constructor)
 	if !ok {
 		return t
 	}
-	args := make([]types.Type, len(ctor.Params))
+	var args []types.Type
+	if build {
+		args = make([]types.Type, len(ctor.Params))
+	}
 	for i, p := range ctor.Params {
 		arg := g.conformingType(p.UpperBound(), sc, depth)
 		if arg == nil {
 			return nil
 		}
-		if g.cfg.UseSiteVariance && p.Var == types.Invariant && g.rng.Float64() < 0.1 {
+		project := g.cfg.UseSiteVariance && p.Var == types.Invariant && g.rng.Float64() < 0.1
+		if !build {
+			continue
+		}
+		if project {
 			// Wrap in an out-projection (A<out Number>), but only when
 			// the projected bound still satisfies the parameter's upper
 			// bound.
@@ -82,6 +90,9 @@ func (g *Generator) instantiate(cls *ir.ClassDecl, sc *scope, depth int) types.T
 			}
 		}
 		args[i] = arg
+	}
+	if !build {
+		return nil
 	}
 	return ctor.Apply(args...)
 }
@@ -113,8 +124,10 @@ func (g *Generator) conformingType(bound types.Type, sc *scope, depth int) types
 			case *types.Constructor:
 				// A parameterized class conforms when some instantiation
 				// does; try one. The instantiation draws from the RNG, so
-				// it is made even when the class cannot reach the bound.
-				if inst := g.instantiate(cls, sc, depth-1); inst != nil && mayReach(ct, bound) && types.IsSubtype(inst, bound) {
+				// it is drawn even when the class cannot reach the bound,
+				// but built only when it may.
+				reach := mayReach(ct, bound)
+				if inst := g.instantiate(cls, sc, depth-1, reach); inst != nil && types.IsSubtype(inst, bound) {
 					rest = append(rest, inst)
 				}
 			}

@@ -30,6 +30,12 @@ func (s BreakerState) String() string {
 	}
 }
 
+// MarshalJSON renders the position's name, so campaign status and
+// heartbeats say "closed" rather than 0.
+func (s BreakerState) MarshalJSON() ([]byte, error) {
+	return []byte(`"` + s.String() + `"`), nil
+}
+
 // Breaker is a count-based circuit breaker guarding one compiler.
 // Unlike the classic wall-clock design, its cooldown is measured in
 // skipped compiles, not elapsed time: campaign behaviour then depends

@@ -179,6 +179,25 @@ func TestServerSubmitPauseResumeReportMatchesInProcess(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("HTTP report differs from in-process run:\n%s\nvs\n%s", got, want)
 	}
+
+	// The inspect view names breaker positions, as it names states.
+	code, raw = request(t, ts, "GET", "/api/campaigns/"+id, nil)
+	if code != http.StatusOK {
+		t.Fatalf("inspect: status %d: %s", code, raw)
+	}
+	var view struct {
+		Status struct {
+			Breakers map[string]struct {
+				State json.RawMessage `json:"state"`
+			} `json:"breakers"`
+		} `json:"status"`
+	}
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(view.Status.Breakers["groovyc"].State); got != `"closed"` {
+		t.Errorf("groovyc breaker state serialised as %s, want \"closed\"", got)
+	}
 }
 
 func TestServerAdmissionQueue(t *testing.T) {
