@@ -75,9 +75,6 @@ func (m *Merger) FoldRecord(payload []byte, seqOffset int) (bool, error) {
 	return true, nil
 }
 
-// Folded reports whether the global unit seq has been folded.
-func (m *Merger) Folded(seq int) bool { return m.done[seq] }
-
 // Units returns how many distinct units have folded so far.
 func (m *Merger) Units() int { return len(m.done) }
 

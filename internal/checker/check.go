@@ -178,42 +178,10 @@ func kindOf(t types.Type) string {
 	return "other"
 }
 
-// exprKind names an expression's syntactic form for probe facets.
-func exprKind(e ir.Expr) string {
-	switch e.(type) {
-	case *ir.Const:
-		return "const"
-	case *ir.VarRef:
-		return "var"
-	case *ir.FieldAccess:
-		return "field"
-	case *ir.BinaryOp:
-		return "binop"
-	case *ir.Block:
-		return "block"
-	case *ir.Call:
-		return "call"
-	case *ir.New:
-		return "new"
-	case *ir.Assign:
-		return "assign"
-	case *ir.If:
-		return "if"
-	case *ir.MethodRef:
-		return "methodref"
-	case *ir.Lambda:
-		return "lambda"
-	case *ir.Cast:
-		return "cast"
-	case *ir.Is:
-		return "is"
-	}
-	return "other"
-}
-
-// typeOfProbe is "stc.typeOf." + exprKind(e) with the concatenation done
-// at compile time: this probe fires once per expression, and building its
-// name at runtime dominated the checker's CPU profile.
+// typeOfProbe names an expression's syntactic form as the probe
+// "stc.typeOf.<kind>", with the concatenation done at compile time: this
+// probe fires once per expression, and building its name at runtime
+// dominated the checker's CPU profile.
 func typeOfProbe(e ir.Expr) string {
 	switch e.(type) {
 	case *ir.Const:
@@ -472,14 +440,7 @@ func (c *checker) checkTypeWellFormed(t types.Type, what subject) {
 	if !ok {
 		return
 	}
-	var sigma types.Substitution // stays on the stack
-	for i, p := range app.Ctor.Params {
-		arg := app.Args[i]
-		if proj, isProj := arg.(*types.Projection); isProj {
-			arg = proj.Bound
-		}
-		sigma.Bind(p, arg)
-	}
+	sigma := types.CaptureSubst(app) // stays on the stack
 	for i, p := range app.Ctor.Params {
 		arg := app.Args[i]
 		if proj, isProj := arg.(*types.Projection); isProj {

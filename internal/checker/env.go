@@ -33,6 +33,8 @@ type MethodSig struct {
 	Decl  *ir.FuncDecl
 	// Sigma is the receiver substitution the signature was viewed under;
 	// an inferred return type (Decl.Ret == nil) must be run through it.
+	// It is nil for a Simple receiver and a top-level function, which
+	// need none: ApplyB on a nil substitution is the identity.
 	Sigma *types.Substitution
 }
 
@@ -86,62 +88,59 @@ func (e *Env) Class(name string) *ir.ClassDecl { return e.classes[name] }
 // Func returns the top-level function named name, or nil.
 func (e *Env) Func(name string) *ir.FuncDecl { return e.funcs[name] }
 
-// ClassType returns the declared type of the class named name (a
-// *types.Constructor or *types.Simple), or nil when undeclared.
-func (e *Env) ClassType(name string) types.Type {
-	c := e.classes[name]
-	if c == nil {
-		return nil
-	}
-	return c.Type()
-}
-
 // receiverSubstitution maps a receiver type (Simple or App) to its class
 // declaration and the substitution from the class's type parameters to the
-// receiver's type arguments.
+// receiver's type arguments. A Simple receiver's substitution is nil: its
+// members need none, and ApplyB on a nil substitution is the uncharged
+// identity.
 func (e *Env) receiverSubstitution(recv types.Type) (*ir.ClassDecl, *types.Substitution) {
-	sigma := types.NewSubstitution()
 	switch r := recv.(type) {
 	case *types.Simple:
-		return e.classes[r.TypeName], sigma
+		return e.classes[r.TypeName], nil
 	case *types.App:
 		cls := e.classes[r.Ctor.TypeName]
 		if cls == nil {
-			return nil, sigma
+			return nil, nil
 		}
-		for i, p := range r.Ctor.Params {
-			arg := r.Args[i]
-			if proj, ok := arg.(*types.Projection); ok {
-				// Approximate a use-site projection by its bound for
-				// member lookup (capture conversion).
-				arg = proj.Bound
-			}
-			sigma.Bind(p, arg)
-		}
-		return cls, sigma
+		// A use-site projection is approximated by its bound for member
+		// lookup (capture conversion).
+		sigma := types.CaptureSubst(r)
+		return cls, &sigma
 	case *types.Parameter:
 		// Members of a type parameter come from its upper bound.
 		return e.receiverSubstitution(r.UpperBound())
 	}
-	return nil, sigma
+	return nil, nil
 }
 
-// FieldsOf returns the fields accessible on a receiver of type recv,
-// walking the superclass chain, with type arguments substituted.
-func (e *Env) FieldsOf(recv types.Type) []FieldSig {
-	var out []FieldSig
-	seen := map[string]bool{}
+// climb visits every class on recv's superclass chain, subclass first,
+// with the substitution that views its members from recv. It stops at a
+// class the program does not declare, at the root, or after 32 levels.
+func (e *Env) climb(recv types.Type, visit func(cls *ir.ClassDecl, sigma *types.Substitution)) {
 	cur := recv
 	for depth := 0; depth < 32; depth++ {
 		cls, sigma := e.receiverSubstitution(cur)
 		if cls == nil {
-			return out
+			return
 		}
+		visit(cls, sigma)
+		if cls.Super == nil {
+			return
+		}
+		cur = sigma.ApplyB(e.Gov, cls.Super.Type)
+	}
+}
+
+// FieldsOf returns the fields accessible on a receiver of type recv,
+// walking the superclass chain, with type arguments substituted. A
+// subclass field hides an inherited one of the same name.
+func (e *Env) FieldsOf(recv types.Type) []FieldSig {
+	var out []FieldSig
+	e.climb(recv, func(cls *ir.ClassDecl, sigma *types.Substitution) {
 		for _, f := range cls.Fields {
-			if seen[f.Name] {
+			if _, ok := findField(out, f.Name); ok {
 				continue
 			}
-			seen[f.Name] = true
 			out = append(out, FieldSig{
 				Name:    f.Name,
 				Type:    sigma.ApplyB(e.Gov, f.Type),
@@ -149,18 +148,12 @@ func (e *Env) FieldsOf(recv types.Type) []FieldSig {
 				Owner:   cls,
 			})
 		}
-		if cls.Super == nil {
-			return out
-		}
-		cur = sigma.ApplyB(e.Gov, cls.Super.Type)
-	}
+	})
 	return out
 }
 
-// FieldOf resolves a single field on recv, or returns a zero FieldSig and
-// false.
-func (e *Env) FieldOf(recv types.Type, name string) (FieldSig, bool) {
-	for _, f := range e.FieldsOf(recv) {
+func findField(fs []FieldSig, name string) (FieldSig, bool) {
+	for _, f := range fs {
 		if f.Name == name {
 			return f, true
 		}
@@ -168,42 +161,41 @@ func (e *Env) FieldOf(recv types.Type, name string) (FieldSig, bool) {
 	return FieldSig{}, false
 }
 
+// FieldOf resolves a single field on recv, or returns a zero FieldSig and
+// false.
+func (e *Env) FieldOf(recv types.Type, name string) (FieldSig, bool) {
+	return findField(e.FieldsOf(recv), name)
+}
+
 // MethodsOf returns the methods callable on a receiver of type recv,
 // walking the superclass chain, with the receiver's type arguments
-// substituted into signatures. Method-level type parameters remain free.
+// substituted into signatures; the first method of a name hides the
+// later ones. Method-level type parameters remain free.
 func (e *Env) MethodsOf(recv types.Type) []MethodSig {
 	var out []MethodSig
-	seen := map[string]bool{}
-	cur := recv
-	for depth := 0; depth < 32; depth++ {
-		cls, sigma := e.receiverSubstitution(cur)
-		if cls == nil {
-			return out
-		}
+	e.climb(recv, func(cls *ir.ClassDecl, sigma *types.Substitution) {
 		for _, m := range cls.Methods {
-			if seen[m.Name] {
-				continue
+			if _, ok := findMethod(out, m.Name); !ok {
+				out = append(out, e.substituteSig(m, cls, sigma))
 			}
-			seen[m.Name] = true
-			out = append(out, e.substituteSig(m, cls, sigma))
 		}
-		if cls.Super == nil {
-			return out
-		}
-		cur = sigma.ApplyB(e.Gov, cls.Super.Type)
-	}
+	})
 	return out
+}
+
+func findMethod(ms []MethodSig, name string) (MethodSig, bool) {
+	for i := range ms {
+		if ms[i].Name == name {
+			return ms[i], true
+		}
+	}
+	return MethodSig{}, false
 }
 
 // MethodOf resolves a single method on recv by name (the first candidate
 // in subclass-first order; use MethodCandidates when overloads matter).
 func (e *Env) MethodOf(recv types.Type, name string) (MethodSig, bool) {
-	for _, m := range e.MethodsOf(recv) {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MethodSig{}, false
+	return findMethod(e.MethodsOf(recv), name)
 }
 
 // MethodCandidates returns every method named name callable on recv —
@@ -212,32 +204,24 @@ func (e *Env) MethodOf(recv types.Type, name string) (MethodSig, bool) {
 // introduces decoy overloads to stress this very path.
 func (e *Env) MethodCandidates(recv types.Type, name string) []MethodSig {
 	var out []MethodSig
-	cur := recv
-	for depth := 0; depth < 32; depth++ {
-		cls, sigma := e.receiverSubstitution(cur)
-		if cls == nil {
-			return out
-		}
+	e.climb(recv, func(cls *ir.ClassDecl, sigma *types.Substitution) {
 		for _, m := range cls.Methods {
 			if m.Name == name {
 				out = append(out, e.substituteSig(m, cls, sigma))
 			}
 		}
-		if cls.Super == nil {
-			return out
-		}
-		cur = sigma.ApplyB(e.Gov, cls.Super.Type)
-	}
+	})
 	return out
 }
 
-// TopLevelSig returns the signature of a top-level function.
+// TopLevelSig returns the signature of a top-level function, under the
+// nil substitution.
 func (e *Env) TopLevelSig(name string) (MethodSig, bool) {
 	f := e.funcs[name]
 	if f == nil {
 		return MethodSig{}, false
 	}
-	return e.substituteSig(f, nil, types.NewSubstitution()), true
+	return e.substituteSig(f, nil, nil), true
 }
 
 // substituteSig projects a FuncDecl into a MethodSig under sigma. A nil
@@ -266,18 +250,15 @@ func (e *Env) substituteSig(m *ir.FuncDecl, owner *ir.ClassDecl, sigma *types.Su
 func SelfType(cls *ir.ClassDecl) types.Type {
 	t := cls.Type()
 	if ctor, ok := t.(*types.Constructor); ok {
-		args := make([]types.Type, len(ctor.Params))
-		for i, p := range ctor.Params {
-			args[i] = p
-		}
-		return ctor.Apply(args...)
+		return ctor.Self()
 	}
 	return t
 }
 
 // ConstructorParams returns the constructor parameter types of a class
 // instantiation: the class's own fields in declaration order, with the
-// instantiation substitution applied (Kotlin primary-constructor style).
+// instantiation substitution applied (Kotlin primary-constructor style);
+// a nil sigma views them as declared.
 func (e *Env) ConstructorParams(cls *ir.ClassDecl, sigma *types.Substitution) []types.Type {
 	out := make([]types.Type, len(cls.Fields))
 	for i, f := range cls.Fields {

@@ -3,6 +3,7 @@ package checker
 import (
 	"testing"
 
+	"repro/internal/governor"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -43,12 +44,6 @@ func TestEnvLookups(t *testing.T) {
 	}
 	if env.Class("Nope") != nil {
 		t.Error("unknown class should be nil")
-	}
-	if env.ClassType("Nope") != nil {
-		t.Error("unknown class type should be nil")
-	}
-	if _, ok := env.ClassType("Base").(*types.Constructor); !ok {
-		t.Error("Base should be a constructor")
 	}
 	if env.Func("whatever") != nil {
 		t.Error("unknown function should be nil")
@@ -188,6 +183,46 @@ func TestTopLevelSig(t *testing.T) {
 	}
 	if _, ok := env.TopLevelSig("nope"); ok {
 		t.Error("unknown function should not resolve")
+	}
+}
+
+// TestSimpleReceiversCarryNilSigma pins the nil-substitution convention:
+// a Simple receiver's members and a top-level function are viewed under a
+// nil Sigma, and ApplyB through it is the identity, which the checker's
+// inferred-return paths rely on.
+func TestSimpleReceiversCarryNilSigma(t *testing.T) {
+	env, _, derived, b := envFixture()
+	f := &ir.FuncDecl{Name: "f", Body: &ir.Const{Type: b.Int}}
+	env = NewEnv(&ir.Program{Decls: append(env.Program.Decls, f)}, b)
+	own, ok := env.MethodOf(derived.Type(), "own")
+	if !ok || own.Sigma != nil {
+		t.Fatalf("Derived.own: Sigma = %v, want nil", own.Sigma)
+	}
+	// The inherited method is viewed under Base<String>, which does bind.
+	if get, _ := env.MethodOf(derived.Type(), "get"); get.Sigma == nil || get.Sigma.Len() != 1 {
+		t.Errorf("Derived.get: Sigma = %v, want [Base.T ↦ String]", get.Sigma)
+	}
+	for _, m := range env.MethodsOf(derived.Type()) {
+		if m.Name == "own" && m.Sigma != nil {
+			t.Errorf("MethodsOf(Derived).own: Sigma = %v, want nil", m.Sigma)
+		}
+	}
+	top, ok := env.TopLevelSig("f")
+	if !ok || top.Sigma != nil {
+		t.Fatalf("TopLevelSig(f): Sigma = %v, want nil", top.Sigma)
+	}
+	if len(env.FieldsOf(derived.Type())) != 2 {
+		t.Fatal("FieldsOf(Derived) must still see both fields")
+	}
+	tp := types.NewParameter("f", "T")
+	budget := governor.New(0, 0)
+	for _, in := range []types.Type{b.Int, tp, nil} {
+		if got := top.Sigma.ApplyB(budget, in); got != in {
+			t.Errorf("nil Sigma applied to %v = %v, want it unchanged", in, got)
+		}
+	}
+	if budget.Spent() != 0 {
+		t.Errorf("applying a nil Sigma charged %d steps, want 0", budget.Spent())
 	}
 }
 

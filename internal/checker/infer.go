@@ -276,7 +276,7 @@ func (c *checker) typeOfNew(sc *scope, n *ir.New, expected types.Type) types.Typ
 		if decl.Kind != ir.RegularClass {
 			c.errorf(IllegalDeclaration, "cannot instantiate %s", decl.Name)
 		}
-		want := c.env.ConstructorParams(decl, types.NewSubstitution())
+		want := c.env.ConstructorParams(decl, nil)
 		c.checkCtorArgs(sc, n, decl.Name, want)
 		return cls
 
@@ -333,7 +333,7 @@ func (c *checker) checkCtorArgs(sc *scope, n *ir.New, name string, want []types.
 // the information flow the GROOVY-10080 example exercises.
 func (c *checker) inferDiamond(sc *scope, n *ir.New, decl *ir.ClassDecl, ctor *types.Constructor, expected types.Type) types.Type {
 	c.probes.Func("infer.diamondCall")
-	fieldTypes := c.env.ConstructorParams(decl, types.NewSubstitution())
+	fieldTypes := c.env.ConstructorParams(decl, nil)
 	if len(n.Args) != len(fieldTypes) {
 		c.errorf(ArityMismatch, "constructor of %s expects %d arguments, got %d",
 			decl.Name, len(fieldTypes), len(n.Args))
@@ -366,11 +366,7 @@ func (c *checker) inferDiamond(sc *scope, n *ir.New, decl *ir.ClassDecl, ctor *t
 	// Argument bindings that already satisfy the target are kept
 	// (projection positions constrain without dictating).
 	if expected != nil {
-		selfArgs := make([]types.Type, len(ctor.Params))
-		for i, p := range ctor.Params {
-			selfArgs[i] = p
-		}
-		self := ctor.Apply(selfArgs...)
+		self := ctor.Self()
 		c.probes.Line(probeName(diaFromTargetProbes, "infer.diamond.fromTarget.", kindOf(expected)))
 		if s := c.unifyProbe("infer.diamond.targetUnify", self, expected); s != nil {
 			c.chooseBindings(sigma, s, ctor.Params, self, expected)
@@ -417,18 +413,6 @@ func mentionsAny(t types.Type, params []*types.Parameter) bool {
 		}
 	}
 	return false
-}
-
-// restrictTo filters a substitution to the given parameters, dropping
-// incidental bindings unification may have picked up from nested types.
-func restrictTo(s *types.Substitution, params []*types.Parameter) *types.Substitution {
-	out := types.NewSubstitution()
-	for _, p := range params {
-		if t, ok := s.Lookup(p); ok {
-			out.Bind(p, t)
-		}
-	}
-	return out
 }
 
 // mergeLowerBounds folds argument-derived bindings into sigma. Arguments

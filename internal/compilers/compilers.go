@@ -214,24 +214,11 @@ func kotlinVersions(n int) []string {
 	return out
 }
 
-// Compile compiles the program at the development master.
+// Compile compiles the program at the development master, unmetered.
+// Coverage probes (may be nil) observe the underlying checker — the
+// simulated compiler's codebase.
 func (c *Compiler) Compile(p *ir.Program, cov coverage.Recorder) *Result {
-	return c.CompileAtVersion(p, c.MasterVersion(), cov)
-}
-
-// CompileContext compiles the program at the development master under the
-// resource budget carried by ctx (see internal/governor). A nil/absent
-// budget is unmetered, matching Compile.
-func (c *Compiler) CompileContext(ctx context.Context, p *ir.Program, cov coverage.Recorder) (*Result, error) {
-	return c.CompileAtVersionContext(ctx, p, c.MasterVersion(), cov)
-}
-
-// CompileAtVersion compiles the program as the given compiler version
-// would: only bugs affecting that version can fire. Coverage probes (may
-// be nil) observe the underlying checker — the simulated compiler's
-// codebase.
-func (c *Compiler) CompileAtVersion(p *ir.Program, version int, cov coverage.Recorder) *Result {
-	res, err := c.CompileAtVersionContext(context.Background(), p, version, cov)
+	res, err := c.CompileContext(context.Background(), p, cov)
 	if err != nil {
 		// Only a bound, cancelled context produces an error; a background
 		// context never cancels.
@@ -240,17 +227,18 @@ func (c *Compiler) CompileAtVersion(p *ir.Program, version int, cov coverage.Rec
 	return res
 }
 
-// CompileAtVersionContext is CompileAtVersion under the resource budget
-// carried by ctx: it overlays the compiler's catalog on Check's verdict.
-// When ctx carries a shared check (WithSharedCheck) that already holds
-// this program's check, the check is read from it instead of run again.
-// When the governor halts the check:
+// CompileContext compiles the program at the development master under the
+// resource budget carried by ctx (see internal/governor; a nil/absent
+// budget is unmetered): it overlays the compiler's catalog on Check's
+// verdict. When ctx carries a shared check (WithSharedCheck) that already
+// holds this program's check, the check is read from it instead of run
+// again. When the governor halts the check:
 //
 //   - a cancelled context surfaces as (nil, ctx.Err()) so the harness
 //     classifies it like any other abandoned invocation (timeout/abort);
 //   - fuel or depth exhaustion yields a deterministic ResourceExhausted
 //     Result (see Overlay).
-func (c *Compiler) CompileAtVersionContext(ctx context.Context, p *ir.Program, version int, cov coverage.Recorder) (*Result, error) {
+func (c *Compiler) CompileContext(ctx context.Context, p *ir.Program, cov coverage.Recorder) (*Result, error) {
 	shared, _ := ctx.Value(sharedCheckKey{}).(*sharedCheck)
 	checked := shared.load(p)
 	if checked == nil {
@@ -260,7 +248,7 @@ func (c *Compiler) CompileAtVersionContext(ctx context.Context, p *ir.Program, v
 		}
 		shared.store(checked)
 	}
-	return c.Overlay(checked, version), nil
+	return c.Overlay(checked), nil
 }
 
 // Checked is the compiler-independent half of a compile: the reference
@@ -315,18 +303,18 @@ func Check(ctx context.Context, p *ir.Program, cov coverage.Recorder) (*Checked,
 	return out, nil
 }
 
-// Overlay applies the compiler's bug catalog, as of the given version, to
-// a finished check. An exhausted check skips the catalog: the reference
-// verdict is unknown, so no accept/reject-flipping bug can meaningfully
-// fire.
-func (c *Compiler) Overlay(checked *Checked, version int) *Result {
+// Overlay applies the compiler's bug catalog, as of the development
+// master, to a finished check. An exhausted check skips the catalog: the
+// reference verdict is unknown, so no accept/reject-flipping bug can
+// meaningfully fire.
+func (c *Compiler) Overlay(checked *Checked) *Result {
 	if checked.exhausted != "" {
 		return &Result{Status: ResourceExhausted, Diagnostics: []string{checked.exhausted}}
 	}
 	wellTyped := checked.evidence.WellTyped
 	out := &Result{ReferenceOK: wellTyped}
 	for _, b := range c.catalog {
-		if !b.AffectsVersion(version) || !b.Fires(checked.evidence) {
+		if !b.AffectsVersion(c.MasterVersion()) || !b.Fires(checked.evidence) {
 			continue
 		}
 		out.Triggered = append(out.Triggered, b)

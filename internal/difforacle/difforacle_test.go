@@ -54,11 +54,10 @@ func TestLaneVoting(t *testing.T) {
 	}
 }
 
-// TestExhaustedAndHangLanesAbstain pins the satellite bugfix: a
-// per-compiler ResourceExhausted result skips that compiler's catalog
-// overlay entirely (CompileAtVersionContext returns before the
-// overlay), so exhausted — and hang, and crash — lanes must read as
-// abstentions, never as a reject vote. A tight -fuel budget must not
+// TestExhaustedAndHangLanesAbstain pins that a per-compiler
+// ResourceExhausted result skips that compiler's catalog entirely
+// (Overlay returns before it), so exhausted — and hang, and crash —
+// lanes must read as abstentions, never as a reject vote. A tight -fuel budget must not
 // synthesize disagreements out of compilers that simply ran out.
 func TestExhaustedAndHangLanesAbstain(t *testing.T) {
 	for _, nonVote := range []Lane{Exhausted, Hang, Crash, Unknown} {

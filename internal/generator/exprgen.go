@@ -209,12 +209,7 @@ func (g *Generator) unifyInstantiation(cls *ir.ClassDecl, t types.Type, sc *scop
 		}
 		return nil
 	case *types.Constructor:
-		selfArgs := make([]types.Type, len(ct.Params))
-		for i, p := range ct.Params {
-			selfArgs[i] = p
-		}
-		self := ct.Apply(selfArgs...)
-		sigma := types.Unify(self, t)
+		sigma := types.Unify(ct.Self(), t)
 		if sigma == nil {
 			return nil
 		}
@@ -264,7 +259,7 @@ func (g *Generator) completeSubstitution(sigma *types.Substitution, params []*ty
 // buildNew emits new C<args>(ctor-args) for a concrete instantiation.
 func (g *Generator) buildNew(cls *ir.ClassDecl, inst types.Type, sc *scope, depth int) ir.Expr {
 	n := &ir.New{Class: g.classType(cls)}
-	sigma := instantiationSubst(inst)
+	sigma := types.CaptureSubst(inst)
 	if app, ok := inst.(*types.App); ok {
 		n.TypeArgs = append([]types.Type{}, app.Args...)
 	}

@@ -177,7 +177,7 @@ func (g *Generator) generateClass() *ir.ClassDecl {
 	if cls.Super != nil {
 		superCls := g.classByName(typeName(cls.Super.Type))
 		if superCls != nil {
-			sigma := instantiationSubst(cls.Super.Type)
+			sigma := types.CaptureSubst(cls.Super.Type)
 			fieldScope := &scope{curClass: cls, typeParams: cls.TypeParams}
 			for _, f := range cls.Fields {
 				fieldScope.withVar(f.Name, f.Type, false)
@@ -363,22 +363,4 @@ func typeName(t types.Type) string {
 		return tt.TypeName
 	}
 	return ""
-}
-
-// instantiationSubst maps a class's parameters to the arguments of the
-// given instantiation (identity for simple types). Use-site projections
-// are approximated by their bounds, matching the checker's capture
-// approximation for member access. It returns the substitution by value,
-// so a caller's copy stays on its stack.
-func instantiationSubst(t types.Type) (sigma types.Substitution) {
-	if app, ok := t.(*types.App); ok {
-		for i, p := range app.Ctor.Params {
-			arg := app.Args[i]
-			if proj, isProj := arg.(*types.Projection); isProj {
-				arg = proj.Bound
-			}
-			sigma.Bind(p, arg)
-		}
-	}
-	return sigma
 }

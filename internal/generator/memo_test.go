@@ -73,9 +73,5 @@ func selfType(t types.Type) types.Type {
 	if !ok {
 		return t
 	}
-	args := make([]types.Type, len(ctor.Params))
-	for i, p := range ctor.Params {
-		args[i] = p
-	}
-	return ctor.Apply(args...)
+	return ctor.Self()
 }

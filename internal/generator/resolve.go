@@ -51,7 +51,7 @@ func (g *Generator) resolveMethodCall(t types.Type, sc *scope, depth int) ir.Exp
 		if c.recv >= 0 {
 			v := sc.vars[c.recv]
 			recv = &ir.VarRef{Name: v.name}
-			sigma = instantiationSubst(v.typ)
+			sigma = types.CaptureSubst(v.typ)
 		}
 		if e := g.tryCall(recv, c.m, &sigma, t, sc, depth); e != nil {
 			return e
@@ -262,7 +262,7 @@ func (g *Generator) resolveFieldAccess(t types.Type, sc *scope, depth int) ir.Ex
 			if cls == nil {
 				continue
 			}
-			sigma := instantiationSubst(v.typ)
+			sigma := types.CaptureSubst(v.typ)
 			for _, f := range cls.Fields {
 				if types.IsSubtype(sigma.Apply(f.Type), t) {
 					hits = append(hits, hit{v.name, f.Name})

@@ -334,12 +334,7 @@ func positionsOf(r occRef) []position {
 // supertype chain: S(B<T>) = A<T> aligns B's T-occurrence with A's
 // position 0.
 func climb(base, sub occRef) ([]position, []position, bool) {
-	selfArgs := make([]types.Type, len(sub.app.Ctor.Params))
-	for i, p := range sub.app.Ctor.Params {
-		selfArgs[i] = p
-	}
-	self := sub.app.Ctor.Apply(selfArgs...)
-	for _, sup := range types.SuperChain(self) {
+	for _, sup := range types.SuperChain(sub.app.Ctor.Self()) {
 		app, ok := sup.(*types.App)
 		if !ok || !app.Ctor.Equal(base.app.Ctor) {
 			continue

@@ -102,17 +102,3 @@ func (b *Builtins) ByName(name string) Type {
 	}
 	return nil
 }
-
-// IsNumeric reports whether t is one of the numeric builtins (including
-// Number itself).
-func (b *Builtins) IsNumeric(t Type) bool {
-	s, ok := t.(*Simple)
-	if !ok || !s.Builtin {
-		return false
-	}
-	switch s.TypeName {
-	case "Number", "Byte", "Short", "Int", "Long", "Float", "Double":
-		return true
-	}
-	return false
-}

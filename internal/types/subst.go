@@ -100,6 +100,20 @@ func (s *Substitution) Domain() []*Parameter {
 	return out
 }
 
+// CaptureSubst maps the parameters of t's constructor to t's arguments,
+// approximating each use-site projection by its bound (the capture
+// conversion member lookup and instantiation apply); it is empty unless
+// t is an application. It returns the substitution by value, so a
+// caller's copy stays on its stack.
+func CaptureSubst(t Type) (sigma Substitution) {
+	if app, ok := t.(*App); ok {
+		for i, p := range app.Ctor.Params {
+			sigma.Bind(p, stripProjection(app.Args[i]))
+		}
+	}
+	return sigma
+}
+
 // Clone returns an independent copy of the substitution.
 func (s *Substitution) Clone() *Substitution {
 	c := &Substitution{n: s.n, inline: s.inline}

@@ -241,7 +241,7 @@ func argConforms(b *governor.Budget, sub, sup Type, v Variance) bool {
 // SuperChain returns the chain of supertypes of t from t itself up to ⊤,
 // inclusive on both ends. Cyclic hierarchies are cut after 64 links; the
 // capped chain is still terminated with ⊤ so that consumers iterating "up
-// to Top" (lub2, UnifyPrime) keep their invariant — and the truncation is
+// to Top" (lub2, the type graph's climb) keep their invariant — and the truncation is
 // counted and reported through SetSuperChainTruncationHook so silent caps
 // stop reading as "covered everything".
 func SuperChain(t Type) []Type { return SuperChainB(nil, t) }

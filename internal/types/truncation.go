@@ -4,10 +4,11 @@ import "sync/atomic"
 
 // SuperChain's cyclic-climb cap appends ⊤ after 64 links so malformed
 // hierarchies terminate — but a silently capped chain reads as "covered
-// everything" to consumers like lub2 and UnifyPrime. The cap is therefore
-// counted here and surfaced through an optional hook so observability
-// wiring (internal/cli) can mirror it into a metrics counter and a trace
-// event without this package importing internal/metrics.
+// everything" to consumers like lub2 and the type graph's climb. The cap
+// is therefore counted here and surfaced through an optional hook so
+// observability wiring (internal/cli) can mirror it into a metrics
+// counter and a trace event without this package importing
+// internal/metrics.
 
 var (
 	superChainTruncations atomic.Uint64

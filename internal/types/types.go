@@ -232,6 +232,18 @@ func (c *Constructor) Apply(args ...Type) *App {
 	return &App{Ctor: c, Args: args}
 }
 
+// Self returns c applied to its own parameters: the type of `this`
+// inside the class c declares, and the pattern unification matches
+// against a target to instantiate c.
+func (c *Constructor) Self() *App {
+	var buf [4]Type
+	args := buf[:0]
+	for _, p := range c.Params {
+		args = append(args, p)
+	}
+	return newApp(c, args)
+}
+
 // App is a type application (Λα.t) t̄ — a parameterized type such as
 // A<String>. Arguments may be Projections for use-site variance.
 type App struct {

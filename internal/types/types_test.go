@@ -44,15 +44,9 @@ func TestBuiltinNumericTower(t *testing.T) {
 		if IsSubtype(b.Number, n) {
 			t.Errorf("Number must not be a subtype of %s", n)
 		}
-		if !b.IsNumeric(n) {
-			t.Errorf("IsNumeric(%s) should hold", n)
-		}
 	}
 	if IsSubtype(b.String, b.Number) {
 		t.Error("String must not be numeric")
-	}
-	if b.IsNumeric(b.String) {
-		t.Error("IsNumeric(String) must be false")
 	}
 }
 
@@ -350,27 +344,6 @@ func TestUnifyNestedApplications(t *testing.T) {
 	}
 }
 
-func TestUnifyPrimeDependentParameters(t *testing.T) {
-	ctorA, ctorB, b := hierarchy()
-	// unify'(A<String>, B<String>) = [B.T ↦ A.T-instantiation]: the
-	// dependency that instantiating B's T also instantiates A's T.
-	sigma := UnifyPrime(ctorA.Apply(b.String), ctorB.Apply(b.String))
-	if sigma == nil || sigma.IsEmpty() {
-		// Arguments equal on both sides: dependency recorded as the
-		// concrete instantiation String.
-		t.Fatalf("unify' must record a dependency, got %v", sigma)
-	}
-	// unify'(A<A.T>, B<B.T>) should map B.T to A.T (param-to-param).
-	sigma = UnifyPrime(ctorA.Apply(ctorA.Params[0]), ctorB.Apply(ctorB.Params[0]))
-	got, ok := sigma.Lookup(ctorB.Params[0])
-	if !ok {
-		t.Fatalf("unify' must bind B.T, got %s", sigma)
-	}
-	if p, isParam := got.(*Parameter); !isParam || p.ID() != ctorA.Params[0].ID() {
-		t.Errorf("want [B.T ↦ A.T], got %s", sigma)
-	}
-}
-
 func TestLub(t *testing.T) {
 	ctorA, ctorB, b := hierarchy()
 	if got := Lub(b.Int, b.Long); !got.Equal(b.Number) {
@@ -454,7 +427,7 @@ func TestConstructorApplyArityPanics(t *testing.T) {
 
 // TestSuperChainCyclicEndsInTop is the regression test for the capped
 // SuperChain path: even a cyclic hierarchy yields a chain terminated by ⊤,
-// preserving the invariant lub2 and UnifyPrime iterate on.
+// preserving the invariant lub2 and the type graph's climb iterate on.
 func TestSuperChainCyclicEndsInTop(t *testing.T) {
 	a := NewSimple("A", nil)
 	b := NewSimple("B", a)
@@ -509,14 +482,6 @@ func TestMalformedAppArity(t *testing.T) {
 	}
 	if sigma := Unify(wellFormed, malformed); sigma != nil {
 		t.Fatal("Unify(..., malformed) should fail, not panic")
-	}
-	// UnifyPrime reports "no dependency" as an empty substitution; the
-	// malformed operand must simply not panic the pointwise loops.
-	if sigma := UnifyPrime(malformed, wellFormed); sigma == nil {
-		t.Fatal("UnifyPrime never returns nil")
-	}
-	if sigma := UnifyPrime(wellFormed, malformed); sigma == nil {
-		t.Fatal("UnifyPrime never returns nil")
 	}
 
 	// Lub must also survive a malformed operand.

@@ -208,97 +208,3 @@ func boundAdmits(b *governor.Budget, p *Parameter, t Type, sigma *Substitution) 
 	}
 	return IsSubtypeB(b, t, bound)
 }
-
-// UnifyPrime implements the unify' variant of Section 3.3.2, which detects
-// dependent type parameters between two type applications:
-//
-//	unify'((Λα.t)t̄1, (Λα.t)t̄2) = [α ↦ α]   if t̄1 = t̄2
-//	unify'((Λα1.t1)t̄2, (Λα2.t3)t̄4) = [α2 ↦ α1]  if the hierarchies relate
-//
-// Operationally: when the two applications are hierarchy-related (t2's
-// constructor is reachable from t1's, or vice versa) and a type-parameter
-// position of one flows into a position of the other, the result maps the
-// subtype side's parameter to the supertype side's. UnifyPrime also maps
-// parameter positions to the *concrete* types they are instantiated with,
-// which the type-graph builder turns into inf-edges.
-func UnifyPrime(t1, t2 Type) *Substitution { return UnifyPrimeB(nil, t1, t2) }
-
-// UnifyPrimeB is UnifyPrime metered by a governor budget.
-func UnifyPrimeB(b *governor.Budget, t1, t2 Type) *Substitution {
-	sigma := NewSubstitution()
-	a1, ok1 := t1.(*App)
-	a2, ok2 := t2.(*App)
-	if !ok1 || !ok2 {
-		// Fall back: a parameter against anything maps directly.
-		if p, ok := t2.(*Parameter); ok && t1 != nil {
-			sigma.Bind(p, t1)
-			return sigma
-		}
-		return sigma
-	}
-	if a1.Ctor.Equal(a2.Ctor) && sameArity(a1, a2) {
-		for i := range a1.Args {
-			recordDependency(a1.Args[i], a2.Args[i], a2.Ctor.Params[i], sigma)
-		}
-		return sigma
-	}
-	// Walk a2's supertype chain looking for a1's constructor, tracking the
-	// substituted arguments (class B<T> : A<T> relates B's T to A's).
-	for _, sup := range SuperChainB(b, a2) {
-		if sa, ok := sup.(*App); ok && sa.Ctor.Equal(a1.Ctor) && sameArity(sa, a1) {
-			for i := range sa.Args {
-				recordDependency(a1.Args[i], sa.Args[i], a1.Ctor.Params[i], sigma)
-			}
-			return sigma
-		}
-	}
-	// Or a1's chain for a2's constructor.
-	for _, sup := range SuperChainB(b, a1) {
-		if sa, ok := sup.(*App); ok && sa.Ctor.Equal(a2.Ctor) && sameArity(sa, a2) {
-			for i := range sa.Args {
-				recordDependency(sa.Args[i], a2.Args[i], a2.Ctor.Params[i], sigma)
-			}
-			return sigma
-		}
-	}
-	return sigma
-}
-
-// sameArity reports that both applications carry exactly as many arguments
-// as their (shared) constructor has parameters, so pointwise loops over
-// one side may index the other.
-func sameArity(a, b *App) bool {
-	n := len(a.Ctor.Params)
-	return len(a.Args) == n && len(b.Args) == n
-}
-
-// recordDependency maps the parameter on the "to" side to whatever stands
-// on the "from" side (a parameter for [α2 ↦ α1] dependencies, or a concrete
-// type for instantiation edges).
-func recordDependency(from, to Type, fallback *Parameter, sigma *Substitution) {
-	from = stripProjection(from)
-	to = stripProjection(to)
-	if p, ok := to.(*Parameter); ok {
-		sigma.Bind(p, from)
-		return
-	}
-	if p, ok := from.(*Parameter); ok {
-		sigma.Bind(p, to)
-		return
-	}
-	// Both concrete: recurse into nested applications so A<B<T>> vs
-	// A<B<Int>> still records T ↦ Int.
-	fa, okf := from.(*App)
-	ta, okt := to.(*App)
-	if okf && okt && fa.Ctor.Equal(ta.Ctor) && sameArity(fa, ta) {
-		for i := range fa.Args {
-			recordDependency(fa.Args[i], ta.Args[i], ta.Ctor.Params[i], sigma)
-		}
-		return
-	}
-	// Identity rule of unify': both sides concrete and equal records the
-	// instantiation of the position's own parameter ([α ↦ α] if t1 = t2).
-	if fallback != nil && from.Equal(to) {
-		sigma.Bind(fallback, from)
-	}
-}
